@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from . import fileformat as ff
 from .cohomology import (
     adjoint_rep,
-    cochain_space,
     cohomology_dims,
     delta_square_is_zero,
     verify_prop_2_2,
@@ -33,18 +31,6 @@ from .tstar import (
     equivalence,
     tstar_extend,
 )
-
-
-def _threads_cap():
-    # verification loops are sequential and deterministic; the environment
-    # cap is accepted for compatibility and clamped to 1
-    value = os.environ.get("NAMBU_THREADS")
-    if value is None:
-        return 1
-    try:
-        return max(1, min(1, int(value)))
-    except ValueError:
-        return 1
 
 
 def _print_report(title, report, out=None):
@@ -107,14 +93,12 @@ def cmd_cohomology(args, out=None):
     loaded = ff.load(args.file)
     rep = _pick_representation(loaded, args.rep)
     parity = args.parity
-    c_dim = cochain_space(loaded.algebra, rep, args.m, parity).dim
-    z, b, h = cohomology_dims(loaded.algebra, rep, args.m, parity)
+    dims = cohomology_dims(loaded.algebra, rep, args.m, parity)
+    z, b, h = dims
+    c_dim = dims.basis.dim
     b_text = "B=0 (no δ^{-1})" if args.m == 0 else f"B={b}"
     print(f"C={c_dim} Z={z} {b_text} H={h}", file=out)
     if args.dump:
-        from .cohomology import cochain_basis
-
-        basis = cochain_basis(loaded.algebra, rep, args.m, parity)
         payload = {
             "m": args.m,
             "parity": parity,
@@ -123,7 +107,7 @@ def cmd_cohomology(args, out=None):
             "B": b,
             "H": h,
             "basis": [
-                [ff.format_scalar(c) for c in f.coeffs] for f in basis.cochains()
+                [ff.format_scalar(c) for c in f.coeffs] for f in dims.basis.cochains()
             ],
         }
         with open(args.dump, "w") as fh:
@@ -344,7 +328,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _threads_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,7 +20,7 @@ from .core import (
     straighten,
 )
 from .errors import ArityMismatch, DimensionMismatch, NotACochain
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, sparse_rank
 
 
 class WedgeBasis:
@@ -143,9 +143,9 @@ class _Tables:
         self.wb = _wedge(a)
         self._fb = {}
         self._ad = {}
-        self._alpha_wedge = None
         self._alpha_pow_wedge = {}
         self._alpha_pow_mat = {0: Matrix.identity(a.dim)}
+        self.alpha_cols = _sparse_columns(a.alpha)
 
     def alpha_pow(self, m) -> Matrix:
         while m not in self._alpha_pow_mat:
@@ -154,12 +154,7 @@ class _Tables:
         return self._alpha_pow_mat[m]
 
     def alpha_wedge(self):
-        if self._alpha_wedge is None:
-            cols = [self.a.alpha_column(j) for j in range(self.a.dim)]
-            self._alpha_wedge = [
-                wedge_of_vectors(self.wb, [cols[i] for i in t]) for t in self.wb.elements
-            ]
-        return self._alpha_wedge
+        return self.alpha_pow_wedge(1)
 
     def alpha_pow_wedge(self, m):
         if m not in self._alpha_pow_wedge:
@@ -200,6 +195,11 @@ class _Tables:
                 prefix = (prefix + a.parity[yt[i]]) % 2
             self._fb[key] = {k: v for k, v in out.items() if v != 0}
         return self._fb[key]
+
+
+def _sparse_columns(mat: Matrix) -> list:
+    """Columns of a matrix as sparse vectors {row: entry}."""
+    return [{i: c for i, c in enumerate(mat.col(j)) if c != 0} for j in range(mat.cols)]
 
 
 def _complex_tables(a: HomSuperAlgebra) -> _Tables:
@@ -498,45 +498,10 @@ class Cochain:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def eval(self, wedge_args, z_arg):
-        """f(A_1,...,A_m, Z): wedge args as {pos: coeff}, Z as {index: coeff}."""
-        if len(wedge_args) != self.degree:
-            raise ArityMismatch("wrong number of wedge arguments")
-        model = self.model
-        W, D, DV = model.W, model.D, model.DV
-        prefixes = [(0, 1)]
-        for arg in wedge_args:
-            if not arg:
-                return [0] * DV
-            new = []
-            for off, c in prefixes:
-                base = off * W
-                for w, cw in arg.items():
-                    new.append((base + w, c * cw))
-            prefixes = new
-        out = [0] * DV
-        coeffs = self.coeffs
-        for off, c in prefixes:
-            base = off * D
-            for j, cz in z_arg.items():
-                if cz == 0:
-                    continue
-                o = (base + j) * DV
-                cc = c * cz
-                for v in range(DV):
-                    x = coeffs[o + v]
-                    if x != 0:
-                        out[v] += cc * x
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
         return self.degree == other.degree and self.coeffs == other.coeffs
-
-
-def cochain_model(a, r, m) -> CochainModel:
-    return CochainModel(a, r, m)
 
 
 def cochain_parity_of_vector(model: CochainModel, vec):
@@ -559,12 +524,12 @@ def satisfies_compat(a, r, f: Cochain) -> bool:
     model = f.model
     cx = _complex_tables(a)
     aw = cx.alpha_wedge()
-    alpha_cols_sparse = [
-        {i: c for i, c in enumerate(a.alpha_column(j)) if c != 0} for j in range(a.dim)
-    ]
     for ws, j in model.input_tuples():
         lhs = r.nu.apply(f.value(ws, j))
-        rhs = f.eval([aw[w] for w in ws], alpha_cols_sparse[j])
+        rhs = [0] * model.DV
+        for off, c in _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j]):
+            for v in range(model.DV):
+                rhs[v] += c * f.coeffs[off + v]
         if lhs != rhs:
             return False
     return True
@@ -592,6 +557,9 @@ class CochainBasis:
         self.model = model
         self.units = units  # sorted flat coordinates, or None
         self.subspace = subspace
+        self._vectors = None
+        self._unit_index = None if units is None else {flat: i for i, flat in enumerate(units)}
+        self._pivots = None
 
     @property
     def dim(self):
@@ -610,26 +578,41 @@ class CochainBasis:
                 pv = cochain_parity_of_vector(model, vec)
                 yield Cochain(model, 0 if pv is None else pv, vec)
 
-    def represent(self, raw):
-        """Coordinates of a raw vector in this basis, with exact residual check."""
+    def vectors(self) -> list:
+        """The basis as sparse raw vectors {flat: coefficient}."""
+        if self._vectors is None:
+            if self.units is not None:
+                self._vectors = [{flat: 1} for flat in self.units]
+            else:
+                self._vectors = [
+                    {k: x for k, x in enumerate(row) if x != 0}
+                    for row in self.subspace.basis_vectors()
+                ]
+        return self._vectors
+
+    def coordinates(self, raw: dict) -> dict:
+        """Sparse coordinates of a sparse raw vector, with an exact residual
+        check: NotACochain if the vector is outside the span."""
+        raw = {k: x for k, x in raw.items() if x != 0}
         if self.units is not None:
-            unit_set = set(self.units)
-            for k, x in enumerate(raw):
-                if x != 0 and k not in unit_set:
-                    raise NotACochain("vector is outside the compatibility subspace")
-            return [raw[f] for f in self.units]
-        piv = self.subspace.pivots()
-        rows = self.subspace.basis_vectors()
-        coords = [raw[p] for p in piv]
-        recon = [0] * len(raw)
-        for c, row in zip(coords, rows):
-            if c != 0:
-                for k, x in enumerate(row):
-                    if x != 0:
-                        recon[k] += c * x
-        if recon != list(raw):
+            if not raw.keys() <= self._unit_index.keys():
+                raise NotACochain("vector is outside the compatibility subspace")
+            return {self._unit_index[k]: x for k, x in raw.items()}
+        if self._pivots is None:
+            self._pivots = self.subspace.pivots()
+        coords = {i: raw[p] for i, p in enumerate(self._pivots) if p in raw}
+        recon = {}
+        for i, c in coords.items():
+            for k, x in self.vectors()[i].items():
+                recon[k] = recon.get(k, 0) + c * x
+        if {k: x for k, x in recon.items() if x != 0} != raw:
             raise NotACochain("vector is outside the compatibility subspace")
         return coords
+
+    def represent(self, raw):
+        """Dense coordinates of a dense raw vector (see coordinates)."""
+        coords = self.coordinates(dict(enumerate(raw)))
+        return [coords.get(i, 0) for i in range(self.dim)]
 
     def to_subspace(self) -> Subspace:
         if self.units is None:
@@ -689,14 +672,11 @@ def _compat_basis_part(a, r, model, parity):
     local = {flat: k for k, flat in enumerate(coords)}
     cx = _complex_tables(a)
     aw = cx.alpha_wedge()
-    alpha_cols_sparse = [
-        {i: c for i, c in enumerate(a.alpha_column(j)) if c != 0} for j in range(a.dim)
-    ]
     rows = []
     for ws, j in model.input_tuples():
         base = model.flat(ws, j)
         # expansion of f(alpha ws, alpha j) as a linear form in raw coords
-        expansion = _linear_expansion(model, [aw[w] for w in ws], alpha_cols_sparse[j])
+        expansion = _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j])
         for v in range(model.DV):
             if model.coord_parity(ws, j, v) != parity:
                 continue
@@ -733,7 +713,11 @@ def _compat_basis_part(a, r, model, parity):
 
 
 def _linear_expansion(model, wedge_args, z_arg):
-    """Flat offsets and coefficients of f(args) as a linear form in f."""
+    """f(A_1,...,A_m, Z) as a linear form in the raw coefficients of f.
+
+    Wedge args are {pos: coeff}, Z is {index: coeff}.  Returns pairs
+    (offset, c) with f(args)[v] = sum of c * f.coeffs[offset + v].
+    """
     W, D, DV = model.W, model.D, model.DV
     prefixes = [(0, 1)]
     for arg in wedge_args:
@@ -763,170 +747,189 @@ def _unflatten(model, flat):
     return tuple(reversed(ws)), j, v
 
 
-def coboundary(a, r, f: Cochain, check=True) -> Cochain:
-    """The degree-(m+1) coboundary of f, literally term by term.
+# ---------------------------------------------------------------------------
+# the coboundary as one sparse operator
 
-    Terms: (1) insert a wedge bracket [x_i, x_j]_alpha at slot j and drop
-    slot i; (2) replace z by x_i . z and drop slot i; (3) act by
-    rho(alpha^m(x_i)) on f without slot i; (4) the module bracket of
-    f(x_1..x_m, -) against the components of x_{m+1} and alpha^m(z).
+
+def delta_operator(a, r, m) -> dict:
+    """delta^m on raw coefficients: {out_flat: {in_flat: coeff}}, nonzero rows only.
+
+    One sweep over the output inputs (x_1..x_{m+1}, z) emits, per output
+    coordinate, the linear form in f of the four terms: (1) insert a wedge
+    bracket [x_i, x_j]_alpha at slot j and drop slot i; (2) replace z by
+    x_i . z and drop slot i; (3) act by rho(alpha^m(x_i)) on f without
+    slot i; (4) the module bracket of f(x_1..x_m, -) against the
+    components of x_{m+1} and alpha^m(z).  Terms 3 and 4 carry the parity
+    of f, taken per input coordinate, so every parity-homogeneous cochain
+    is mapped with its own sign.
     """
-    if check and not satisfies_compat(a, r, f):
-        raise NotACochain("input violates the twist compatibility")
-    m = f.degree
-    pf = f.parity
+    model_in = CochainModel(a, r, m)
     model_out = CochainModel(a, r, m + 1)
-    out = [0] * model_out.raw_dim
     cx = _complex_tables(a)
     wb = cx.wb
     aw = cx.alpha_wedge()
-    apw = cx.alpha_pow_wedge(m)
     apm = cx.alpha_pow(m)
-    apm_cols = [
-        {i: c for i, c in enumerate(apm.col(j)) if c != 0} for j in range(a.dim)
-    ]
-    alpha_cols_sparse = [
-        {i: c for i, c in enumerate(a.alpha_column(j)) if c != 0} for j in range(a.dim)
-    ]
-    rho_apw = [r.matrix_of(apw[w]) for w in range(len(wb))]
-    p = a.parity
+    rho_apw = [_sparse_columns(r.matrix_of(coords)) for coords in cx.alpha_pow_wedge(m)]
     DV = model_out.DV
-    unit_wedge = [{w: 1} for w in range(len(wb))]
+    pv = r.target.parity
+    # term 4 depends on f only through one V-block: module brackets of unit
+    # V-vectors, keyed by (x_{m+1}, z, slot of the V-vector, unit)
+    brackets = {}
+    for w, t in enumerate(wb.elements):
+        for j, i, u in itertools.product(range(a.dim), range(len(t)), range(DV)):
+            unit = [1 if v == u else 0 for v in range(DV)]
+            slots = [("v", unit) if k == i else ("g", apm.col(x)) for k, x in enumerate(t)]
+            val = module_bracket(a, r, slots + [("g", apm.col(j))])
+            brackets[w, j, i, u] = {v: c for v, c in enumerate(val) if c != 0}
 
-    for ws in itertools.product(range(len(wb)), repeat=m + 1):
+    rows = {}
+    for ws, j in model_out.input_tuples():
         wpar = [wb.parity(w) for w in ws]
-        for j in range(a.dim):
-            total = [0] * DV
+        # terms 1 and 2 do not depend on the parity of f: one linear form on
+        # V-blocks of f, shared by every output coordinate v
+        form = {}
+        for i in range(m + 1):
+            terms = []
+            ad = cx.ad(ws[i], j)
+            if ad:
+                sgn = -1 if wpar[i] == 1 and sum(wpar[i + 1 :]) % 2 == 1 else 1
+                terms.append((sgn, [aw[ws[k]] for k in range(m + 1) if k != i], ad))
+            for jj in range(i + 1, m + 1):
+                fb = cx.fb(ws[i], ws[jj])
+                if fb:
+                    sgn = -1 if wpar[i] == 1 and sum(wpar[i + 1 : jj]) % 2 == 1 else 1
+                    args = [(fb if k == jj else aw[ws[k]]) for k in range(m + 1) if k != i]
+                    terms.append((sgn, args, cx.alpha_cols[j]))
+            for sgn, args, z in terms:
+                for off, c in _linear_expansion(model_in, args, z):
+                    form[off] = form.get(off, 0) + (-1) ** (i + 1) * sgn * c
+        block = [{off + v: c for off, c in form.items()} for v in range(DV)]
 
-            # term 1: wedge brackets
-            for i in range(m + 1):
-                for jj in range(i + 1, m + 1):
-                    sgn = (-1) ** (i + 1)
-                    between = sum(wpar[i + 1 : jj]) % 2
-                    if wpar[i] == 1 and between == 1:
-                        sgn = -sgn
-                    fb = cx.fb(ws[i], ws[jj])
-                    if not fb:
-                        continue
-                    args = [
-                        (fb if k == jj else aw[ws[k]])
-                        for k in range(m + 1)
-                        if k != i
-                    ]
-                    val = f.eval(args, alpha_cols_sparse[j])
-                    for v, c in enumerate(val):
-                        if c != 0:
-                            total[v] += sgn * c
-
-            # term 2: z replaced by x_i . z
-            for i in range(m + 1):
-                ad = cx.ad(ws[i], j)
-                if not ad:
-                    continue
-                sgn = (-1) ** (i + 1)
-                after = sum(wpar[i + 1 :]) % 2
-                if wpar[i] == 1 and after == 1:
-                    sgn = -sgn
-                args = [aw[ws[k]] for k in range(m + 1) if k != i]
-                val = f.eval(args, ad)
-                for v, c in enumerate(val):
-                    if c != 0:
-                        total[v] += sgn * c
-
-            # term 3: module action of alpha^m(x_i)
-            for i in range(m + 1):
+        # terms 3 and 4 each act on one V-block of f, the one at (rest, t):
+        # the sign is (-1)^i, flipped when the acting slot is odd and so is
+        # f's coordinate plus the wedge parity before it; columns[u] is the
+        # image of the unit V-vector u
+        acting = []
+        for i in range(m + 1):
+            rest = tuple(ws[k] for k in range(m + 1) if k != i)
+            acting.append((rest, j, i, sum(wpar[:i]), wpar[i], rho_apw[ws[i]]))
+        prefix = 0
+        for i, t in enumerate(wb.elements[ws[m]]):
+            mbs = [brackets[ws[m], j, i, u] for u in range(DV)]
+            acting.append((ws[:m], t, m, sum(wpar[:m]), prefix, mbs))
+            prefix = (prefix + a.parity[t]) % 2
+        for rest, t, i, before, odd, columns in acting:
+            base = model_in.flat(rest, t)
+            lead = model_in.input_parity(rest, t) + before
+            for u, column in enumerate(columns):
                 sgn = (-1) ** i
-                before = (pf + sum(wpar[:i])) % 2
-                if wpar[i] == 1 and before == 1:
+                if odd == 1 and (lead + pv[u]) % 2 == 1:
                     sgn = -sgn
-                args = [unit_wedge[ws[k]] for k in range(m + 1) if k != i]
-                val = f.eval(args, {j: 1})
-                if all(c == 0 for c in val):
-                    continue
-                acted = rho_apw[ws[i]].apply(val)
-                for v, c in enumerate(acted):
-                    if c != 0:
-                        total[v] += sgn * c
+                for v, c in column.items():
+                    block[v][base + u] = block[v].get(base + u, 0) + sgn * c
 
-            # term 4: (f(x_1..x_m, ~) . x_{m+1}) bullet_alpha alpha^m(z)
-            last = wb.elements[ws[m]]
-            head_parity = (pf + sum(wpar[:m])) % 2
-            args_head = [unit_wedge[ws[k]] for k in range(m)]
-            prefix = 0
-            for i in range(len(last)):
-                sgn = (-1) ** m
-                if head_parity == 1 and prefix == 1:
-                    sgn = -sgn
-                fval = f.eval(args_head, {last[i]: 1})
-                prefix = (prefix + p[last[i]]) % 2
-                if all(c == 0 for c in fval):
-                    continue
-                slots = []
-                for k in range(len(last)):
-                    if k == i:
-                        slots.append(("v", fval))
-                    else:
-                        slots.append(("g", apm.col(last[k])))
-                slots.append(("g", apm.col(j)))
-                val = module_bracket(a, r, slots)
-                for v, c in enumerate(val):
-                    if c != 0:
-                        total[v] += sgn * c
+        out_base = model_out.flat(ws, j)
+        for v, row in enumerate(block):
+            row = {k: c for k, c in row.items() if c != 0}
+            if row:
+                rows[out_base + v] = row
+    return rows
 
-            base = model_out.flat(ws, j)
-            for v in range(DV):
-                out[base + v] = total[v]
 
-    result = Cochain(model_out, pf, out)
+def _images(rows: dict, vectors) -> list:
+    """The operator applied to each sparse raw vector, in one pass over its rows."""
+    holders = {}
+    for i, vec in enumerate(vectors):
+        for k, x in vec.items():
+            holders.setdefault(k, []).append((i, x))
+    out = [{} for _ in vectors]
+    for o, row in rows.items():
+        for k, c in row.items():
+            for i, x in holders.get(k, ()):
+                out[i][o] = out[i].get(o, 0) + c * x
+    return [{k: x for k, x in img.items() if x != 0} for img in out]
+
+
+def _delta_columns(op: dict, cm: CochainBasis, cm1: CochainBasis):
+    """delta on the basis cm of C^m: the raw images and their sparse
+    coordinates in the basis cm1 of C^{m+1}.  An image outside C^{m+1}
+    raises NotACochain."""
+    images = _images(op, cm.vectors())
+    return images, [cm1.coordinates(img) for img in images]
+
+
+def coboundary(a, r, f: Cochain, check=True) -> Cochain:
+    """The degree-(m+1) coboundary of f: delta_operator applied to f.
+
+    With check, f and the result must satisfy the twist compatibility.
+    """
+    if check and not satisfies_compat(a, r, f):
+        raise NotACochain("input violates the twist compatibility")
+    model_out = CochainModel(a, r, f.degree + 1)
+    (image,) = _images(delta_operator(a, r, f.degree), [dict(enumerate(f.coeffs))])
+    result = Cochain(model_out, f.parity, [image.get(k, 0) for k in range(model_out.raw_dim)])
     if check and not satisfies_compat(a, r, result):
         raise NotACochain("coboundary output violates compatibility (internal error)")
     return result
 
 
+def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
+    """Exact matrix of delta^m from the basis cm of C^m to the basis cm1 of C^{m+1}."""
+    _, cols = _delta_columns(delta_operator(a, r, cm.model.m), cm, cm1)
+    data = [0] * (cm1.dim * cm.dim)
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            data[i * cm.dim + j] = x
+    return Matrix(cm1.dim, cm.dim, data)
+
+
 def coboundary_matrix(a, r, m, parity="both") -> Matrix:
     """Exact matrix of delta^m: C^m -> C^{m+1} w.r.t. the cochain_space bases."""
-    cm = cochain_basis(a, r, m, parity)
-    cm1 = cochain_basis(a, r, m + 1, parity)
-    cols = []
-    for f in cm.cochains():
-        g = coboundary(a, r, f, check=False)
-        cols.append(cm1.represent(g.coeffs))
-    if not cols:
-        return Matrix(cm1.dim, 0, [])
-    return Matrix.from_rows(cols, cols=cm1.dim).transpose()
+    return delta_matrix(a, r, cochain_basis(a, r, m, parity), cochain_basis(a, r, m + 1, parity))
 
 
 def delta_square_is_zero(a, r, m, parity="both") -> bool:
-    """delta^{m+1} o delta^m = 0 on C^m, checked basis vector by basis vector.
+    """delta^{m+1} o delta^m = 0 on C^m, as a sparse product of the two operators.
 
-    Equivalent to coboundary_matrix(m+1) * coboundary_matrix(m) being the
-    exact zero matrix (the product's columns are the C^{m+2} coordinates of
-    these double coboundaries), but avoids materializing the matrices.
+    delta^m is applied to the basis of C^m and delta^{m+1} to those images,
+    all on sparse raw coefficients; the same statement as
+    coboundary_matrix(m+1) * coboundary_matrix(m) being the exact zero
+    matrix, without building either dense matrix.
     """
-    for f in cochain_basis(a, r, m, parity).cochains():
-        g = coboundary(a, r, f, check=False)
-        h = coboundary(a, r, g, check=False)
-        if not h.is_zero():
-            return False
-    return True
+    images = _images(delta_operator(a, r, m), cochain_basis(a, r, m, parity).vectors())
+    return not any(_images(delta_operator(a, r, m + 1), images))
 
 
-def cohomology_dims(a, r, m, parity="both"):
-    """(dim Z^m, dim B^m, dim H^m); B^0 = 0 since there is no delta^{-1}."""
-    from .linalg import nullspace, rank
+class CohomologyDims(tuple):
+    """(dim Z^m, dim B^m, dim H^m); .basis is the basis of C^m it was computed on."""
 
-    mat_m = coboundary_matrix(a, r, m, parity)
-    z = nullspace(mat_m)
-    if m == 0:
-        b_dim = 0
-    else:
-        mat_prev = coboundary_matrix(a, r, m - 1, parity)
-        b_dim = rank(mat_prev)
-        # B^m must sit inside Z^m: delta o delta = 0 column by column
-        prod = mat_m * mat_prev
-        if not prod.is_zero():
+    def __new__(cls, basis: CochainBasis, z: int, b: int):
+        dims = super().__new__(cls, (z, b, z - b))
+        dims.basis = basis
+        return dims
+
+
+def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
+    """(dim Z^m, dim B^m, dim H^m); B^0 = 0 since there is no delta^{-1}.
+
+    Builds C^{m-1}, C^m and C^{m+1} once each.  dim Z^m = dim C^m - rank
+    delta^m and dim B^m = rank delta^{m-1}, both by the sparse
+    fraction-free rank; delta^m o delta^{m-1} = 0 is checked on the
+    images.
+    """
+    cm = cochain_basis(a, r, m, parity)
+    op = delta_operator(a, r, m)
+    _, cols = _delta_columns(op, cm, cochain_basis(a, r, m + 1, parity))
+    z_dim = cm.dim - sparse_rank(cols)
+    b_dim = 0
+    if m > 0:
+        prev = cochain_basis(a, r, m - 1, parity)
+        images, prev_cols = _delta_columns(delta_operator(a, r, m - 1), prev, cm)
+        b_dim = sparse_rank(prev_cols)
+        # B^m must sit inside Z^m: delta^m kills every image of delta^{m-1}
+        if any(_images(op, images)):
             raise NotACochain("delta^2 != 0 (internal error)")
-    return z.dim, b_dim, z.dim - b_dim
+    return CohomologyDims(cm, z_dim, b_dim)
 
 
 def alternating_subspace(a, r) -> Subspace:

@@ -446,14 +446,6 @@ def _unit(n, i):
     return v
 
 
-def is_graded(h: Subspace, space: GradedSpace):
-    try:
-        split_graded(h, space)
-        return True
-    except NonGradedSubspace:
-        return False
-
-
 def _alpha_stable(h: Subspace, a: HomSuperAlgebra):
     return all(h.contains_vector(a.alpha.apply(v)) for v in h.basis_vectors())
 
@@ -493,10 +485,6 @@ class SeriesResult:
     terms: list  # Subspaces, terms[0] = g
     length: int | None  # first index with zero term; None if stabilized nonzero
     stabilized_nonzero: bool
-
-    @property
-    def is_finite(self):
-        return self.length is not None
 
 
 def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:

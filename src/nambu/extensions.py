@@ -17,6 +17,7 @@ from .cohomology import (
     alternating_subspace,
     cochain_basis,
     coboundary,
+    delta_matrix,
     module_bracket,
     satisfies_compat,
     verify_representation,
@@ -349,17 +350,11 @@ def cohomologous_difference(b: HomSuperAlgebra, module: Representation, f1: Coch
     basis0 = cochain_basis(b, module, 0, "both")
     basis1 = cochain_basis(b, module, 1, "both")
     target = basis1.represent(diff)
-    from .cohomology import coboundary_matrix
-
-    m0 = coboundary_matrix(b, module, 0, "both")
-    sol, _ = solve_affine(m0, target)
+    sol, _ = solve_affine(delta_matrix(b, module, basis0, basis1), target)
     if sol is None:
         return None
-    model0 = CochainModel(b, module, 0)
-    raw = [0] * model0.raw_dim
-    for c, f in zip(sol, basis0.cochains()):
-        if c != 0:
-            for k, x in enumerate(f.coeffs):
-                if x != 0:
-                    raw[k] += c * x
-    return Cochain(model0, 0, raw)
+    raw = [0] * basis0.model.raw_dim
+    for c, vec in zip(sol, basis0.vectors()):
+        for k, x in vec.items():
+            raw[k] += c * x
+    return Cochain(basis0.model, 0, raw)

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: scalars, dense matrices, rref subspaces.
+"""Exact rational linear algebra: scalars, dense matrices, rref subspaces,
+and a sparse fraction-free rank kernel.
 
 Everything is computed over Q with ``fractions.Fraction`` (plain ints are
 accepted everywhere as exact rationals).  There is no floating point
@@ -8,6 +9,7 @@ float entries.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -66,25 +68,6 @@ def _check_entry(x):
 
 def vzero(n):
     return [0] * n
-
-
-def vadd(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vsub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vscale(c, u):
-    return [c * a for a in u]
-
-
-def vdot(u, v):
-    s = 0
-    for a, b in zip(u, v):
-        s += a * b
-    return s
 
 
 def is_zero_vec(u):
@@ -262,7 +245,67 @@ def _rref_pivots(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return sparse_rank({j: x for j, x in enumerate(m.row(i)) if x != 0} for i in range(m.rows))
+
+
+def _primitive(row: dict) -> dict:
+    """A sparse rational row scaled to coprime integers, zeros dropped."""
+    row = {c: x for c, x in row.items() if x != 0}
+    den = math.lcm(*(x.denominator for x in row.values()))
+    row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def sparse_rank(rows) -> int:
+    """Rank over Q of a matrix given as sparse rows {col: value}.
+
+    Fraction-free elimination in the manner of Bareiss (1968), with gcd
+    content removal in place of his exact division: each row is cleared of
+    denominators and divided by its gcd, then rows are eliminated by
+    integer cross-multiplication against the pivot row and made primitive
+    again.  The pivot row is the live row with the fewest
+    nonzeros, its pivot the column that the fewest live rows share.  Each
+    retired pivot row is independent of everything eliminated against it,
+    so their count is the rank.
+    """
+    live = {}
+    holders = {}  # column -> ids of the live rows with a nonzero there
+    for rid, row in enumerate(rows):
+        row = _primitive(row)
+        if row:
+            live[rid] = row
+            for c in row:
+                holders.setdefault(c, set()).add(rid)
+    found = 0
+    while live:
+        rid = min(live, key=lambda i: (len(live[i]), i))
+        prow = live.pop(rid)
+        for c in prow:
+            holders[c].discard(rid)
+        col = min(prow, key=lambda c: (len(holders[c]), c))
+        p = prow[col]
+        for oid in sorted(holders[col]):
+            row = live[oid]
+            g = math.gcd(p, row[col])
+            a, b = p // g, row[col] // g
+            new = {c: a * x for c, x in row.items()}
+            for c, x in prow.items():
+                y = new.get(c, 0) - b * x
+                if y:
+                    new[c] = y
+                else:
+                    new.pop(c, None)
+            for c in row.keys() - new.keys():
+                holders[c].discard(oid)
+            for c in new.keys() - row.keys():
+                holders.setdefault(c, set()).add(oid)
+            if new:
+                live[oid] = _primitive(new)
+            else:
+                del live[oid]
+        found += 1
+    return found
 
 
 def nullspace(m: Matrix) -> "Subspace":

@@ -146,7 +146,3 @@ def random_twisted_algebra(rng: random.Random, *, max_dim=4, arities=(2, 3), dia
     if rho is None:
         rho = Matrix.identity(base.dim)
     return twist_by_endomorphism(base, rho)
-
-
-def random_vector(rng: random.Random, n, pool=(-2, -1, 0, 0, 1, 1, 2)):
-    return [rng.choice(pool) for _ in range(n)]

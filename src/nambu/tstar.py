@@ -20,10 +20,12 @@ from .cohomology import (
     alternating_subspace,
     cochain_basis,
     coboundary,
+    delta_operator,
     module_bracket,
     satisfies_compat,
     verify_representation,
     _complex_tables,
+    _images,
     _wedge,
 )
 from .core import (
@@ -87,8 +89,15 @@ def coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
     identities; the sufficient bracket-operator conditions
     are checked separately (they imply existence but are strictly stronger:
     condition (ii) asks for termwise anticommutation where only a summed
-    cancellation is needed).
+    cancellation is needed).  Computed once per algebra and kept in its
+    cache; callers share the result and must not modify it.
     """
+    if "coadjoint" not in a._cache:
+        a._cache["coadjoint"] = _coadjoint_rep(a)
+    return a._cache["coadjoint"]
+
+
+def _coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
     wb = _wedge(a)
     d = a.dim
     p = a.parity
@@ -358,22 +367,14 @@ def theta_spaces(g: HomSuperAlgebra) -> dict:
     def closed_part(space: Subspace) -> Subspace:
         if space.dim == 0:
             return space
-        cols = []
-        for vec in space.basis_vectors():
-            f = Cochain(model, 0, vec)
-            cols.append(coboundary(g, r, f, check=False).coeffs)
-        mat = Matrix.from_rows(cols, cols=len(cols[0])).transpose()
-        combo = nullspace(mat)
-        vectors = []
-        for sol in combo.basis_vectors():
-            out = [0] * model.raw_dim
-            for c, vec in zip(sol, space.basis_vectors()):
-                if c != 0:
-                    for k, x in enumerate(vec):
-                        if x != 0:
-                            out[k] += c * x
-            vectors.append(out)
-        return Subspace.from_vectors(model.raw_dim, vectors)
+        vectors = space.basis_vectors()
+        images = _images(
+            delta_operator(g, r, 1), [{k: x for k, x in enumerate(v) if x != 0} for v in vectors]
+        )
+        hit = sorted(set().union(*images))
+        mat = Matrix.from_rows([[img.get(k, 0) for img in images] for k in hit], cols=len(images))
+        closed = nullspace(mat).basis * Matrix.from_rows(vectors, cols=model.raw_dim)
+        return Subspace.from_vectors(model.raw_dim, closed.row_list())
 
     closed = closed_part(cochain)
     closed_cyclic = closed.intersect(cyclic_constraint)
@@ -397,20 +398,6 @@ class EquivalenceResult:
     theta_prime: Matrix | None = None  # T[k][j] = theta'(e_j)(e_k)
 
 
-def _delta0_columns(g, rep):
-    """Columns of delta^0 on the raw matrix unknowns T[k][j], flat k*D+j."""
-    d = g.dim
-    model0 = CochainModel(g, rep, 0)
-    cols = []
-    for k in range(d):
-        for j in range(d):
-            coeffs = [0] * model0.raw_dim
-            coeffs[model0.flat((), j) + k] = 1
-            f = Cochain(model0, 0, coeffs)
-            cols.append(coboundary(g, rep, f, check=False).coeffs)
-    return cols
-
-
 def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> EquivalenceResult:
     """Classify T*_theta1 g against T*_theta2 g.
 
@@ -432,14 +419,18 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
     d = g.dim
     p = g.parity
     model1 = CochainModel(g, rep, 1)
-    delta_cols = _delta0_columns(g, rep)
+    delta0 = delta_operator(g, rep, 0)
     nvars = d * d
 
     rows = []
     rhs = []
     diff = [x - y for x, y in zip(theta1.coeffs, theta2.coeffs)]
     for out in range(model1.raw_dim):
-        row = [col[out] for col in delta_cols]
+        # delta^0 on the unknowns T[k][j] = theta'(e_j)(e_k), raw flat j*D+k
+        row = [0] * nvars
+        for flat, c in delta0.get(out, {}).items():
+            j, k = divmod(flat, d)
+            row[k * d + j] = c
         rows.append(row)
         rhs.append(diff[out])
     # theta'(alpha x) = theta'(x) o alpha: A^T T = T A on the matrix T

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -161,6 +165,28 @@ class TestCohomologyCommand:
         code, out = run(["cohomology", path, "--m", "1", "--rep", "file"])
         assert code == 0
         assert out.strip() == "C=27 Z=11 B=3 H=8"
+
+    def test_n4_adjoint_m2_line(self, tmpfiles):
+        path = tmpfiles("n4.json", ff.algebra_to_json(samples.n4()))
+        code, out = run(["cohomology", path, "--m", "2"])
+        assert code == 0
+        assert out.strip() == "C=576 Z=164 B=69 H=95"
+
+    def test_same_bytes_under_python_O(self, tmpfiles):
+        # -O strips assert statements: the answer must not depend on them
+        path = tmpfiles("h3.json", ff.algebra_to_json(samples.h3()))
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        outputs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "nambu.cli", "cohomology", path, "--m", "1"],
+                capture_output=True,
+                env=env,
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == "C=27 Z=11 B=3 H=8\n".encode()
 
     def test_dump_writes_basis(self, tmpfiles, tmp_path):
         path = tmpfiles("ab2.json", ff.algebra_to_json(samples.abelian(2)))

@@ -14,7 +14,9 @@ from nambu.linalg import (
     rank,
     rref,
     solve_affine,
+    sparse_rank,
 )
+from nambu.linalg import _rref_pivots
 
 
 def mat(rows):
@@ -220,3 +222,54 @@ def test_double_complement_hyperbolic():
     w = v.orthogonal_complement(gram)
     assert v.dim + w.dim == 3
     assert w.orthogonal_complement(gram) == v
+
+
+sparse_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero integer and rational matrices, including 0 x n and n x 0,
+    with duplicated and rescaled rows mixed in."""
+    r = draw(st.integers(min_value=0, max_value=7))
+    c = draw(st.integers(min_value=0, max_value=7))
+    rows = [draw(st.lists(sparse_entries, min_size=c, max_size=c)) for _ in range(r)]
+    if rows:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            src = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+            rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [scale * x for x in src])
+    return Matrix(len(rows), c, [x for row in rows for x in row])
+
+
+def _dense_rank(m):
+    return len(_rref_pivots(m)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_equals_dense_rref_rank(m):
+    rows = [{j: x for j, x in enumerate(m.row(i)) if x != 0} for i in range(m.rows)]
+    expected = _dense_rank(m)
+    assert sparse_rank(rows) == expected
+    assert rank(m) == expected
+    # rank of the transpose, fed as columns
+    cols = [{i: x for i, x in enumerate(m.col(j)) if x != 0} for j in range(m.cols)]
+    assert sparse_rank(cols) == expected
+
+
+def test_sparse_rank_edge_shapes():
+    assert sparse_rank([]) == 0  # 0 x n
+    assert sparse_rank([{}, {}, {}]) == 0  # n x 0, and the zero matrix
+    assert rank(Matrix(0, 4, [])) == 0
+    assert rank(Matrix(3, 0, [])) == 0
+    assert rank(Matrix.zeros(3, 4)) == 0
+    assert sparse_rank([{0: 1, 2: 3}, {0: 1, 2: 3}, {0: -2, 2: -6}]) == 1
+    assert sparse_rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]) == 1
+    assert sparse_rank([{0: 0, 1: 0}, {1: Fraction(-7, 9)}]) == 1
+    assert sparse_rank([{0: 10 ** 30, 1: 1}, {0: 1, 1: 7}]) == 2
