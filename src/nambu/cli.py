@@ -2,7 +2,8 @@
 equiv, decompose, fuzz.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 precondition
-violated, 3 a field extension of Q would be needed, 4 parse error.
+violated, 3 a field extension of Q would be needed, 4 parse error, 5 an
+internal postcondition failed.
 Outputs are deterministic byte-for-byte for identical inputs.
 """
 

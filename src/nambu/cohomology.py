@@ -20,7 +20,7 @@ from .core import (
     straighten,
 )
 from .errors import ArityMismatch, DimensionMismatch, NotACochain
-from .linalg import Matrix, Subspace, sparse_rank
+from .linalg import Matrix, Subspace, sparse_kernel, sparse_rank
 
 
 class WedgeBasis:
@@ -546,68 +546,33 @@ def _parity_filter(parity):
 
 
 class CochainBasis:
-    """Basis of a compatibility subspace, cheap for coordinate (unit) bases.
+    """A basis of C^m: one Subspace of the raw coefficient space, whose rref
+    rows are parity-homogeneous cochains."""
 
-    Diagonal twists give coordinate bases that would be wasteful to carry
-    as full rref matrices when the raw space is large; general twists fall
-    back to an honest Subspace.
-    """
-
-    def __init__(self, model: CochainModel, units=None, subspace: Subspace = None):
+    def __init__(self, model: CochainModel, space: Subspace):
         self.model = model
-        self.units = units  # sorted flat coordinates, or None
-        self.subspace = subspace
-        self._vectors = None
-        self._unit_index = None if units is None else {flat: i for i, flat in enumerate(units)}
-        self._pivots = None
+        self.space = space
 
     @property
     def dim(self):
-        return len(self.units) if self.units is not None else self.subspace.dim
+        return self.space.dim
 
     def cochains(self):
         model = self.model
-        if self.units is not None:
-            for flat in self.units:
-                coeffs = [0] * model.raw_dim
-                coeffs[flat] = 1
-                ws, j, v = _unflatten(model, flat)
-                yield Cochain(model, model.coord_parity(ws, j, v), coeffs)
-        else:
-            for vec in self.subspace.basis_vectors():
-                pv = cochain_parity_of_vector(model, vec)
-                yield Cochain(model, 0 if pv is None else pv, vec)
+        for pivot, vec in zip(self.space.pivots(), self.space.sparse_rows):
+            coeffs = [0] * model.raw_dim
+            for k, x in vec.items():
+                coeffs[k] = x
+            yield Cochain(model, model.coord_parity(*_unflatten(model, pivot)), coeffs)
 
     def vectors(self) -> list:
         """The basis as sparse raw vectors {flat: coefficient}."""
-        if self._vectors is None:
-            if self.units is not None:
-                self._vectors = [{flat: 1} for flat in self.units]
-            else:
-                self._vectors = [
-                    {k: x for k, x in enumerate(row) if x != 0}
-                    for row in self.subspace.basis_vectors()
-                ]
-        return self._vectors
+        return self.space.sparse_rows
 
     def coordinates(self, raw: dict) -> dict:
         """Sparse coordinates of a sparse raw vector, with an exact residual
-        check: NotACochain if the vector is outside the span."""
-        raw = {k: x for k, x in raw.items() if x != 0}
-        if self.units is not None:
-            if not raw.keys() <= self._unit_index.keys():
-                raise NotACochain("vector is outside the compatibility subspace")
-            return {self._unit_index[k]: x for k, x in raw.items()}
-        if self._pivots is None:
-            self._pivots = self.subspace.pivots()
-        coords = {i: raw[p] for i, p in enumerate(self._pivots) if p in raw}
-        recon = {}
-        for i, c in coords.items():
-            for k, x in self.vectors()[i].items():
-                recon[k] = recon.get(k, 0) + c * x
-        if {k: x for k, x in recon.items() if x != 0} != raw:
-            raise NotACochain("vector is outside the compatibility subspace")
-        return coords
+        check: NotACochain if the vector is outside C^m."""
+        return self.space.coordinates(raw)
 
     def represent(self, raw):
         """Dense coordinates of a dense raw vector (see coordinates)."""
@@ -615,39 +580,18 @@ class CochainBasis:
         return [coords.get(i, 0) for i in range(self.dim)]
 
     def to_subspace(self) -> Subspace:
-        if self.units is None:
-            return self.subspace
-        rows = []
-        for flat in self.units:
-            vec = [0] * self.model.raw_dim
-            vec[flat] = 1
-            rows.append(vec)
-        basis = Matrix.from_rows(rows, cols=self.model.raw_dim)
-        return Subspace(self.model.raw_dim, basis, _trusted=True)
+        return self.space
 
 
 def cochain_basis(a, r, m, parity="both") -> CochainBasis:
+    """C^m(g, V) of the given parity as one Subspace of the raw coefficients:
+    a coordinate subspace for diagonal twists, read off directly, otherwise
+    the kernel of the compatibility equations, by one elimination."""
     model = CochainModel(a, r, m)
     parts = _parity_filter(parity)
     if a.alpha.is_diagonal() and r.nu.is_diagonal():
-        lam = [a.alpha[i, i] for i in range(a.dim)]
-        mu = [r.nu[v, v] for v in range(model.DV)]
-        kept = []
-        for ws, j in model.input_tuples():
-            scale = 1
-            for w in ws:
-                for i in model.wb.elements[w]:
-                    scale *= lam[i]
-            scale *= lam[j]
-            base = model.flat(ws, j)
-            for v in range(model.DV):
-                if model.coord_parity(ws, j, v) in parts and mu[v] == scale:
-                    kept.append(base + v)
-        return CochainBasis(model, units=sorted(kept))
-    vectors = []
-    for p in parts:
-        vectors.extend(_compat_basis_part(a, r, model, p))
-    return CochainBasis(model, subspace=Subspace.from_vectors(model.raw_dim, vectors))
+        return CochainBasis(model, _diagonal_compat_space(model, parts))
+    return CochainBasis(model, _compat_space(model, parts))
 
 
 def cochain_space(a, r, m, parity="both") -> Subspace:
@@ -659,57 +603,55 @@ def cochain_space(a, r, m, parity="both") -> Subspace:
     return cochain_basis(a, r, m, parity).to_subspace()
 
 
-def _compat_basis_part(a, r, model, parity):
-    coords = []
+def _diagonal_compat_space(model, parts) -> Subspace:
+    """C^m for diagonal alpha and nu: the unit vectors of the raw coordinates
+    (x_1..x_m, z, v) of a wanted parity whose nu-eigenvalue equals the
+    product of the alpha-eigenvalues of the inputs."""
+    lam = [model.a.alpha[i, i] for i in range(model.D)]
+    mu = [model.r.nu[v, v] for v in range(model.DV)]
+    kept = []
     for ws, j in model.input_tuples():
+        scale = lam[j]
+        for w in ws:
+            for i in model.wb.elements[w]:
+                scale *= lam[i]
         base = model.flat(ws, j)
         for v in range(model.DV):
-            if model.coord_parity(ws, j, v) == parity:
-                coords.append(base + v)
-    if not coords:
-        return []
+            if model.coord_parity(ws, j, v) in parts and mu[v] == scale:
+                kept.append(base + v)
+    return Subspace._from_rref(model.raw_dim, [{k: 1} for k in kept])
 
-    local = {flat: k for k, flat in enumerate(coords)}
+
+def _compat_space(model, parts) -> Subspace:
+    """C^m for any twist: the kernel of nu o f(x, z) - f(alpha x, alpha z),
+    one equation per raw coordinate, plus f = 0 on the coordinates of an
+    unwanted parity.  A parity-homogeneous f only has coordinates of its own
+    parity, so each equation keeps the terms of its output's parity."""
+    a, r = model.a, model.r
     cx = _complex_tables(a)
     aw = cx.alpha_wedge()
+    DV = model.DV
+    parity = [model.coord_parity(ws, j, v) for ws, j in model.input_tuples() for v in range(DV)]
     rows = []
     for ws, j in model.input_tuples():
         base = model.flat(ws, j)
         # expansion of f(alpha ws, alpha j) as a linear form in raw coords
         expansion = _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j])
-        for v in range(model.DV):
-            if model.coord_parity(ws, j, v) != parity:
+        for v in range(DV):
+            p = parity[base + v]
+            if p not in parts:
+                rows.append({base + v: 1})
                 continue
-            row = [0] * len(coords)
-            for u in range(model.DV):
+            row = {}
+            for u in range(DV):
                 c = r.nu[v, u]
-                if c != 0:
-                    k = local.get(base + u)
-                    if k is not None:
-                        row[k] += c
+                if c != 0 and parity[base + u] == p:
+                    row[base + u] = row.get(base + u, 0) + c
             for off, c in expansion:
-                k = local.get(off + v)
-                if k is not None:
-                    row[k] -= c
-            if any(x != 0 for x in row):
-                rows.append(row)
-    if not rows:
-        basis = []
-        for flat in coords:
-            vec = [0] * model.raw_dim
-            vec[flat] = 1
-            basis.append(vec)
-        return basis
-    from .linalg import nullspace
-
-    ns = nullspace(Matrix.from_rows(rows, cols=len(coords)))
-    basis = []
-    for sol in ns.basis_vectors():
-        vec = [0] * model.raw_dim
-        for k, flat in enumerate(coords):
-            vec[flat] = sol[k]
-        basis.append(vec)
-    return basis
+                if parity[off + v] == p:
+                    row[off + v] = row.get(off + v, 0) - c
+            rows.append(row)
+    return sparse_kernel(rows, model.raw_dim)
 
 
 def _linear_expansion(model, wedge_args, z_arg):
@@ -954,10 +896,7 @@ def alternating_subspace(a, r) -> Subspace:
         if key in seen:
             continue
         if s == 0:
-            for v in range(model.DV):
-                row = [0] * model.raw_dim
-                row[model.flat((w,), j) + v] = 1
-                rows.append(row)
+            rows.extend({model.flat((w,), j) + v: 1} for v in range(model.DV))
             seen.add(key)
             continue
         w2 = wb.index[canon]
@@ -967,18 +906,8 @@ def alternating_subspace(a, r) -> Subspace:
         if (w2, j2) == (w, j):
             if sgn_swap * s == 1:
                 continue
-            for v in range(model.DV):
-                row = [0] * model.raw_dim
-                row[model.flat((w,), j) + v] = 1
-                rows.append(row)
+            rows.extend({model.flat((w,), j) + v: 1} for v in range(model.DV))
             continue
         for v in range(model.DV):
-            row = [0] * model.raw_dim
-            row[model.flat((w,), j) + v] = 1
-            row[model.flat((w2,), j2) + v] -= sgn_swap * s
-            rows.append(row)
-    if not rows:
-        return Subspace.full(model.raw_dim)
-    from .linalg import nullspace
-
-    return nullspace(Matrix.from_rows(rows, cols=model.raw_dim))
+            rows.append({model.flat((w,), j) + v: 1, model.flat((w2,), j2) + v: -sgn_swap * s})
+    return sparse_kernel(rows, model.raw_dim)

@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     NonGradedSubspace,
     NotAnIdeal,
+    ensure,
 )
 from .linalg import Matrix, Subspace, format_scalar, is_zero_vec, vzero
 
@@ -553,7 +554,7 @@ def direct_sum(a: HomSuperAlgebra, b: HomSuperAlgebra) -> HomSuperAlgebra:
     )
     left = Subspace.from_vectors(da + db, [_unit(da + db, i) for i in range(da)])
     right = Subspace.from_vectors(da + db, [_unit(da + db, da + i) for i in range(db)])
-    assert is_hom_ideal(left, out) and is_hom_ideal(right, out)
+    ensure(is_hom_ideal(left, out) and is_hom_ideal(right, out), "direct summands are not Hom-ideals")
     return out
 
 
@@ -594,7 +595,7 @@ def quotient(a: HomSuperAlgebra, i: Subspace):
 
     for j in range(a.dim):
         sol, _ = solve_affine(basis_matrix, _unit(a.dim, j))
-        assert sol is not None
+        ensure(sol is not None, "ideal basis plus complement does not span g")
         inv_cols.append(sol)
     inv = Matrix.from_rows(inv_cols, cols=a.dim).transpose()
     pi_rows = [inv.row(i.dim + k) for k in range(q_dim)]
@@ -615,7 +616,7 @@ def quotient(a: HomSuperAlgebra, i: Subspace):
         alpha_q,
         name=(a.name + "/I") if a.name else "quotient",
     )
-    assert verify_morphism(pi, a, q).ok
+    ensure(verify_morphism(pi, a, q).ok, "quotient projection is not a morphism")
     return q, pi
 
 

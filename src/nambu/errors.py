@@ -2,7 +2,8 @@
 
 Exit-code mapping for the CLI lives on the classes: verification
 failures are report content (exit 1 at the CLI level), preconditions
-exit 2, field-extension obstructions exit 3, parse problems exit 4.
+exit 2, field-extension obstructions exit 3, parse problems exit 4, and a
+failed internal postcondition (InternalError) exits 5.
 """
 
 
@@ -109,3 +110,16 @@ class NeedsFieldExtension(AlgebraError):
 
 class ParseError(AlgebraError):
     exit_code = 4
+
+
+class InternalError(AlgebraError):
+    """A postcondition of the program's own computation failed: a bug, not
+    a property of the input."""
+
+    exit_code = 5
+
+
+def ensure(condition, message):
+    """Raise InternalError(message) unless condition holds (python -O keeps it)."""
+    if not condition:
+        raise InternalError(message)

@@ -39,6 +39,7 @@ from .errors import (
     NoCompatibleSection,
     NotACochain,
     SectionInvalid,
+    ensure,
 )
 from .linalg import Matrix, Subspace, image, nullspace, solve_affine, vzero
 
@@ -136,11 +137,11 @@ def build_extension(d: ExtensionDatum, validated=True) -> HomSuperAlgebra:
     if validated:
         from .core import verify_algebra
 
-        assert verify_algebra(g).ok
+        ensure(verify_algebra(g).ok, "extension fails the algebra axioms")
         fiber_sub = Subspace.from_vectors(
             g.dim, [g.basis_vector(i) for i in range(da)]
         )
-        assert is_hom_ideal(fiber_sub, g)
+        ensure(is_hom_ideal(fiber_sub, g), "fiber is not a Hom-ideal of the extension")
     return g
 
 
@@ -254,11 +255,11 @@ def _fiber_parity(g, a: Subspace):
 
 
 def _in_fiber_coords(a: Subspace, vec):
-    basis = Matrix.from_rows(a.basis_vectors(), cols=a.ambient_dim).transpose()
-    sol, _ = solve_affine(basis, list(vec))
-    if sol is None:
-        raise SectionInvalid("value does not lie in the fiber")
-    return sol
+    try:
+        coords = a.coordinates(dict(enumerate(vec)))
+    except NotACochain:
+        raise SectionInvalid("value does not lie in the fiber") from None
+    return [coords.get(i, 0) for i in range(a.dim)]
 
 
 def extract_cocycle(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Matrix, s: Section):
@@ -353,8 +354,4 @@ def cohomologous_difference(b: HomSuperAlgebra, module: Representation, f1: Coch
     sol, _ = solve_affine(delta_matrix(b, module, basis0, basis1), target)
     if sol is None:
         return None
-    raw = [0] * basis0.model.raw_dim
-    for c, vec in zip(sol, basis0.vectors()):
-        for k, x in vec.items():
-            raw[k] += c * x
-    return Cochain(basis0.model, 0, raw)
+    return Cochain(basis0.model, 0, basis0.to_subspace().basis.transpose().apply(sol))

@@ -1,5 +1,6 @@
-"""Exact rational linear algebra: scalars, dense matrices, rref subspaces,
-and a sparse fraction-free rank kernel.
+"""Exact rational linear algebra: scalars, dense matrices, one canonical
+sparse rref (under rref, nullspace, solve_affine and Subspace) and a sparse
+fraction-free rank kernel.
 
 Everything is computed over Q with ``fractions.Fraction`` (plain ints are
 accepted everywhere as exact rationals).  There is no floating point
@@ -13,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, NotACochain, ParseError
 
 
 class Scalar(Fraction):
@@ -208,53 +209,46 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {[ [format_scalar(x) for x in self.row(i)] for i in range(self.rows)]})"
 
 
+def _sparse_rows(m: Matrix) -> list:
+    return [{j: x for j, x in enumerate(m.row(i)) if x != 0} for i in range(m.rows)]
+
+
 def rref(m: Matrix):
     """Reduced row-echelon form.  Returns (rref matrix, rank)."""
-    reduced, pivots = _rref_pivots(m)
-    return reduced, len(pivots)
-
-
-def _rref_pivots(m: Matrix):
-    rows = [list(r) for r in m.row_list()]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        if pivot != 1:
-            inv = Fraction(1, 1) / pivot
-            rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    flat = [x for row in rows for x in row]
-    return Matrix(nrows, ncols, flat), pivots
+    space = Subspace(m.cols, m)
+    zero_rows = [[0] * m.cols for _ in range(m.rows - space.dim)]
+    return Matrix.from_rows(space.basis_vectors() + zero_rows, cols=m.cols), space.dim
 
 
 def rank(m: Matrix) -> int:
-    return sparse_rank({j: x for j, x in enumerate(m.row(i)) if x != 0} for i in range(m.rows))
+    return sparse_rank(_sparse_rows(m))
 
 
 def _primitive(row: dict) -> dict:
     """A sparse rational row scaled to coprime integers, zeros dropped."""
     row = {c: x for c, x in row.items() if x != 0}
     den = math.lcm(*(x.denominator for x in row.values()))
-    row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    return _content_free({c: x.numerator * (den // x.denominator) for c, x in row.items()})
+
+
+def _content_free(row: dict) -> dict:
+    """A sparse integer row divided by the gcd of its entries."""
     g = math.gcd(*row.values())
     return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _cancel(row: dict, prow: dict, col) -> dict:
+    """The primitive integer combination of two integer rows without col."""
+    g = math.gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    new = {c: a * x for c, x in row.items()}
+    for c, x in prow.items():
+        y = new.get(c, 0) - b * x
+        if y:
+            new[c] = y
+        else:
+            new.pop(c, None)
+    return _content_free(new)
 
 
 def sparse_rank(rows) -> int:
@@ -284,44 +278,74 @@ def sparse_rank(rows) -> int:
         for c in prow:
             holders[c].discard(rid)
         col = min(prow, key=lambda c: (len(holders[c]), c))
-        p = prow[col]
         for oid in sorted(holders[col]):
             row = live[oid]
-            g = math.gcd(p, row[col])
-            a, b = p // g, row[col] // g
-            new = {c: a * x for c, x in row.items()}
-            for c, x in prow.items():
-                y = new.get(c, 0) - b * x
-                if y:
-                    new[c] = y
-                else:
-                    new.pop(c, None)
+            new = _cancel(row, prow, col)
             for c in row.keys() - new.keys():
                 holders[c].discard(oid)
             for c in new.keys() - row.keys():
                 holders.setdefault(c, set()).add(oid)
             if new:
-                live[oid] = _primitive(new)
+                live[oid] = new
             else:
                 del live[oid]
         found += 1
     return found
 
 
+def _rref(rows):
+    """The canonical rref of sparse rows {col: rational}: its nonzero rows in
+    pivot order, each with a leading 1 at its pivot, its smallest column,
+    and no entry in another row's pivot column.
+
+    Fraction-free like sparse_rank, but with the pivots a canonical form
+    needs: rows are taken fewest nonzeros first and cancelled against the
+    pivot row of their smallest column until they vanish or open a pivot.
+    Back-substitution runs from the last pivot down, so a row needs one
+    cancellation per pivot column it holds; only the end divides.
+    """
+    echelon = {}  # pivot column -> primitive integer row starting there
+    for row in sorted(map(_primitive, rows), key=len):
+        while row:
+            c = min(row)
+            if c not in echelon:
+                echelon[c] = row
+                break
+            row = _cancel(row, echelon[c], c)
+    pivots = sorted(echelon)
+    for p in reversed(pivots):
+        for q in [k for k in echelon[p] if k != p and k in echelon]:
+            echelon[p] = _cancel(echelon[p], echelon[q], q)
+    return [_monic(echelon[p], echelon[p][p]) for p in pivots]
+
+
+def _monic(row: dict, lead) -> dict:
+    return {c: x // lead if x % lead == 0 else Fraction(x, lead) for c, x in row.items()}
+
+
 def nullspace(m: Matrix) -> "Subspace":
     """Exact kernel {v : m v = 0} as a Subspace of dimension cols - rank."""
-    reduced, pivots = _rref_pivots(m)
-    ncols = m.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r_idx, p in enumerate(pivots):
-            v[p] = -reduced[r_idx, f]
-        basis.append(v)
-    return Subspace.from_vectors(ncols, basis)
+    return sparse_kernel(_sparse_rows(m), m.cols)
+
+
+def sparse_kernel(rows, ncols) -> "Subspace":
+    """{v in Q^ncols : r . v = 0 for every sparse row r}, by one elimination.
+
+    The rref R of the rows with their columns in reverse order gives, for
+    each free column f, the kernel vector e_f - sum_i R[i][f] e_(pivot i),
+    whose other entries all lie in columns after f.  Read in the natural
+    column order these vectors are already the reduced row echelon basis of
+    the kernel, its pivots being the free columns.
+    """
+    top = ncols - 1
+    kernel = {f: {f: 1} for f in range(ncols)}
+    for row in _rref({top - c: x for c, x in row.items()} for row in rows):
+        p = min(row)
+        del kernel[top - p]
+        for c, x in row.items():
+            if c != p:
+                kernel[top - c][top - p] = -x
+    return Subspace._from_rref(ncols, list(kernel.values()))
 
 
 def image(m: Matrix) -> "Subspace":
@@ -337,88 +361,123 @@ def solve_affine(a: Matrix, b):
     """
     if len(b) != a.rows:
         raise DimensionMismatch("rhs length mismatch")
-    aug = Matrix.from_rows([a.row(i) + [b[i]] for i in range(a.rows)], cols=a.cols + 1)
-    reduced, pivots = _rref_pivots(aug)
+    rows = _sparse_rows(a)
+    for row, x in zip(rows, b):
+        row[a.cols] = _check_entry(x)
+    reduced = _rref(rows)
     ker = nullspace(a)
-    if a.cols in pivots:
+    if reduced and min(reduced[-1]) == a.cols:
         return None, ker
     x = [0] * a.cols
-    for r_idx, p in enumerate(pivots):
-        x[p] = reduced[r_idx, a.cols]
+    for row in reduced:
+        x[min(row)] = row.get(a.cols, 0)
     return x, ker
 
 
 class Subspace:
-    """Subspace of Q^n, canonically represented by an rref basis.
+    """Subspace of Q^n, canonically represented by its rref basis.
 
-    Two subspaces are equal iff their rref basis matrices are identical.
+    The rref is kept as sparse rows {col: value} in pivot order
+    (``sparse_rows``); two subspaces are equal iff these rows are.  The
+    dense ``basis`` Matrix is built on first use.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "sparse_rows", "_index", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, _trusted=False):
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        """The row space of basis."""
+        if basis.cols != ambient_dim:
+            raise DimensionMismatch("basis width does not match the ambient dimension")
+        self._adopt(ambient_dim, _rref(_sparse_rows(basis)))
+
+    def _adopt(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
-        if not _trusted:
-            reduced, pivots = _rref_pivots(basis)
-            basis = Matrix.from_rows(reduced.row_list()[: len(pivots)], cols=ambient_dim)
-        self.basis = basis
+        self.sparse_rows = rows
+        self._index = {min(row): i for i, row in enumerate(rows)}  # pivot column -> row
+        self._basis = None
+
+    @classmethod
+    def _from_rref(cls, ambient_dim, rows):
+        """Adopt rows that already are a canonical rref, unchecked."""
+        space = cls.__new__(cls)
+        space._adopt(ambient_dim, rows)
+        return space
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length does not match ambient dimension")
-        if not vectors:
-            return cls(ambient_dim, Matrix(0, ambient_dim, []), _trusted=True)
-        m = Matrix.from_rows(vectors, cols=ambient_dim)
-        reduced, pivots = _rref_pivots(m)
-        rows = reduced.row_list()[: len(pivots)]
-        return cls(ambient_dim, Matrix.from_rows(rows, cols=ambient_dim), _trusted=True)
+        rows = [{j: _check_entry(x) for j, x in enumerate(v) if x != 0} for v in vectors]
+        return cls._from_rref(ambient_dim, _rref(rows))
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls.from_vectors(ambient_dim, [])
+        return cls._from_rref(ambient_dim, [])
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(ambient_dim, Matrix.identity(ambient_dim), _trusted=True)
+        return cls._from_rref(ambient_dim, [{i: 1} for i in range(ambient_dim)])
 
     @property
     def dim(self):
-        return self.basis.rows
+        return len(self.sparse_rows)
+
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            n = self.ambient_dim
+            self._basis = Matrix.from_rows([[row.get(j, 0) for j in range(n)] for row in self.sparse_rows], cols=n)
+        return self._basis
 
     def basis_vectors(self):
         return self.basis.row_list()
 
     def pivots(self):
-        pivs = []
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            for j, x in enumerate(row):
-                if x != 0:
-                    pivs.append(j)
-                    break
-        return pivs
+        return list(self._index)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.sparse_rows == other.sparse_rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(tuple(sorted(r.items())) for r in self.sparse_rows)))
+
+    def coordinates(self, vec: dict) -> dict:
+        """Coordinates {i: c} of a sparse vector {index: value} in the rref
+        basis: c is its entry at pivot i.  The combination matches it at the
+        pivots by construction, so only the other columns are checked:
+        NotACochain outside the span, DimensionMismatch outside Q^n."""
+        vec = {k: x for k, x in vec.items() if x != 0}
+        if vec and not (0 <= min(vec) and max(vec) < self.ambient_dim):
+            raise DimensionMismatch("vector index outside the ambient dimension")
+        coords, rest = {}, {}
+        for k, x in vec.items():
+            if k in self._index:
+                coords[self._index[k]] = x
+            else:
+                rest[k] = x
+        for i, c in coords.items():
+            for k, x in self.sparse_rows[i].items():
+                if k not in self._index:
+                    y = rest.get(k, 0) - c * x
+                    if y:
+                        rest[k] = y
+                    else:
+                        del rest[k]
+        if rest:
+            raise NotACochain("vector is outside the subspace")
+        return coords
 
     def contains_vector(self, v):
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        v = list(v)
-        pivs = self.pivots()
-        for i, p in enumerate(pivs):
-            if v[p] != 0:
-                c = v[p]
-                row = self.basis.row(i)
-                v = [x - c * y for x, y in zip(v, row)]
-        return is_zero_vec(v)
+        try:
+            self.coordinates(dict(enumerate(v)))
+        except NotACochain:
+            return False
+        return True
 
     def contains(self, other: "Subspace"):
         self._check_ambient(other)
@@ -426,28 +485,22 @@ class Subspace:
 
     def sum(self, other: "Subspace"):
         self._check_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, self.basis_vectors() + other.basis_vectors())
+        return Subspace._from_rref(self.ambient_dim, _rref(self.sparse_rows + other.sparse_rows))
 
     def annihilator(self) -> "Subspace":
         """{u : <u, v> = 0 for all v in self} under the standard dot pairing."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
-        return nullspace(self.basis)
+        return sparse_kernel(self.sparse_rows, self.ambient_dim)
 
     def intersect(self, other: "Subspace"):
-        # nullspace of stacked dual constraints from both annihilators
+        # the kernel of the stacked dual constraints from both annihilators
         self._check_ambient(other)
-        con = self.annihilator().basis_vectors() + other.annihilator().basis_vectors()
-        if not con:
-            return Subspace.full(self.ambient_dim)
-        return nullspace(Matrix.from_rows(con, cols=self.ambient_dim))
+        con = self.annihilator().sparse_rows + other.annihilator().sparse_rows
+        return sparse_kernel(con, self.ambient_dim)
 
     def orthogonal_complement(self, gram: Matrix) -> "Subspace":
         """{x : basis_i . gram . x = 0 for every basis vector}."""
         if gram.rows != self.ambient_dim or gram.cols != self.ambient_dim:
             raise DimensionMismatch("gram matrix must be square of the ambient dimension")
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
         return nullspace(self.basis * gram)
 
     def _check_ambient(self, other):

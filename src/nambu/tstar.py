@@ -61,8 +61,9 @@ from .errors import (
     OddDimension,
     ThetaNotClosed,
     ThetaNotCyclic,
+    ensure,
 )
-from .linalg import Matrix, Subspace, nullspace, rank, solve_affine, vzero
+from .linalg import Matrix, Subspace, nullspace, rank, solve_affine, sparse_kernel, vzero
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +301,11 @@ def tstar_extend(g: HomSuperAlgebra, theta: Cochain | None = None, validated=Tru
     result = MetricAlgebra(algebra, BilinearForm(tstar_gram(g.space)))
     ext = TStarExtension(g, theta, result)
     if validated:
-        assert verify_algebra(algebra).ok
-        assert result.verify().ok
+        ensure(verify_algebra(algebra).ok, "T*-extension fails the algebra axioms")
+        ensure(result.verify().ok, "T*-extension fails the metric checks")
         dual = embedded_dual(ext)
-        assert is_hom_ideal(dual, algebra)
-        assert is_isotropic(result, dual)
+        ensure(is_hom_ideal(dual, algebra), "g* is not a Hom-ideal of the T*-extension")
+        ensure(is_isotropic(result, dual), "g* is not isotropic in the T*-extension")
     return ext
 
 
@@ -351,30 +352,22 @@ def theta_spaces(g: HomSuperAlgebra) -> dict:
     for w in range(len(wb)):
         for y in range(g.dim):
             for z in range(y, g.dim):
-                row = [0] * model.raw_dim
-                row[model.flat((w,), y) + z] += 1
                 sgn = -1 if (p[y] == 1 and p[z] == 1) else 1
-                row[model.flat((w,), z) + y] += sgn
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    cyclic_constraint = (
-        nullspace(Matrix.from_rows(rows, cols=model.raw_dim))
-        if rows
-        else Subspace.full(model.raw_dim)
-    )
+                row = {model.flat((w,), y) + z: 1}
+                k = model.flat((w,), z) + y
+                row[k] = row.get(k, 0) + sgn
+                rows.append(row)
+    cyclic_constraint = sparse_kernel(rows, model.raw_dim)
     cyclic = cochain.intersect(cyclic_constraint)
 
     def closed_part(space: Subspace) -> Subspace:
         if space.dim == 0:
             return space
-        vectors = space.basis_vectors()
-        images = _images(
-            delta_operator(g, r, 1), [{k: x for k, x in enumerate(v) if x != 0} for v in vectors]
-        )
-        hit = sorted(set().union(*images))
-        mat = Matrix.from_rows([[img.get(k, 0) for img in images] for k in hit], cols=len(images))
-        closed = nullspace(mat).basis * Matrix.from_rows(vectors, cols=model.raw_dim)
-        return Subspace.from_vectors(model.raw_dim, closed.row_list())
+        # the combinations of the basis that delta kills, one equation per
+        # coordinate some image reaches
+        images = _images(delta_operator(g, r, 1), space.sparse_rows)
+        rows = [{i: img.get(k, 0) for i, img in enumerate(images)} for k in set().union(*images)]
+        return Subspace(model.raw_dim, sparse_kernel(rows, space.dim).basis * space.basis)
 
     closed = closed_part(cochain)
     closed_cyclic = closed.intersect(cyclic_constraint)
@@ -411,8 +404,10 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
     if not coad.exists:
         raise CoadjointMissing("equivalence needs the coadjoint representation")
     rep = coad.rep
-    for theta in (theta1, theta2):
-        if not coboundary(g, rep, theta, check=False).is_zero():
+    thetas = (theta1, theta2)
+    images = _images(delta_operator(g, rep, 1), [dict(enumerate(t.coeffs)) for t in thetas])
+    for theta, image in zip(thetas, images):
+        if image:
             raise ThetaNotClosed("theta must be closed")
         if not is_cyclic_cocycle(g, theta):
             raise ThetaNotCyclic("theta must be cyclic")
@@ -508,21 +503,14 @@ def theta_prime_as_cochain(g: HomSuperAlgebra, t_matrix: Matrix, rep=None) -> Co
 
 def centralizer(m: MetricAlgebra, v: Subspace) -> Subspace:
     """C(V) = {x : [x, g, ..., g] <= V}, computed both by definition and as
-    [g, ..., g, V^perp]^perp; the two answers are asserted equal."""
+    [g, ..., g, V^perp]^perp; the two answers must agree (InternalError)."""
     a = m.algebra
     ann = v.annihilator().basis_vectors()
     rows = []
     for t in _canonical_tuples(a.space, a.arity - 1):
         cols = [a.bracket_basis((j,) + t) for j in range(a.dim)]
-        for u in ann:
-            row = []
-            for j in range(a.dim):
-                row.append(sum(x * y for x, y in zip(u, cols[j])))
-            if any(x != 0 for x in row):
-                rows.append(row)
-    by_definition = (
-        nullspace(Matrix.from_rows(rows, cols=a.dim)) if rows else Subspace.full(a.dim)
-    )
+        rows.extend([sum(x * y for x, y in zip(u, col)) for col in cols] for u in ann)
+    by_definition = nullspace(Matrix.from_rows(rows, cols=a.dim))
 
     vperp = v.orthogonal_complement(m.gram)
     spanned = []
@@ -533,7 +521,7 @@ def centralizer(m: MetricAlgebra, v: Subspace) -> Subspace:
                 spanned.append(vec)
     bracket_span = Subspace.from_vectors(a.dim, spanned)
     by_perp = bracket_span.orthogonal_complement(m.gram)
-    assert by_definition == by_perp, "centralizer dual-path mismatch"
+    ensure(by_definition == by_perp, "centralizer dual-path mismatch")
     return by_definition
 
 
@@ -568,12 +556,12 @@ def canonical_isotropic_ideal(m: MetricAlgebra) -> Subspace:
     j = Subspace.zero(a.dim)
     for i, term in enumerate(lc.terms):
         j = j.sum(term.intersect(c_of(i)))
-    assert is_isotropic(m, j)
-    assert is_hom_ideal(j, a)
+    ensure(is_isotropic(m, j), "canonical ideal is not isotropic")
+    ensure(is_hom_ideal(j, a), "canonical ideal is not a Hom-ideal")
     k0 = lc.length
     half = (k0 + 1) // 2
     half_term = lc.terms[half] if half < len(lc.terms) else Subspace.zero(a.dim)
-    assert j.contains(half_term)
+    ensure(j.contains(half_term), "canonical ideal misses the half-way series term")
     return j
 
 
@@ -581,24 +569,11 @@ def canonical_isotropic_ideal(m: MetricAlgebra) -> Subspace:
 # maximal isotropic enlargement, by induction on the quotient W-perp/W
 
 
-def _joint_kernel(ops, dim):
-    rows = []
-    for op in ops:
-        rows.extend(op.row_list())
-    if not rows:
-        return Subspace.full(dim)
-    return nullspace(Matrix.from_rows(rows, cols=dim))
-
-
 def _largest_invariant(sub: Subspace, alpha: Matrix) -> Subspace:
     """Largest alpha-invariant subspace of sub: iterate sub intersect alpha^{-1}(sub)."""
     current = sub
     while True:
-        ann = current.annihilator().basis_vectors()
-        if not ann:
-            return current
-        pre = nullspace(Matrix.from_rows(ann, cols=alpha.rows) * alpha)
-        nxt = current.intersect(pre)
+        nxt = current.intersect(nullspace(current.annihilator().basis * alpha))
         if nxt == current:
             return current
         current = nxt
@@ -638,7 +613,7 @@ def _sqrt_fraction(q):
 
 def _find_isotropic_stable_vector(parity, gram, ops, alpha, dim):
     """An Engel-style isotropic vector whose alpha-orbit span is isotropic."""
-    kernel = _joint_kernel(ops, dim)
+    kernel = nullspace(Matrix.from_rows([row for op in ops for row in op.row_list()], cols=dim))
     stable = _largest_invariant(kernel, alpha)
     if stable.dim == 0:
         raise NoStableIsotropicVector("the alpha-stable joint kernel is zero")
@@ -698,10 +673,8 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
 
     # quotient step: recurse on W^perp / W
     wperp = w.orthogonal_complement(gram)
-    assert wperp.contains(w)
-    for op in ops:
-        for row in wperp.basis_vectors():
-            assert wperp.contains_vector(op.apply(list(row)))
+    ensure(wperp.contains(w), "W is not inside W-perp")
+    ensure(_maps_into(ops, wperp, wperp), "W-perp is not stable under the bracket operators")
     space = GradedSpace(dim, tuple(parity))
     w_even, w_odd = split_graded(w, space)
     perp_even, perp_odd = split_graded(wperp, space)
@@ -716,7 +689,7 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
                 rep_parity.append(par)
                 current = current.sum(Subspace.from_vectors(dim, [row]))
     qdim = len(reps)
-    assert qdim == wperp.dim - w.dim
+    ensure(qdim == wperp.dim - w.dim, "quotient representatives have the wrong count")
 
     # coordinates in W^perp: columns = [w basis | reps]
     basis_cols = [list(r) for r in w.basis_vectors()] + reps
@@ -724,7 +697,7 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
 
     def quotient_coords(vec):
         sol, _ = solve_affine(basis_matrix, list(vec))
-        assert sol is not None
+        ensure(sol is not None, "vector leaves W-perp")
         return sol[w.dim :]
 
     q_gram = Matrix(
@@ -756,30 +729,26 @@ def extend_to_maximal_isotropic(m: MetricAlgebra, w: Subspace) -> Subspace:
         raise AlgebraError("subspace is not isotropic")
     ad = adjoint_rep(a)
     ops = list(ad.rho)
-    for op in ops:
-        for row in w.basis_vectors():
-            if not w.contains_vector(op.apply(list(row))):
-                raise AlgebraError("subspace is not stable under the bracket operators")
-    for row in w.basis_vectors():
-        if not w.contains_vector(a.alpha.apply(list(row))):
-            raise AlgebraError("subspace is not stable under the twist")
+    if not _maps_into(ops, w, w):
+        raise AlgebraError("subspace is not stable under the bracket operators")
+    if not _maps_into([a.alpha], w, w):
+        raise AlgebraError("subspace is not stable under the twist")
 
     result = _extend_recursive(tuple(a.parity), m.gram, ops, a.alpha, w)
-    assert result.dim == a.dim // 2
-    assert result.contains(w)
-    assert is_isotropic(m, result)
+    ensure(result.dim == a.dim // 2, "maximal isotropic subspace has the wrong dimension")
+    ensure(result.contains(w), "maximal isotropic subspace lost W")
+    ensure(is_isotropic(m, result), "maximal isotropic subspace is not isotropic")
     split_graded(result, a.space)
-    for op in ops:
-        for row in result.basis_vectors():
-            assert result.contains_vector(op.apply(list(row)))
-    for row in result.basis_vectors():
-        assert result.contains_vector(a.alpha.apply(list(row)))
+    ensure(_maps_into(ops + [a.alpha], result, result), "maximal isotropic subspace is not stable")
     if a.dim % 2 == 1:
         rperp = result.orthogonal_complement(m.gram)
-        for op in ops:
-            for row in rperp.basis_vectors():
-                assert result.contains_vector(op.apply(list(row)))
+        ensure(_maps_into(ops, rperp, result), "the bracket operators map the complement outside")
     return result
+
+
+def _maps_into(ops, source: Subspace, target: Subspace) -> bool:
+    """Every operator sends every basis vector of source into target."""
+    return all(target.contains_vector(op.apply(row)) for op in ops for row in source.basis_vectors())
 
 
 def isotropic_half_ideal_abelian_check(m: MetricAlgebra, i: Subspace) -> bool:
@@ -866,9 +835,9 @@ def _isotropic_complement(m: MetricAlgebra, ideal: Subspace) -> Subspace:
     if len(g0_rows) != half:
         raise ComplementNotFound("could not complete the isotropic complement")
     g0 = Subspace.from_vectors(a.dim, g0_rows)
-    assert g0.dim == half
-    assert is_isotropic(m, g0)
-    assert g0.intersect(ideal).dim == 0
+    ensure(g0.dim == half, "isotropic complement has the wrong dimension")
+    ensure(is_isotropic(m, g0), "complement is not isotropic")
+    ensure(g0.intersect(ideal).dim == 0, "complement meets the ideal")
     return g0
 
 
@@ -907,7 +876,7 @@ def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
         unit = [0] * g1.dim
         unit[k] = 1
         sol, _ = solve_affine(pi_g0, unit)
-        assert sol is not None
+        ensure(sol is not None, "complement does not project onto the quotient")
         vec = [sum(c * g0_cols[t][i] for t, c in enumerate(sol) if c != 0) for i in range(a.dim)]
         lift_cols.append(vec)
 
@@ -917,7 +886,7 @@ def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
 
     def split(vec):
         sol, _ = solve_affine(decomp, list(vec))
-        assert sol is not None
+        ensure(sol is not None, "complement plus ideal does not span g")
         return sol[: len(g0_cols)], sol[len(g0_cols) :]
 
     # f1*: I -> g1*, f1*(z)(pi x) = <z, x>
@@ -952,10 +921,9 @@ def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
         phi_cols.append(x_vec + f_vec)
     phi = Matrix.from_rows(phi_cols, cols=2 * g1.dim).transpose()
 
-    assert rank(phi) == a.dim
-    assert verify_morphism(phi, a, ext.algebra).ok
-    gram_target = ext.form.gram
-    assert phi.transpose() * gram_target * phi == m.gram
+    ensure(rank(phi) == a.dim, "phi is not injective")
+    ensure(verify_morphism(phi, a, ext.algebra).ok, "phi is not a morphism")
+    ensure(phi.transpose() * ext.form.gram * phi == m.gram, "phi is not an isometry")
     return Reconstruction(g1, theta, phi, ext, g0, pi)
 
 
@@ -981,16 +949,16 @@ def adjoin_line(m: MetricAlgebra, ideal: Subspace | None = None):
     )
     gram_rows = [m.gram.row(i) + [0] for i in range(d)] + [[0] * d + [1]]
     m2 = MetricAlgebra(algebra, BilinearForm(Matrix.from_rows(gram_rows)))
-    assert m2.verify().ok
+    ensure(m2.verify().ok, "algebra with the adjoined line fails the metric checks")
     embedded = Subspace.from_vectors(d + 1, [algebra.basis_vector(i) for i in range(d)])
-    assert is_hom_ideal(embedded, algebra)
+    ensure(is_hom_ideal(embedded, algebra), "g is not a Hom-ideal after adjoining a line")
 
     z = _find_norm_minus_one(m, ideal)
     b_vec = [x for x in z] + [1]  # a + z
     ext_rows = [list(r) + [0] for r in ideal.basis_vectors()] + [b_vec]
     iprime = Subspace.from_vectors(d + 1, ext_rows)
-    assert iprime.dim == ideal.dim + 1
-    assert is_isotropic(m2, iprime)
+    ensure(iprime.dim == ideal.dim + 1, "extended ideal has the wrong dimension")
+    ensure(is_isotropic(m2, iprime), "extended ideal is not isotropic")
     if not is_hom_ideal(iprime, algebra):
         raise NoStableIsotropicVector("extended ideal is not twist-stable over Q")
     return m2, iprime
@@ -1093,16 +1061,19 @@ def decompose(m: MetricAlgebra) -> Certificate:
 
     k1 = nilpotent_length(rec.g1)
     half_bound = -(-k0 // 2)  # ceil(k0/2)
+    ext = rec.extension
     checks = {
-        "phi_morphism": True,
-        "phi_isometry": True,
-        "theta_closed": True,
+        "phi_morphism": verify_morphism(rec.phi, target.algebra, ext.algebra).ok,
+        "phi_isometry": rec.phi.transpose() * ext.form.gram * rec.phi == target.gram,
+        "theta_closed": coboundary(rec.g1, coadjoint_rep(rec.g1).rep, rec.theta, check=False).is_zero(),
         "theta_cyclic": is_cyclic_cocycle(rec.g1, rec.theta),
         "nilpotent_length": k0,
         "quotient_length": k1,
         "length_bound": k1 is not None and k1 <= half_bound,
         "adjoined_line": adjoined,
     }
+    failed = [name for name in ("phi_morphism", "phi_isometry", "theta_closed") if not checks[name]]
+    ensure(not failed, f"[certificate] {', '.join(failed)} failed")
     if not checks["length_bound"]:
         raise AlgebraError("[length] quotient nilpotent length exceeds the bound")
     return Certificate(rec.g1, rec.theta, rec.phi, rec.extension, adjoined, checks)

@@ -197,21 +197,35 @@ class TestCochainSpaces:
         assert cochain_space(twisted, r, 1, "both").dim == 8
 
     def test_diagonal_fast_path_matches_general(self):
+        # both routes of cochain_basis give the same Subspace wherever the
+        # diagonal one applies: catalog algebras and seeded diagonal twists,
+        # both representations, m = 0, 1, 2, every parity
+        from nambu.cohomology import _compat_space, _diagonal_compat_space
         from nambu.core import twist_by_endomorphism
+        from nambu.tstar import coadjoint_rep
 
-        base = h3()
-        rho = Matrix(3, 3, [2, 0, 0, 0, 1, 0, 0, 0, 2])
-        a = twist_by_endomorphism(base, rho)
-        r = adjoint_rep(a)
-        fast = cochain_space(a, r, 1, "both")
-        # force the general path by shuffling through _compat_basis_part
-        from nambu.cohomology import CochainBasis, CochainModel, _compat_basis_part
-        from nambu.linalg import Subspace
-
-        model = CochainModel(a, r, 1)
-        vecs = _compat_basis_part(a, r, model, 0) + _compat_basis_part(a, r, model, 1)
-        general = Subspace.from_vectors(model.raw_dim, vecs)
-        assert fast == general
+        rng = random.Random(5)
+        algebras = samples.catalog()
+        algebras.append(twist_by_endomorphism(h3(), Matrix(3, 3, [2, 0, 0, 0, 1, 0, 0, 0, 2])))
+        for base in samples.catalog():
+            rho = samples.random_twist(base, rng, diagonal_only=True)
+            if rho is not None:
+                algebras.append(twist_by_endomorphism(base, rho))
+        checked = 0
+        for a in algebras:
+            reps = [adjoint_rep(a)]
+            if coadjoint_rep(a).exists:
+                reps.append(coadjoint_rep(a).rep)
+            for r in reps:
+                assert a.alpha.is_diagonal() and r.nu.is_diagonal()
+                for m in (0, 1, 2):
+                    model = CochainModel(a, r, m)
+                    for parts in ((0, 1), (0,), (1,)):
+                        fast = _diagonal_compat_space(model, parts)
+                        assert fast == _compat_space(model, parts), (a.name, m, parts)
+                        checked += fast.dim > 0
+        assert sum(not a.alpha.is_identity() for a in algebras) >= 5
+        assert checked >= 100
 
     def test_parity_split_adds_up(self):
         a = sh12()

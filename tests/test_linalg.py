@@ -16,7 +16,8 @@ from nambu.linalg import (
     solve_affine,
     sparse_rank,
 )
-from nambu.linalg import _rref_pivots
+from dense_rref_oracle import _rref_pivots, oracle_nullspace, oracle_solve_affine, rref_basis
+from nambu.errors import DimensionMismatch, NotACochain
 
 
 def mat(rows):
@@ -232,13 +233,19 @@ sparse_entries = st.one_of(
 )
 
 
+dense_entries = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+
+
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, entries=sparse_entries):
     """Mostly-zero integer and rational matrices, including 0 x n and n x 0,
     with duplicated and rescaled rows mixed in."""
     r = draw(st.integers(min_value=0, max_value=7))
     c = draw(st.integers(min_value=0, max_value=7))
-    rows = [draw(st.lists(sparse_entries, min_size=c, max_size=c)) for _ in range(r)]
+    rows = [draw(st.lists(entries, min_size=c, max_size=c)) for _ in range(r)]
     if rows:
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
             src = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
@@ -273,3 +280,49 @@ def test_sparse_rank_edge_shapes():
     assert sparse_rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]) == 1
     assert sparse_rank([{0: 0, 1: 0}, {1: Fraction(-7, 9)}]) == 1
     assert sparse_rank([{0: 10 ** 30, 1: 1}, {0: 1, 1: 7}]) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(), sparse_matrices(dense_entries)), st.data())
+def test_sparse_rref_equals_dense_oracle(m, data):
+    reduced, pivots = _rref_pivots(m)
+    assert rref(m) == (reduced, len(pivots))
+    assert nullspace(m).basis == oracle_nullspace(m)
+    assert Subspace.from_vectors(m.cols, m.row_list()).basis == rref_basis(m.cols, m.row_list())
+    b = data.draw(st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))
+    x, ker = solve_affine(m, b)
+    assert x == oracle_solve_affine(m, b)
+    assert ker == nullspace(m)
+
+
+def test_sparse_rref_edge_shapes():
+    for m in (Matrix(0, 3, []), Matrix(3, 0, []), Matrix.zeros(2, 3), mat([[1, 2], [1, 2], [2, 4]])):
+        reduced, pivots = _rref_pivots(m)
+        assert rref(m) == (reduced, len(pivots))
+        assert nullspace(m).basis == oracle_nullspace(m)
+        x, _ = solve_affine(m, [0] * m.rows)
+        assert x == oracle_solve_affine(m, [0] * m.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(dense_entries), st.data())
+def test_coordinates_round_trip_and_reject_outside(m, data):
+    space = Subspace.from_vectors(m.cols, m.row_list())
+    coeffs = data.draw(st.lists(sparse_entries, min_size=space.dim, max_size=space.dim))
+    vec = {}
+    for c, row in zip(coeffs, space.sparse_rows):
+        for k, x in row.items():
+            vec[k] = vec.get(k, 0) + c * x
+    assert space.coordinates(vec) == {i: c for i, c in enumerate(coeffs) if c != 0}
+    assert space.contains_vector([vec.get(k, 0) for k in range(m.cols)])
+    outside = [k for k in range(m.cols) if k not in space.pivots()]
+    if outside:
+        # a unit vector at a non-pivot column has all coordinates 0, so it
+        # lies outside the span
+        with pytest.raises(NotACochain):
+            space.coordinates({outside[0]: 1})
+        assert not space.contains_vector([int(k == outside[0]) for k in range(m.cols)])
+    with pytest.raises(DimensionMismatch):
+        space.coordinates({m.cols: 1})
+    with pytest.raises(DimensionMismatch):
+        space.coordinates({-1: 1})

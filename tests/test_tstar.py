@@ -27,6 +27,7 @@ from nambu.core import (
     verify_morphism,
 )
 from nambu.errors import (
+    InternalError,
     NeedsFieldExtension,
     NotNilpotent,
     ThetaNotClosed,
@@ -550,8 +551,48 @@ class TestDecompose:
         assert cert.adjoined
         assert cert.checks["length_bound"]
 
+    @pytest.mark.parametrize("corrupt", ["phi", "theta"])
+    def test_certificate_is_computed_not_asserted(self, monkeypatch, corrupt):
+        from nambu import tstar
+
+        m = tstar_extend(samples.filiform4()).result  # g1 is not abelian, so delta can be nonzero
+        cert = decompose(m)
+        assert cert.checks["phi_morphism"] and cert.checks["phi_isometry"] and cert.checks["theta_closed"]
+        real = tstar.reconstruct_as_tstar
+
+        def corrupted(*args):
+            rec = real(*args)
+            if corrupt == "phi":
+                rec.phi = rec.phi.scale(2)  # still a bijection, no longer an isometry
+            else:
+                model = rec.theta.model
+                rec.theta = Cochain(model, 0, [1] * model.raw_dim)
+                assert not coboundary(rec.g1, model.r, rec.theta, check=False).is_zero()
+            return rec
+
+        monkeypatch.setattr(tstar, "reconstruct_as_tstar", corrupted)
+        expected = "phi_isometry" if corrupt == "phi" else "theta_closed"
+        with pytest.raises(InternalError, match=expected) as err:
+            decompose(m)
+        assert err.value.exit_code == 5
+
 
 class TestEquivalence:
+    def test_builds_each_delta_once(self, monkeypatch):
+        from nambu import tstar
+
+        degrees = []
+        real = tstar.delta_operator
+
+        def counting(a, r, m):
+            degrees.append(m)
+            return real(a, r, m)
+
+        monkeypatch.setattr(tstar, "delta_operator", counting)
+        g = samples.filiform4()
+        equivalence(g, zero_theta(g), zero_theta(g))
+        assert sorted(degrees) == [0, 1]
+
     def test_equal_thetas_isometric_with_zero_witness(self):
         g = abelian(1, 1)
         sp = theta_spaces(g)
