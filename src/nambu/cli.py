@@ -3,7 +3,7 @@ equiv, decompose, fuzz.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 precondition
 violated, 3 a field extension of Q would be needed, 4 parse error, 5 an
-internal postcondition failed.
+internal error (a failed postcondition or any unexpected exception).
 Outputs are deterministic byte-for-byte for identical inputs.
 """
 
@@ -23,7 +23,7 @@ from .cohomology import (
     verify_representation,
 )
 from .core import BilinearForm, series, verify_algebra, verify_metric
-from .errors import AlgebraError, CoadjointMissing, ParseError
+from .errors import AlgebraError, CoadjointMissing, InternalError, ParseError
 from .extensions import build_extension, parse_datum_file
 from .tstar import (
     MetricAlgebra,
@@ -339,7 +339,9 @@ def main(argv=None):
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    # unexpected exceptions propagate with a traceback: they are bugs
+    except Exception as exc:  # a bug: exit 5, apart from "verification failed" (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return InternalError.exit_code
 
 
 if __name__ == "__main__":

@@ -3,8 +3,15 @@
 A HomSuperAlgebra is (graded space, n-ary structure tensor, even twist
 map).  Brackets are stored only on canonical index tuples; evaluation
 anywhere else goes through the straightening sign of the super-exterior
-algebra.  Axioms are verified by brute force over basis tuples, which is
-complete by multilinearity.
+algebra.  Axioms are checked on basis tuples, which is complete by
+multilinearity, and on canonical tuples only wherever the checked identity
+is super-skew in a block of slots: permuting that block then changes both
+sides by the same sign (a repeated even index makes both vanish), so the
+verdict and the lex-first witness stay those of the full sweep.  The
+fundamental identity is super-skew in its x- and y-blocks only for an even
+twist and homogeneous entries; when either check fails it sweeps every
+basis tuple.  Super skew-symmetry itself, which tests ``straighten``,
+always sees every tuple.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .errors import (
     NotAnIdeal,
     ensure,
 )
-from .linalg import Matrix, Subspace, format_scalar, is_zero_vec, vzero
+from .linalg import Matrix, Subspace, format_scalar, is_zero_vec, particular_solution, rank, vzero
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,11 @@ class StructureTensor:
         )
 
 
+def is_even_map(m: Matrix, p_out, p_in):
+    """No entry of m joins basis vectors of different parities."""
+    return all(m[i, j] == 0 for i in range(m.rows) for j in range(m.cols) if p_out[i] != p_in[j])
+
+
 def support(vec):
     return [(i, c) for i, c in enumerate(vec) if c != 0]
 
@@ -172,13 +184,7 @@ class HomSuperAlgebra:
         return self.space.parity
 
     def alpha_is_even(self):
-        p = self.parity
-        return all(
-            self.alpha[i, j] == 0
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if p[i] != p[j]
-        )
+        return is_even_map(self.alpha, self.parity, self.parity)
 
     def bracket_basis(self, indices):
         return self.bracket.value(indices)
@@ -234,6 +240,12 @@ class Report:
     def add(self, name, passed, witness=None):
         self.checks.append(Check(name, passed, witness))
 
+    def add_first(self, name, witnesses):
+        """A check that passes when ``witnesses`` yields nothing; the first
+        witness yielded is recorded, and iteration stops there."""
+        witness = next(iter(witnesses), None)
+        self.add(name, witness is None, witness)
+
     @property
     def ok(self):
         return all(c.passed for c in self.checks)
@@ -268,20 +280,24 @@ def verify_algebra(a: HomSuperAlgebra) -> Report:
     fundamental identity, and multiplicativity of the twist."""
     report = Report()
     report.add("alpha-even", a.alpha_is_even())
-
-    witness = None
     p = a.parity
-    for key, vec in a.bracket.items():
-        p_in = a.space.parity_of_indices(key)
-        for k, c in enumerate(vec):
-            if c != 0 and p[k] != p_in:
-                witness = {"args": _one_based(key), "output_index": k + 1}
-                break
-        if witness:
-            break
-    report.add("homogeneity", witness is None, witness)
+    report.add_first("homogeneity", (
+        {"args": _one_based(key), "output_index": k + 1}
+        for key, vec in a.bracket.items()
+        for k, c in enumerate(vec)
+        if c != 0 and p[k] != a.space.parity_of_indices(key)
+    ))
+    canonical = report.ok
+    report.add_first("super-skew-symmetry", _skew_witnesses(a))
+    report.add_first("fundamental-identity", _fundamental_identity_witnesses(a, canonical))
+    report.add_first("multiplicativity", _bracket_map_witnesses(a.alpha, a, a))
+    return report
 
-    witness = None
+
+def _skew_witnesses(a: HomSuperAlgebra):
+    """Adjacent swaps that break super skew-symmetry, over every basis tuple:
+    this tests ``straighten`` itself, so no tuple may be skipped."""
+    p = a.parity
     n = a.arity
     for t in itertools.product(range(a.dim), repeat=n):
         base = a.bracket_basis(t)
@@ -291,58 +307,59 @@ def verify_algebra(a: HomSuperAlgebra) -> Report:
             swapped = a.bracket_basis(tuple(s))
             sgn = 1 if (p[t[pos]] == 1 and p[t[pos + 1]] == 1) else -1
             if any(x != sgn * y for x, y in zip(base, swapped)):
-                witness = {"args": _one_based(t), "swap_at": pos + 1}
-                break
-        if witness:
-            break
-    report.add("super-skew-symmetry", witness is None, witness)
-
-    report.add("fundamental-identity", *(_check_fundamental_identity(a)))
-    report.add("multiplicativity", *(_check_multiplicativity(a)))
-    return report
+                yield {"args": _one_based(t), "swap_at": pos + 1}
 
 
-def _check_fundamental_identity(a: HomSuperAlgebra):
+def _fundamental_identity_witnesses(a: HomSuperAlgebra, canonical: bool):
+    """Basis pairs (x, y), x in g^{n-1}, y in g^n, in lex order, where the
+    twisted fundamental identity fails.
+
+    With ``canonical`` (alpha even, every entry homogeneous) both sides are
+    super-skew in the x-block and in the y-block, so the failing pairs are
+    closed under permuting x and permuting y, and their lex-first one is
+    canonical: canonical tuples give the same verdict and first witness.
+    Otherwise every basis tuple is swept.
+    """
     n = a.arity
     p = a.parity
     alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
-    for xs in itertools.product(range(a.dim), repeat=n - 1):
+    if canonical:
+        x_tuples = _canonical_tuples(a.space, n - 1)
+        y_tuples = canonical_tuples(a.space, n)
+    else:
+        x_tuples = itertools.product(range(a.dim), repeat=n - 1)
+        y_tuples = list(itertools.product(range(a.dim), repeat=n))
+    for xs in x_tuples:
         px = sum(p[i] for i in xs) % 2
-        for ys in itertools.product(range(a.dim), repeat=n):
-            inner = a.bracket_basis(ys)
-            lhs = a.bracket_eval([alpha_cols[i] for i in xs] + [inner])
+        x_alpha = [alpha_cols[i] for i in xs]
+        mids = [a.bracket_basis(xs + (j,)) for j in range(a.dim)]
+        for ys in y_tuples:
+            lhs = a.bracket_eval(x_alpha + [a.bracket_basis(ys)])
             rhs = vzero(a.dim)
             prefix = 0
             for i in range(n):
-                sign = -1 if (px == 1 and prefix == 1) else 1
-                mid = a.bracket_basis(xs + (ys[i],))
-                args = [alpha_cols[ys[k]] for k in range(i)] + [mid] + [
-                    alpha_cols[ys[k]] for k in range(i + 1, n)
-                ]
-                term = a.bracket_eval(args)
-                for k, c in enumerate(term):
-                    if c != 0:
-                        rhs[k] += sign * c
+                mid = mids[ys[i]]
+                if not is_zero_vec(mid):
+                    sign = -1 if (px == 1 and prefix == 1) else 1
+                    args = [alpha_cols[ys[k]] for k in range(i)] + [mid] + [
+                        alpha_cols[ys[k]] for k in range(i + 1, n)
+                    ]
+                    for k, c in enumerate(a.bracket_eval(args)):
+                        if c != 0:
+                            rhs[k] += sign * c
                 prefix = (prefix + p[ys[i]]) % 2
             if lhs != rhs:
-                witness = {
-                    "x": _one_based(xs),
-                    "y": _one_based(ys),
-                    "lhs": _fmt_vec(lhs),
-                    "rhs": _fmt_vec(rhs),
-                }
-                return False, witness
-    return True, None
+                yield {"x": _one_based(xs), "y": _one_based(ys), "lhs": _fmt_vec(lhs), "rhs": _fmt_vec(rhs)}
 
 
-def _check_multiplicativity(a: HomSuperAlgebra):
-    alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
+def _bracket_map_witnesses(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra):
+    """Canonical tuples where f[x1,...,xn] != [f(x1),...,f(xn)]' for f: a -> b."""
+    f_cols = [f.col(j) for j in range(a.dim)]
     for key in _canonical_tuples(a.space, a.arity):
-        lhs = a.alpha.apply(a.bracket_basis(key))
-        rhs = a.bracket_eval([alpha_cols[i] for i in key])
+        lhs = f.apply(a.bracket_basis(key))
+        rhs = b.bracket_eval([f_cols[i] for i in key])
         if lhs != rhs:
-            return False, {"args": _one_based(key), "lhs": _fmt_vec(lhs), "rhs": _fmt_vec(rhs)}
-    return True, None
+            yield {"args": _one_based(key), "lhs": _fmt_vec(lhs), "rhs": _fmt_vec(rhs)}
 
 
 def _canonical_tuples(space: GradedSpace, length: int):
@@ -372,27 +389,9 @@ def verify_morphism(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra) -> Report
     if f.rows != b.dim or f.cols != a.dim:
         raise DimensionMismatch(f"morphism must be {b.dim}x{a.dim}")
     report = Report()
-
-    even = all(
-        f[i, j] == 0
-        for i in range(b.dim)
-        for j in range(a.dim)
-        if b.parity[i] != a.parity[j]
-    )
-    report.add("even", even)
-
-    witness = None
-    f_cols = [f.col(j) for j in range(a.dim)]
-    for key in _canonical_tuples(a.space, a.arity):
-        lhs = f.apply(a.bracket_basis(key))
-        rhs = b.bracket_eval([f_cols[i] for i in key])
-        if lhs != rhs:
-            witness = {"args": _one_based(key), "lhs": _fmt_vec(lhs), "rhs": _fmt_vec(rhs)}
-            break
-    report.add("bracket", witness is None, witness)
-
-    inter = f * a.alpha == b.alpha * f
-    report.add("twist-intertwines", inter)
+    report.add("even", is_even_map(f, b.parity, a.parity))
+    report.add_first("bracket", _bracket_map_witnesses(f, a, b))
+    report.add("twist-intertwines", f * a.alpha == b.alpha * f)
     return report
 
 
@@ -466,14 +465,16 @@ def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
     """alpha(H) in H and [H, g, ..., g] in H.
 
     Checking the first slot only is enough: super skew-symmetry moves H
-    into any slot at the cost of a sign.
+    into any slot at the cost of a sign.  For the same reason the other
+    slots run over canonical tuples only.
     """
     split_graded(h, a.space)
     if not _alpha_stable(h, a):
         return False
     basis = [a.basis_vector(i) for i in range(a.dim)]
+    rests = canonical_tuples(a.space, a.arity - 1)
     for v in h.basis_vectors():
-        for rest in itertools.product(range(a.dim), repeat=a.arity - 1):
+        for rest in rests:
             args = [v] + [basis[i] for i in rest]
             if not h.contains_vector(a.bracket_eval(args)):
                 return False
@@ -492,13 +493,16 @@ def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
     """Derived or lower-central series computed on spanning sets.
 
     terms[0] = g; derived: next = [S, S, ..., S]; lower_central:
-    next = [S, g, ..., g].  The length is the first index whose term is 0.
+    next = [S, g, ..., g], with the g slots on canonical tuples (permuting
+    them only changes signs).  The length is the first index whose term
+    is 0.
     """
     if kind not in ("derived", "lower_central"):
         raise ValueError("kind must be 'derived' or 'lower_central'")
     full = Subspace.full(a.dim)
     terms = [full]
     basis_g = [a.basis_vector(i) for i in range(a.dim)]
+    rests = canonical_tuples(a.space, a.arity - 1)
     while True:
         current = terms[-1]
         if current.dim == 0:
@@ -512,7 +516,7 @@ def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
                     spanned.append(vec)
         else:
             for v in rows:
-                for rest in itertools.product(range(a.dim), repeat=a.arity - 1):
+                for rest in rests:
                     vec = a.bracket_eval([v] + [basis_g[i] for i in rest])
                     if not is_zero_vec(vec):
                         spanned.append(vec)
@@ -591,10 +595,8 @@ def quotient(a: HomSuperAlgebra, i: Subspace):
     basis_matrix = Matrix.from_rows(cols, cols=a.dim).transpose()
     # basis_matrix * coords = x ; invert by solving for each standard basis vector
     inv_cols = []
-    from .linalg import solve_affine
-
     for j in range(a.dim):
-        sol, _ = solve_affine(basis_matrix, _unit(a.dim, j))
+        sol = particular_solution(basis_matrix, _unit(a.dim, j))
         ensure(sol is not None, "ideal basis plus complement does not span g")
         inv_cols.append(sol)
     inv = Matrix.from_rows(inv_cols, cols=a.dim).transpose()
@@ -647,62 +649,47 @@ def verify_metric(a: HomSuperAlgebra, form: BilinearForm) -> Report:
     if g.rows != a.dim or g.cols != a.dim:
         raise DimensionMismatch("gram matrix has wrong shape")
     p = a.parity
+    d = a.dim
     report = Report()
-
-    witness = None
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if p[i] != p[j] and g[i, j] != 0:
-                witness = {"i": i + 1, "j": j + 1}
-                break
-        if witness:
-            break
-    report.add("consistent", witness is None, witness)
-
-    witness = None
-    for i in range(a.dim):
-        for j in range(a.dim):
-            sgn = -1 if (p[i] == 1 and p[j] == 1) else 1
-            if g[i, j] != sgn * g[j, i]:
-                witness = {"i": i + 1, "j": j + 1}
-                break
-        if witness:
-            break
-    report.add("supersymmetric", witness is None, witness)
-
-    # invariance: <[x_1..x_{n-1}, y], z> = -(-1)^{|x||y|} <y, [x_1..x_{n-1}, z]>
-    witness = None
-    n = a.arity
-    basis = [a.basis_vector(k) for k in range(a.dim)]
-    for xs in _canonical_tuples(a.space, n - 1):
-        px = a.space.parity_of_indices(xs)
-        for y in range(a.dim):
-            by = a.bracket_basis(xs + (y,))
-            sgn = -1 if (px == 1 and p[y] == 1) else 1
-            for z in range(a.dim):
-                lhs = pairing(g, by, basis[z])
-                rhs = -sgn * pairing(g, basis[y], a.bracket_basis(xs + (z,)))
-                if lhs != rhs:
-                    witness = {
-                        "x": _one_based(xs),
-                        "y": y + 1,
-                        "z": z + 1,
-                        "lhs": format_scalar(Fraction(lhs)),
-                        "rhs": format_scalar(Fraction(rhs)),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("invariant", witness is None, witness)
-
-    from .linalg import rank as _rank
-
-    report.add("nondegenerate", _rank(g) == a.dim)
+    report.add_first("consistent", (
+        {"i": i + 1, "j": j + 1} for i in range(d) for j in range(d) if p[i] != p[j] and g[i, j] != 0
+    ))
+    report.add_first("supersymmetric", (
+        {"i": i + 1, "j": j + 1}
+        for i in range(d)
+        for j in range(d)
+        if g[i, j] != (-1 if (p[i] == 1 and p[j] == 1) else 1) * g[j, i]
+    ))
+    report.add_first("invariant", _invariance_witnesses(a, g))
+    report.add("nondegenerate", rank(g) == a.dim)
 
     # self-adjointness <alpha u, v> = <u, alpha v>; on the even part this is
     # the same as <alpha x, y> = <alpha y, x>, and it is what T*-forms satisfy
     # on the odd part (the literal even-part formula picks up a supersign)
     report.add("alpha-symmetric", a.alpha.transpose() * g == g * a.alpha)
     return report
+
+
+def _invariance_witnesses(a: HomSuperAlgebra, g: Matrix):
+    """(x, y, z), x canonical, where <[x_1..x_{n-1}, y], z> differs from
+    -(-1)^{|x||y|} <y, [x_1..x_{n-1}, z]>.  With b_y = [x_1..x_{n-1}, y] the
+    left side is (G^T b_y)[z] and the right side -sgn (G b_z)[y], so each x
+    costs 2 dim products."""
+    gt = g.transpose()
+    for xs in _canonical_tuples(a.space, a.arity - 1):
+        px = a.space.parity_of_indices(xs)
+        brackets = [a.bracket_basis(xs + (y,)) for y in range(a.dim)]
+        left = [gt.apply(b) for b in brackets]
+        right = [g.apply(b) for b in brackets]
+        for y in range(a.dim):
+            sgn = -1 if (px == 1 and a.parity[y] == 1) else 1
+            for z in range(a.dim):
+                lhs, rhs = left[y][z], -sgn * right[z][y]
+                if lhs != rhs:
+                    yield {
+                        "x": _one_based(xs),
+                        "y": y + 1,
+                        "z": z + 1,
+                        "lhs": format_scalar(Fraction(lhs)),
+                        "rhs": format_scalar(Fraction(rhs)),
+                    }

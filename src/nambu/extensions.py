@@ -41,7 +41,7 @@ from .errors import (
     SectionInvalid,
     ensure,
 )
-from .linalg import Matrix, Subspace, image, nullspace, solve_affine, vzero
+from .linalg import Matrix, Subspace, image, nullspace, particular_solution, vzero
 
 
 @dataclass
@@ -202,7 +202,7 @@ def find_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Matrix
                 row[i * db + j] = 1
                 rows.append(row)
                 rhs.append(0)
-    sol, _ = solve_affine(Matrix.from_rows(rows, cols=nvars), rhs)
+    sol = particular_solution(Matrix.from_rows(rows, cols=nvars), rhs)
     if sol is None:
         raise NoCompatibleSection("no even section compatible with the twists")
     tau = Matrix(dg, db, sol)
@@ -351,7 +351,7 @@ def cohomologous_difference(b: HomSuperAlgebra, module: Representation, f1: Coch
     basis0 = cochain_basis(b, module, 0, "both")
     basis1 = cochain_basis(b, module, 1, "both")
     target = basis1.represent(diff)
-    sol, _ = solve_affine(delta_matrix(b, module, basis0, basis1), target)
+    sol = particular_solution(delta_matrix(b, module, basis0, basis1), target)
     if sol is None:
         return None
     return Cochain(basis0.model, 0, basis0.to_subspace().basis.transpose().apply(sol))

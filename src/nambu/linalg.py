@@ -1,6 +1,6 @@
 """Exact rational linear algebra: scalars, dense matrices, one canonical
-sparse rref (under rref, nullspace, solve_affine and Subspace) and a sparse
-fraction-free rank kernel.
+sparse rref (under rref, nullspace, particular_solution and Subspace) and a
+sparse fraction-free rank kernel.
 
 Everything is computed over Q with ``fractions.Fraction`` (plain ints are
 accepted everywhere as exact rationals).  There is no floating point
@@ -354,7 +354,12 @@ def image(m: Matrix) -> "Subspace":
 
 
 def solve_affine(a: Matrix, b):
-    """Solve a x = b exactly.  Returns (particular, nullspace) or (None, nullspace).
+    """(particular_solution(a, b), nullspace(a)): every solution of a x = b."""
+    return particular_solution(a, b), nullspace(a)
+
+
+def particular_solution(a: Matrix, b):
+    """Solve a x = b exactly.  Returns a particular solution, or None.
 
     The particular solution is the deterministic minimal-lex one: all free
     variables of the rref system are set to zero.
@@ -365,13 +370,12 @@ def solve_affine(a: Matrix, b):
     for row, x in zip(rows, b):
         row[a.cols] = _check_entry(x)
     reduced = _rref(rows)
-    ker = nullspace(a)
     if reduced and min(reduced[-1]) == a.cols:
-        return None, ker
+        return None
     x = [0] * a.cols
     for row in reduced:
         x[min(row)] = row.get(a.cols, 0)
-    return x, ker
+    return x
 
 
 class Subspace:

@@ -8,7 +8,6 @@ Coordinates of a T*-extension: the g block first, then the dual block
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,7 +62,7 @@ from .errors import (
     ThetaNotCyclic,
     ensure,
 )
-from .linalg import Matrix, Subspace, nullspace, rank, solve_affine, sparse_kernel, vzero
+from .linalg import Matrix, Subspace, nullspace, particular_solution, rank, sparse_kernel, vzero
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +450,7 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
                 rhs.append(0)
 
     base_matrix = Matrix.from_rows(rows, cols=nvars)
-    sol, ker = solve_affine(base_matrix, rhs)
+    sol = particular_solution(base_matrix, rhs)
     if sol is None:
         return EquivalenceResult("inequivalent")
 
@@ -467,7 +466,7 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
             row[j * d + k] += sgn
             extra_rows.append(row)
             extra_rhs.append(0)
-    iso_sol, _ = solve_affine(Matrix.from_rows(extra_rows, cols=nvars), extra_rhs)
+    iso_sol = particular_solution(Matrix.from_rows(extra_rows, cols=nvars), extra_rhs)
     if iso_sol is not None:
         return EquivalenceResult("isometrically_equivalent", Matrix(d, d, iso_sol))
     return EquivalenceResult("equivalent", Matrix(d, d, sol))
@@ -696,7 +695,7 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
     basis_matrix = Matrix.from_rows(basis_cols, cols=dim).transpose()
 
     def quotient_coords(vec):
-        sol, _ = solve_affine(basis_matrix, list(vec))
+        sol = particular_solution(basis_matrix, list(vec))
         ensure(sol is not None, "vector leaves W-perp")
         return sol[w.dim :]
 
@@ -764,7 +763,7 @@ def isotropic_half_ideal_abelian_check(m: MetricAlgebra, i: Subspace) -> bool:
         raise NotAnIdeal("subspace is not a Hom-ideal")
     rows = [list(r) for r in i.basis_vectors()]
     basis = [a.basis_vector(k) for k in range(a.dim)]
-    for t in itertools.product(range(a.dim), repeat=a.arity - 2):
+    for t in _canonical_tuples(a.space, a.arity - 2):  # the g slots, up to sign
         for u in rows:
             for v in rows:
                 val = a.bracket_eval([basis[k] for k in t] + [u, v])
@@ -818,7 +817,7 @@ def _isotropic_complement(m: MetricAlgebra, ideal: Subspace) -> Subspace:
             rows.append([2 * pairing(gram, cand, w) for w in allowed])
             rhs.append(-pairing(gram, cand, cand))
         if rows and allowed:
-            sol, _ = solve_affine(Matrix.from_rows(rows, cols=len(allowed)), rhs)
+            sol = particular_solution(Matrix.from_rows(rows, cols=len(allowed)), rhs)
         elif rows:
             sol = None if any(x != 0 for x in rhs) else []
         else:
@@ -875,7 +874,7 @@ def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
     for k in range(g1.dim):
         unit = [0] * g1.dim
         unit[k] = 1
-        sol, _ = solve_affine(pi_g0, unit)
+        sol = particular_solution(pi_g0, unit)
         ensure(sol is not None, "complement does not project onto the quotient")
         vec = [sum(c * g0_cols[t][i] for t, c in enumerate(sol) if c != 0) for i in range(a.dim)]
         lift_cols.append(vec)
@@ -885,7 +884,7 @@ def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
     decomp = Matrix.from_rows(decomp_cols, cols=a.dim).transpose()
 
     def split(vec):
-        sol, _ = solve_affine(decomp, list(vec))
+        sol = particular_solution(decomp, list(vec))
         ensure(sol is not None, "complement plus ideal does not span g")
         return sol[: len(g0_cols)], sol[len(g0_cols) :]
 

@@ -1,0 +1,207 @@
+"""Brute-force axiom sweeps, kept as the oracle for the canonical-tuple loops.
+
+Every sweep here runs over every basis tuple (``itertools.product``) and
+applies the bracket and the form literally, with no skew-symmetry argument
+and no shared products: slow, but independent of the canonical-tuple loops
+in nambu.core, nambu.cohomology and nambu.tstar, which the tests pin
+against it report for report.
+
+``verify_algebra``, ``verify_metric`` and ``verify_representation`` return
+the production report with the swept check replaced by the oracle's verdict
+and witness, so comparing ``to_dict()`` compares every check at once.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from nambu import cohomology, core
+from nambu.cohomology import Representation, _wedge, wedge_of_vectors
+from nambu.core import (
+    BilinearForm,
+    Check,
+    HomSuperAlgebra,
+    SeriesResult,
+    _alpha_stable,
+    _fmt_vec,
+    _one_based,
+    pairing,
+    split_graded,
+)
+from nambu.linalg import Matrix, Subspace, format_scalar, is_zero_vec, vzero
+
+
+def check_fundamental_identity(a: HomSuperAlgebra):
+    n = a.arity
+    p = a.parity
+    alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
+    for xs in itertools.product(range(a.dim), repeat=n - 1):
+        px = sum(p[i] for i in xs) % 2
+        for ys in itertools.product(range(a.dim), repeat=n):
+            inner = a.bracket_basis(ys)
+            lhs = a.bracket_eval([alpha_cols[i] for i in xs] + [inner])
+            rhs = vzero(a.dim)
+            prefix = 0
+            for i in range(n):
+                sign = -1 if (px == 1 and prefix == 1) else 1
+                mid = a.bracket_basis(xs + (ys[i],))
+                args = [alpha_cols[ys[k]] for k in range(i)] + [mid] + [
+                    alpha_cols[ys[k]] for k in range(i + 1, n)
+                ]
+                term = a.bracket_eval(args)
+                for k, c in enumerate(term):
+                    if c != 0:
+                        rhs[k] += sign * c
+                prefix = (prefix + p[ys[i]]) % 2
+            if lhs != rhs:
+                witness = {
+                    "x": _one_based(xs),
+                    "y": _one_based(ys),
+                    "lhs": _fmt_vec(lhs),
+                    "rhs": _fmt_vec(rhs),
+                }
+                return False, witness
+    return True, None
+
+
+def check_rep_nary(r: Representation, a: HomSuperAlgebra):
+    """The n-ary action law over canonical x-tuples and all basis y-tuples."""
+    n = a.arity
+    p = a.parity
+    wb = _wedge(a)
+    alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
+    for xs in core._canonical_tuples(a.space, n - 2):
+        px = a.space.parity_of_indices(xs)
+        x_alpha = [alpha_cols[i] for i in xs]
+        for ys in itertools.product(range(a.dim), repeat=n):
+            py_total = sum(p[i] for i in ys) % 2
+            inner = a.bracket_basis(ys)
+            lhs = r.matrix_of(wedge_of_vectors(wb, x_alpha + [inner])) * r.nu
+            rhs = Matrix.zeros(r.target.dim, r.target.dim)
+            for i in range(n):
+                sgn = (-1) ** (n - 1 - i)
+                if px == 1 and (py_total + p[ys[i]]) % 2 == 1:
+                    sgn = -sgn
+                suffix = sum(p[ys[k]] for k in range(i + 1, n)) % 2
+                if p[ys[i]] == 1 and suffix == 1:
+                    sgn = -sgn
+                hat = [alpha_cols[ys[k]] for k in range(n) if k != i]
+                sign_w, w_small = wb.lookup(xs + (ys[i],))
+                if sign_w == 0:
+                    continue
+                term = r.matrix_of(wedge_of_vectors(wb, hat)) * r.rho[w_small]
+                rhs = rhs + term.scale(sgn * sign_w)
+            if lhs != rhs:
+                return False, {
+                    "x": [k + 1 for k in xs],
+                    "y": [k + 1 for k in ys],
+                }
+    return True, None
+
+
+def check_invariance(a: HomSuperAlgebra, form: BilinearForm):
+    # invariance: <[x_1..x_{n-1}, y], z> = -(-1)^{|x||y|} <y, [x_1..x_{n-1}, z]>
+    g = form.gram
+    p = a.parity
+    witness = None
+    n = a.arity
+    basis = [a.basis_vector(k) for k in range(a.dim)]
+    for xs in core._canonical_tuples(a.space, n - 1):
+        px = a.space.parity_of_indices(xs)
+        for y in range(a.dim):
+            by = a.bracket_basis(xs + (y,))
+            sgn = -1 if (px == 1 and p[y] == 1) else 1
+            for z in range(a.dim):
+                lhs = pairing(g, by, basis[z])
+                rhs = -sgn * pairing(g, basis[y], a.bracket_basis(xs + (z,)))
+                if lhs != rhs:
+                    witness = {
+                        "x": _one_based(xs),
+                        "y": y + 1,
+                        "z": z + 1,
+                        "lhs": format_scalar(Fraction(lhs)),
+                        "rhs": format_scalar(Fraction(rhs)),
+                    }
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    return witness is None, witness
+
+
+def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
+    split_graded(h, a.space)
+    if not _alpha_stable(h, a):
+        return False
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    for v in h.basis_vectors():
+        for rest in itertools.product(range(a.dim), repeat=a.arity - 1):
+            args = [v] + [basis[i] for i in rest]
+            if not h.contains_vector(a.bracket_eval(args)):
+                return False
+    return True
+
+
+def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
+    if kind not in ("derived", "lower_central"):
+        raise ValueError("kind must be 'derived' or 'lower_central'")
+    full = Subspace.full(a.dim)
+    terms = [full]
+    basis_g = [a.basis_vector(i) for i in range(a.dim)]
+    while True:
+        current = terms[-1]
+        if current.dim == 0:
+            break
+        rows = current.basis_vectors()
+        spanned = []
+        if kind == "derived":
+            for combo in itertools.product(rows, repeat=a.arity):
+                vec = a.bracket_eval(list(combo))
+                if not is_zero_vec(vec):
+                    spanned.append(vec)
+        else:
+            for v in rows:
+                for rest in itertools.product(range(a.dim), repeat=a.arity - 1):
+                    vec = a.bracket_eval([v] + [basis_g[i] for i in rest])
+                    if not is_zero_vec(vec):
+                        spanned.append(vec)
+        nxt = Subspace.from_vectors(a.dim, spanned)
+        if nxt == current:
+            return SeriesResult(kind, terms, None, True)
+        terms.append(nxt)
+    return SeriesResult(kind, terms, len(terms) - 1, False)
+
+
+def isotropic_half_ideal_bracket_vanishes(a: HomSuperAlgebra, i: Subspace) -> bool:
+    """[g, ..., g, I, I] = 0, the g slots over every basis tuple."""
+    rows = [list(r) for r in i.basis_vectors()]
+    basis = [a.basis_vector(k) for k in range(a.dim)]
+    for t in itertools.product(range(a.dim), repeat=a.arity - 2):
+        for u in rows:
+            for v in rows:
+                val = a.bracket_eval([basis[k] for k in t] + [u, v])
+                if any(c != 0 for c in val):
+                    return False
+    return True
+
+
+def _with_check(report, name, result):
+    passed, witness = result
+    report.checks = [Check(name, passed, witness) if c.name == name else c for c in report.checks]
+    return report
+
+
+def verify_algebra(a: HomSuperAlgebra):
+    return _with_check(core.verify_algebra(a), "fundamental-identity", check_fundamental_identity(a))
+
+
+def verify_metric(a: HomSuperAlgebra, form: BilinearForm):
+    return _with_check(core.verify_metric(a, form), "invariant", check_invariance(a, form))
+
+
+def verify_representation(r: Representation, a: HomSuperAlgebra):
+    return _with_check(
+        cohomology.verify_representation(r, a), "n-ary-compatibility", check_rep_nary(r, a)
+    )

@@ -1,0 +1,279 @@
+"""The canonical-tuple axiom loops against the brute-force sweeps of
+axiom_oracle: whole reports (names, verdicts, witnesses), ideal tests and
+series must be equal on valid, broken and perturbed algebras."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import axiom_oracle as oracle
+from nambu import samples
+from nambu.cohomology import Cochain, CochainModel, adjoint_rep, verify_representation
+from nambu.core import (
+    GradedSpace,
+    HomSuperAlgebra,
+    StructureTensor,
+    canonical_tuples,
+    is_hom_ideal,
+    series,
+    twist_by_endomorphism,
+    verify_algebra,
+    verify_metric,
+)
+from nambu.linalg import Matrix, Subspace
+from nambu.tstar import (
+    MetricAlgebra,
+    canonical_isotropic_ideal,
+    coadjoint_rep,
+    extend_to_maximal_isotropic,
+    isotropic_half_ideal_abelian_check,
+    reconstruct_as_tstar,
+    theta_spaces,
+    tstar_extend,
+)
+
+
+def _criterion1_corpus():
+    """Criterion 1's algebras: the named corpus and its seeded twists."""
+    rng = random.Random(101)
+    named = [samples.h3(), samples.sh12(), samples.n4()]
+    out = list(named)
+    for base in named:
+        for _ in range(4):
+            rho = samples.random_twist(base, rng)
+            if rho is not None:
+                out.append(twist_by_endomorphism(base, rho))
+    return out
+
+
+def _random_corpus():
+    return [samples.random_twisted_algebra(random.Random(seed)) for seed in range(24)]
+
+
+def _broken_corpus():
+    """Criterion 1's broken variants, plus a 3-ary inhomogeneous tensor
+    and an odd twist on a nonzero bracket."""
+    space3 = GradedSpace(3, (0, 0, 0))
+    mixed = GradedSpace(3, (0, 1, 1))
+    odd_pair = GradedSpace(3, (0, 1, 1))
+    return [
+        HomSuperAlgebra(  # Jacobi violator
+            space3,
+            StructureTensor(2, space3, {(0, 1): [0, 0, 1], (1, 2): [0, 1, 0]}),
+            Matrix.identity(3),
+        ),
+        HomSuperAlgebra(  # non-multiplicative twist on H3
+            samples.h3().space, samples.h3().bracket, Matrix(3, 3, [2, 0, 0, 0, 1, 0, 0, 0, 1])
+        ),
+        HomSuperAlgebra(  # parity-inhomogeneous entry, raw-loaded
+            mixed,
+            StructureTensor(2, mixed, {(1, 2): [0, 1, 0]}, strict=False),
+            Matrix.identity(3),
+        ),
+        HomSuperAlgebra(  # a 3-ary inhomogeneous tensor
+            odd_pair,
+            StructureTensor(3, odd_pair, {(0, 1, 2): [0, 1, 1], (1, 1, 2): [1, 0, 1]}, strict=False),
+            Matrix.identity(3),
+        ),
+        HomSuperAlgebra(  # odd twist map
+            GradedSpace(2, (0, 1)),
+            StructureTensor(2, GradedSpace(2, (0, 1)), {}),
+            Matrix(2, 2, [0, 1, 1, 0]),
+        ),
+        HomSuperAlgebra(  # odd twist map on a bracket with an odd square
+            GradedSpace(2, (0, 1)),
+            StructureTensor(2, GradedSpace(2, (0, 1)), {(1, 1): [1, 0]}),
+            Matrix(2, 2, [1, 1, 1, 0]),
+        ),
+    ]
+
+
+def _theta(g, rng):
+    sp = theta_spaces(g)
+    basis = sp["closed_cyclic"].basis_vectors()
+    if not basis:
+        return None
+    coeffs = [rng.choice([-2, -1, 1, 2]) for _ in basis]
+    vec = [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(len(basis[0]))]
+    return Cochain(CochainModel(g, sp["rep"], 1), 0, vec)
+
+
+def _tstar_corpus():
+    """T*(g) and T*_theta(g) as metric algebras for the catalog algebras
+    whose coadjoint representation exists."""
+    rng = random.Random(7)
+    out = []
+    for g in samples.catalog():
+        if not coadjoint_rep(g).exists:
+            continue
+        out.append(tstar_extend(g).result)
+        theta = _theta(g, rng)
+        if theta is not None:
+            out.append(tstar_extend(g, theta).result)
+    return out
+
+
+def _scaled(m: MetricAlgebra, rng):
+    """m with one seeded structure constant scaled by a seeded factor."""
+    a = m.algebra
+    entries = {key: list(vec) for key, vec in a.bracket.items()}
+    key = rng.choice(sorted(entries))
+    k = rng.choice([i for i, c in enumerate(entries[key]) if c != 0])
+    entries[key][k] *= rng.choice([2, -1, Fraction(1, 2), 3])
+    tensor = StructureTensor(a.arity, a.space, entries)
+    return MetricAlgebra(HomSuperAlgebra(a.space, tensor, a.alpha, name=a.name + "~scaled"), m.form)
+
+
+def _bumped(m: MetricAlgebra, rng):
+    """m with 1 added to one seeded parity-consistent structure constant,
+    which breaks the fundamental identity more often than a scaling does."""
+    a = m.algebra
+    entries = {key: list(vec) for key, vec in a.bracket.items()}
+    slots = [
+        (key, k)
+        for key in canonical_tuples(a.space, a.arity)
+        for k in range(a.dim)
+        if a.parity[k] == a.space.parity_of_indices(key)
+    ]
+    if not slots:  # e.g. all-odd 2-ary: every bracket would be odd -> even
+        return None
+    key, k = rng.choice(slots)
+    vec = entries.setdefault(key, [0] * a.dim)
+    vec[k] += 1
+    tensor = StructureTensor(a.arity, a.space, entries)
+    return MetricAlgebra(HomSuperAlgebra(a.space, tensor, a.alpha, name=a.name + "~bumped"), m.form)
+
+
+TSTARS = _tstar_corpus()
+PERTURBED = [_scaled(m, random.Random(i)) for i, m in enumerate(TSTARS) if m.algebra.bracket.entries]
+PERTURBED += [b for i, m in enumerate(TSTARS) if (b := _bumped(m, random.Random(100 + i)))]
+
+
+@pytest.mark.parametrize(
+    "a",
+    _criterion1_corpus() + _random_corpus() + _broken_corpus(),
+    ids=lambda a: a.name or "anon",
+)
+def test_verify_algebra_equals_oracle(a):
+    assert verify_algebra(a).to_dict() == oracle.verify_algebra(a).to_dict()
+
+
+def test_broken_and_perturbed_variants_fail_with_witnesses():
+    # the comparison above and below is not vacuous: the broken variants and
+    # some perturbed T*-extensions fail the swept checks with witnesses
+    failed = set()
+    for a in _broken_corpus() + [m.algebra for m in PERTURBED]:
+        report = verify_algebra(a)
+        failed |= {c.name for c in report.checks if not c.passed and c.witness}
+    for m in PERTURBED:
+        report = verify_metric(m.algebra, m.form)
+        failed |= {c.name for c in report.checks if not c.passed and c.witness}
+    assert {"fundamental-identity", "homogeneity", "invariant"} <= failed
+
+
+@pytest.mark.parametrize("m", TSTARS + PERTURBED, ids=lambda m: m.algebra.name)
+def test_tstar_reports_equal_oracle(m):
+    a = m.algebra
+    assert verify_algebra(a).to_dict() == oracle.verify_algebra(a).to_dict()
+    assert verify_metric(a, m.form).to_dict() == oracle.verify_metric(a, m.form).to_dict()
+
+
+def _representations(a):
+    coad = coadjoint_rep(a)
+    return [adjoint_rep(a)] + ([coad.rep] if coad.exists else [])
+
+
+@pytest.mark.parametrize(
+    "a",
+    _criterion1_corpus() + _random_corpus() + _broken_corpus(),
+    ids=lambda a: a.name or "anon",
+)
+def test_verify_representation_equals_oracle(a):
+    for r in _representations(a):
+        assert verify_representation(r, a).to_dict() == oracle.verify_representation(r, a).to_dict()
+
+
+def _decompose_ideals(m: MetricAlgebra):
+    """The ideals decompose produces on m: the canonical isotropic ideal, its
+    maximal isotropic extension, and the reconstruction's g1."""
+    j = canonical_isotropic_ideal(m)
+    ideal = extend_to_maximal_isotropic(m, j)
+    rec = reconstruct_as_tstar(m, ideal)
+    return j, ideal, rec.g1
+
+
+@pytest.mark.parametrize("m", TSTARS, ids=lambda m: m.algebra.name)
+def test_ideals_and_series_equal_oracle(m):
+    a = m.algebra
+    j, ideal, g1 = _decompose_ideals(m)
+    candidates = [j, ideal, Subspace.zero(a.dim), Subspace.full(a.dim)]
+    # graded coordinate lines: mostly not ideals, so the False branch is compared too
+    candidates += [Subspace.from_vectors(a.dim, [a.basis_vector(i)]) for i in range(a.dim)]
+    for h in candidates:
+        assert is_hom_ideal(h, a) == oracle.is_hom_ideal(h, a)
+    assert is_hom_ideal(ideal, a)
+    assert isotropic_half_ideal_abelian_check(m, ideal) == oracle.isotropic_half_ideal_bracket_vanishes(a, ideal)
+    for alg in (a, g1):
+        for kind in ("derived", "lower_central"):
+            assert series(alg, kind) == oracle.series(alg, kind)
+        for h in series(alg, "lower_central").terms:
+            assert is_hom_ideal(h, alg) == oracle.is_hom_ideal(h, alg)
+    half = a.dim // 2  # the embedded dual g*: the second block of coordinates
+    dual = Subspace.from_vectors(a.dim, [a.basis_vector(half + i) for i in range(half)])
+    assert is_hom_ideal(dual, a) == oracle.is_hom_ideal(dual, a)
+
+
+@pytest.mark.parametrize("a", _random_corpus(), ids=lambda a: a.name or "anon")
+def test_series_equal_oracle_on_random_twists(a):
+    for kind in ("derived", "lower_central"):
+        assert series(a, kind) == oracle.series(a, kind)
+
+
+def _raw_algebra(rng):
+    """A seeded raw tensor on a small super space, n in {2, 3}: mostly
+    homogeneous with an even twist, otherwise inhomogeneous entries or a
+    twist that mixes parities, so both tuple sources of the sweeps run.
+    No axiom is assumed: the reductions rest on super-skewness alone."""
+    n = rng.choice([2, 3])
+    parity = tuple(sorted(rng.choice([0, 1]) for _ in range(rng.choice([2, 3, 4]))))
+    space = GradedSpace(len(parity), parity)
+    keys = canonical_tuples(space, n)
+    entries = {key: [rng.choice([0, 1, -1]) for _ in parity] for key in rng.sample(keys, min(len(keys), 3))}
+    if rng.random() < 0.7:
+        entries = {
+            key: [c if parity[i] == space.parity_of_indices(key) else 0 for i, c in enumerate(vec)]
+            for key, vec in entries.items()
+        }
+    d = len(parity)
+    even_twist = rng.random() < 0.6
+    alpha = Matrix(d, d, [
+        rng.choice([0, 1, 1, -1, 2]) if (parity[i] == parity[j] or not even_twist) else 0
+        for i in range(d)
+        for j in range(d)
+    ])
+    return HomSuperAlgebra(space, StructureTensor(n, space, entries, strict=False), alpha, name="raw")
+
+
+def _graded_subspace(a, rng):
+    vecs = [
+        [rng.choice([0, 0, 1, -1]) if a.parity[i] == par else 0 for i in range(a.dim)]
+        for par in (0, 1)
+        for _ in range(rng.choice([0, 1]))
+    ]
+    return Subspace.from_vectors(a.dim, vecs)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_raw_random_tensors_equal_oracle(block):
+    for seed in range(200 * block, 200 * (block + 1)):
+        rng = random.Random(seed)
+        a = _raw_algebra(rng)
+        assert verify_algebra(a).to_dict() == oracle.verify_algebra(a).to_dict(), seed
+        r = adjoint_rep(a)
+        assert verify_representation(r, a).to_dict() == oracle.verify_representation(r, a).to_dict(), seed
+        for _ in range(3):
+            h = _graded_subspace(a, rng)
+            assert is_hom_ideal(h, a) == oracle.is_hom_ideal(h, a), seed
+        for kind in ("derived", "lower_central"):
+            assert series(a, kind) == oracle.series(a, kind), seed

@@ -110,6 +110,19 @@ class TestVerifyCommand:
         code, _ = run(["verify", path])
         assert code == 4
 
+    def test_unexpected_exception_exit_5_one_line(self, tmpfiles, monkeypatch, capsys):
+        from nambu import cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_verify", broken)
+        path = tmpfiles("h3.json", ff.algebra_to_json(samples.h3()))
+        assert main(["verify", path]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
+
     def test_json_report(self, tmpfiles, tmp_path):
         path = tmpfiles("h3.json", ff.algebra_to_json(samples.h3()))
         report_path = str(tmp_path / "report.json")

@@ -10,6 +10,7 @@ from nambu.linalg import (
     format_scalar,
     image,
     nullspace,
+    particular_solution,
     parse_scalar,
     rank,
     rref,
@@ -293,6 +294,7 @@ def test_sparse_rref_equals_dense_oracle(m, data):
     x, ker = solve_affine(m, b)
     assert x == oracle_solve_affine(m, b)
     assert ker == nullspace(m)
+    assert particular_solution(m, b) == x
 
 
 def test_sparse_rref_edge_shapes():
@@ -302,6 +304,7 @@ def test_sparse_rref_edge_shapes():
         assert nullspace(m).basis == oracle_nullspace(m)
         x, _ = solve_affine(m, [0] * m.rows)
         assert x == oracle_solve_affine(m, [0] * m.rows)
+        assert particular_solution(m, [0] * m.rows) == x
 
 
 @settings(max_examples=150, deadline=None)

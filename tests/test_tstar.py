@@ -551,6 +551,15 @@ class TestDecompose:
         assert cert.adjoined
         assert cert.checks["length_bound"]
 
+    def test_dim12_ternary_tstar_validates_and_decomposes(self):
+        # T*(N4 (+) K^2): dim 12, 3-ary; the validated construction runs the
+        # algebra, metric and ideal checks that raise InternalError on failure
+        ext = tstar_extend(direct_sum(n4(), abelian(2, n=3)))
+        assert ext.result.algebra.dim == 12 and ext.result.algebra.arity == 3
+        cert = decompose(ext.result)
+        assert cert.checks["phi_isometry"] is True
+        assert cert.checks["phi_morphism"] and cert.checks["length_bound"]
+
     @pytest.mark.parametrize("corrupt", ["phi", "theta"])
     def test_certificate_is_computed_not_asserted(self, monkeypatch, corrupt):
         from nambu import tstar
