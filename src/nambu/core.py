@@ -29,7 +29,16 @@ from .errors import (
     NotAnIdeal,
     ensure,
 )
-from .linalg import Matrix, Subspace, format_scalar, is_zero_vec, particular_solution, rank, vzero
+from .linalg import (
+    Matrix,
+    Subspace,
+    block_diagonal,
+    format_scalar,
+    is_zero_vec,
+    particular_solution,
+    rank,
+    vzero,
+)
 
 
 @dataclass(frozen=True)
@@ -440,6 +449,14 @@ def split_graded(h: Subspace, space: GradedSpace):
     return he, ho
 
 
+def vector_parity(vec, parity):
+    """The parity of a nonzero parity-homogeneous vector."""
+    ps = {parity[i] for i, c in enumerate(vec) if c != 0}
+    if len(ps) != 1:
+        raise NonGradedSubspace("vector is not parity-homogeneous")
+    return ps.pop()
+
+
 def _unit(n, i):
     v = [0] * n
     v[i] = 1
@@ -545,15 +562,10 @@ def direct_sum(a: HomSuperAlgebra, b: HomSuperAlgebra) -> HomSuperAlgebra:
         entries[key] = list(vec) + [0] * db
     for key, vec in b.bracket.items():
         entries[tuple(i + da for i in key)] = [0] * da + list(vec)
-    alpha_rows = []
-    for i in range(da):
-        alpha_rows.append(a.alpha.row(i) + [0] * db)
-    for i in range(db):
-        alpha_rows.append([0] * da + b.alpha.row(i))
     out = HomSuperAlgebra(
         space,
         StructureTensor(a.arity, space, entries),
-        Matrix.from_rows(alpha_rows),
+        block_diagonal(a.alpha, b.alpha),
         name=f"{a.name}+{b.name}" if (a.name or b.name) else "",
     )
     left = Subspace.from_vectors(da + db, [_unit(da + db, i) for i in range(da)])

@@ -3,7 +3,9 @@
 The extension bracket on a (+) b takes the module action for mixed
 slots, the base bracket on the b-part, and adds the 1-cocycle value on
 the a-part of all-b slots.  Validated data require the cocycle to be
-even, twist-compatible, fully super-alternating and closed.
+even, twist-compatible, fully super-alternating and closed.  The same
+builder makes the T*-extensions of `tstar`: the extension of g by g*
+through ad* and a cocycle theta, with the g block first.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .core import (
     StructureTensor,
     _canonical_tuples,
     is_hom_ideal,
+    vector_parity,
+    verify_algebra,
     verify_morphism,
 )
 from .errors import (
@@ -41,7 +45,7 @@ from .errors import (
     SectionInvalid,
     ensure,
 )
-from .linalg import Matrix, Subspace, image, nullspace, particular_solution, vzero
+from .linalg import Matrix, Subspace, block_diagonal, image, nullspace, particular_solution, vzero
 
 
 @dataclass
@@ -92,57 +96,64 @@ def build_extension(d: ExtensionDatum, validated=True) -> HomSuperAlgebra:
     if validated:
         d.validate()
     b = d.base
-    da, db = d.fiber.dim, b.dim
-    n = b.arity
-    space = GradedSpace(da + db, tuple(d.fiber.parity) + tuple(b.parity))
-    wb = _wedge(b)
-    entries = {}
-    for key in _canonical_tuples(space, n):
-        fiber_slots = [t for t in key if t < da]
-        if len(fiber_slots) >= 2:
-            continue
-        if not fiber_slots:
-            bkey = tuple(t - da for t in key)
-            bval = b.bracket_basis(bkey)
-            sign, w = wb.lookup(bkey[:-1])
-            aval = vzero(da)
-            if sign != 0:
-                stored = d.cocycle.value((w,), bkey[-1])
-                aval = [sign * c for c in stored]
-            vec = aval + list(bval)
-        else:
-            slots = []
-            for t in key:
-                if t < da:
-                    v = vzero(da)
-                    v[t] = 1
-                    slots.append(("v", v))
-                else:
-                    slots.append(("g", b.basis_vector(t - da)))
-            aval = module_bracket(b, d.module, slots)
-            vec = list(aval) + vzero(db)
-        if any(c != 0 for c in vec):
-            entries[key] = vec
-    alpha_rows = []
-    for i in range(da):
-        alpha_rows.append(d.fiber_twist.row(i) + [0] * db)
-    for i in range(db):
-        alpha_rows.append([0] * da + b.alpha.row(i))
-    g = HomSuperAlgebra(
-        space,
-        StructureTensor(n, space, entries, strict=True),
-        Matrix.from_rows(alpha_rows),
-        name=f"ext({b.name})" if b.name else "extension",
-    )
+    g = _twisted_algebra(d, f"ext({b.name})" if b.name else "extension", fiber_first=True)
     if validated:
-        from .core import verify_algebra
-
         ensure(verify_algebra(g).ok, "extension fails the algebra axioms")
         fiber_sub = Subspace.from_vectors(
-            g.dim, [g.basis_vector(i) for i in range(da)]
+            g.dim, [g.basis_vector(i) for i in range(d.fiber.dim)]
         )
         ensure(is_hom_ideal(fiber_sub, g), "fiber is not a Hom-ideal of the extension")
     return g
+
+
+def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSuperAlgebra:
+    """The raw algebra on the fiber and base blocks, in the given order.
+
+    On canonical tuples: two or more fiber slots give 0, no fiber slot
+    gives the base bracket plus the signed cocycle value in the fiber, one
+    fiber slot gives the module action.  The twist is block-diagonal.
+    """
+    b = d.base
+    da, db = d.fiber.dim, b.dim
+    n = b.arity
+    blocks = [(d.fiber, d.fiber_twist), (b.space, b.alpha)]
+    fo, bo = 0, da  # block offsets
+    if not fiber_first:
+        blocks.reverse()
+        fo, bo = db, 0
+    (first, first_twist), (second, second_twist) = blocks
+    space = GradedSpace(da + db, tuple(first.parity) + tuple(second.parity))
+    wb = _wedge(b)
+    entries = {}
+    for key in _canonical_tuples(space, n):
+        fiber_slots = [t for t in key if fo <= t < fo + da]
+        if len(fiber_slots) >= 2:
+            continue
+        vec = vzero(da + db)
+        if not fiber_slots:
+            bkey = tuple(t - bo for t in key)
+            vec[bo : bo + db] = b.bracket_basis(bkey)
+            sign, w = wb.lookup(bkey[:-1])
+            if sign != 0:
+                vec[fo : fo + da] = [sign * c for c in d.cocycle.value((w,), bkey[-1])]
+        else:
+            slots = []
+            for t in key:
+                if t in fiber_slots:
+                    v = vzero(da)
+                    v[t - fo] = 1
+                    slots.append(("v", v))
+                else:
+                    slots.append(("g", b.basis_vector(t - bo)))
+            vec[fo : fo + da] = module_bracket(b, d.module, slots)
+        if any(c != 0 for c in vec):
+            entries[key] = vec
+    return HomSuperAlgebra(
+        space,
+        StructureTensor(n, space, entries, strict=True),
+        block_diagonal(first_twist, second_twist),
+        name=name,
+    )
 
 
 def canonical_injection(da, db) -> Matrix:
@@ -225,8 +236,7 @@ def check_section(g, a: Subspace, b, pi, s: Section):
 
 def module_from_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, s: Section) -> Representation:
     """rho(B) v = [tau(b_1),...,tau(b_{n-1}), v]_g in fiber coordinates."""
-    fiber_parity = _fiber_parity(g, a)
-    target = GradedSpace(a.dim, fiber_parity)
+    target = GradedSpace(a.dim, tuple(vector_parity(v, g.parity) for v in a.basis_vectors()))
     wb = _wedge(b)
     tau_cols = [s.tau.col(j) for j in range(b.dim)]
     a_rows = a.basis_vectors()
@@ -240,18 +250,6 @@ def module_from_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, s: 
     nu_cols = [_in_fiber_coords(a, g.alpha.apply(list(v))) for v in a_rows]
     nu = Matrix.from_rows(nu_cols, cols=a.dim).transpose()
     return Representation(target, mats, nu)
-
-
-def _fiber_parity(g, a: Subspace):
-    ps = []
-    for v in a.basis_vectors():
-        par = {g.parity[i] for i, c in enumerate(v) if c != 0}
-        if len(par) != 1:
-            from .errors import NonGradedSubspace
-
-            raise NonGradedSubspace("ideal basis vector is not parity-homogeneous")
-        ps.append(par.pop())
-    return tuple(ps)
 
 
 def _in_fiber_coords(a: Subspace, vec):

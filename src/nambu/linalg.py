@@ -209,6 +209,16 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {[ [format_scalar(x) for x in self.row(i)] for i in range(self.rows)]})"
 
 
+def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    """The block matrix [[a, 0], [0, b]]."""
+    data = []
+    for i in range(a.rows):
+        data += a.row(i) + [0] * b.cols
+    for i in range(b.rows):
+        data += [0] * a.cols + b.row(i)
+    return Matrix(a.rows + b.rows, a.cols + b.cols, data)
+
+
 def _sparse_rows(m: Matrix) -> list:
     return [{j: x for j, x in enumerate(m.row(i)) if x != 0} for i in range(m.rows)]
 

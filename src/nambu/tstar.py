@@ -4,6 +4,8 @@ decomposition pipeline.
 
 Coordinates of a T*-extension: the g block first, then the dual block
 (e_k* has the parity of e_k; the dual pairing is the coordinate pairing).
+The bracket is built by the extension builder of `extensions`, as the
+extension of g by g* through ad* and theta.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .cohomology import (
     cochain_basis,
     coboundary,
     delta_operator,
-    module_bracket,
     satisfies_compat,
     verify_representation,
     _complex_tables,
@@ -34,6 +35,7 @@ from .core import (
     Report,
     StructureTensor,
     _canonical_tuples,
+    direct_sum,
     is_hom_ideal,
     nilpotent_length,
     pairing,
@@ -41,6 +43,7 @@ from .core import (
     series,
     solvable_length,
     split_graded,
+    vector_parity,
     verify_algebra,
     verify_metric,
     verify_morphism,
@@ -62,7 +65,8 @@ from .errors import (
     ThetaNotCyclic,
     ensure,
 )
-from .linalg import Matrix, Subspace, nullspace, particular_solution, rank, sparse_kernel, vzero
+from .extensions import ExtensionDatum, _twisted_algebra
+from .linalg import Matrix, Subspace, block_diagonal, nullspace, particular_solution, rank, sparse_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +80,6 @@ class CoadjointRep:
     witness: dict | None = None
     operator_conditions: bool = True  # the sufficient bracket-operator laws
     operator_witness: dict | None = None
-
-
-def dual_space(space: GradedSpace) -> GradedSpace:
-    return GradedSpace(space.dim, tuple(space.parity))
 
 
 def coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
@@ -114,7 +114,7 @@ def _coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
                 if c != 0:
                     data[k * d + i] = sgn * c
         mats.append(Matrix(d, d, data))
-    rep = Representation(dual_space(a.space), mats, a.alpha.transpose())
+    rep = Representation(a.space, mats, a.alpha.transpose())
     conditions_ok, operator_witness = _coadjoint_conditions(a, ad)
     cx = _complex_tables(a)
     aw = cx.alpha_wedge()
@@ -255,48 +255,8 @@ def tstar_extend(g: HomSuperAlgebra, theta: Cochain | None = None, validated=Tru
         if not is_cyclic_cocycle(g, theta):
             raise ThetaNotCyclic("theta violates the cyclic condition")
 
-    d = g.dim
-    n = g.arity
-    space = GradedSpace(2 * d, tuple(g.parity) + tuple(g.parity))
-    wb = _wedge(g)
-    entries = {}
-    for key in _canonical_tuples(space, n):
-        dual_slots = [t for t in key if t >= d]
-        if len(dual_slots) >= 2:
-            continue
-        if not dual_slots:
-            bval = g.bracket_basis(key)
-            sign, w = wb.lookup(key[:-1])
-            dual_val = vzero(d)
-            if sign != 0:
-                stored = theta.value((w,), key[-1])
-                dual_val = [sign * c for c in stored]
-            vec = list(bval) + dual_val
-        else:
-            slots = []
-            for t in key:
-                if t >= d:
-                    v = vzero(d)
-                    v[t - d] = 1
-                    slots.append(("v", v))
-                else:
-                    slots.append(("g", g.basis_vector(t)))
-            dual_val = module_bracket(g, coad.rep, slots)
-            vec = vzero(d) + list(dual_val)
-        if any(c != 0 for c in vec):
-            entries[key] = vec
-    alpha_rows = []
-    at = g.alpha.transpose()
-    for i in range(d):
-        alpha_rows.append(g.alpha.row(i) + [0] * d)
-    for i in range(d):
-        alpha_rows.append([0] * d + at.row(i))
-    algebra = HomSuperAlgebra(
-        space,
-        StructureTensor(n, space, entries, strict=True),
-        Matrix.from_rows(alpha_rows),
-        name=f"T*({g.name})" if g.name else "T*",
-    )
+    datum = ExtensionDatum(g, g.space, g.alpha.transpose(), coad.rep, theta)
+    algebra = _twisted_algebra(datum, f"T*({g.name})" if g.name else "T*", fiber_first=False)
     result = MetricAlgebra(algebra, BilinearForm(tstar_gram(g.space)))
     ext = TStarExtension(g, theta, result)
     if validated:
@@ -807,7 +767,7 @@ def _isotropic_complement(m: MetricAlgebra, ideal: Subspace) -> Subspace:
         if current.contains_vector(cand):
             continue
         pj = a.parity[j]
-        allowed = [r for r in i_rows if _vector_parity(r, a.parity) == pj]
+        allowed = [r for r in i_rows if vector_parity(r, a.parity) == pj]
         rows = []
         rhs = []
         for u in g0_rows:
@@ -838,15 +798,6 @@ def _isotropic_complement(m: MetricAlgebra, ideal: Subspace) -> Subspace:
     ensure(is_isotropic(m, g0), "complement is not isotropic")
     ensure(g0.intersect(ideal).dim == 0, "complement meets the ideal")
     return g0
-
-
-def _vector_parity(vec, parity):
-    ps = {parity[i] for i, c in enumerate(vec) if c != 0}
-    if len(ps) != 1:
-        from .errors import NonGradedSubspace
-
-        raise NonGradedSubspace("vector is not parity-homogeneous")
-    return ps.pop()
 
 
 def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
@@ -937,20 +888,13 @@ def adjoin_line(m: MetricAlgebra, ideal: Subspace | None = None):
     if ideal is None:
         ideal = Subspace.zero(a.dim)
     d = a.dim
-    space = GradedSpace(d + 1, tuple(a.parity) + (0,))
-    entries = {key: list(vec) + [0] for key, vec in a.bracket.items()}
-    alpha_rows = [a.alpha.row(i) + [0] for i in range(d)] + [[0] * d + [1]]
-    algebra = HomSuperAlgebra(
-        space,
-        StructureTensor(a.arity, space, entries, strict=True),
-        Matrix.from_rows(alpha_rows),
-        name=(a.name + "+line") if a.name else "adjoined",
-    )
-    gram_rows = [m.gram.row(i) + [0] for i in range(d)] + [[0] * d + [1]]
-    m2 = MetricAlgebra(algebra, BilinearForm(Matrix.from_rows(gram_rows)))
+    one = Matrix.identity(1)
+    line_space = GradedSpace(1, (0,))
+    line = HomSuperAlgebra(line_space, StructureTensor(a.arity, line_space, {}), one)
+    algebra = direct_sum(a, line)  # checks that g and the line are Hom-ideals
+    algebra.name = (a.name + "+line") if a.name else "adjoined"
+    m2 = MetricAlgebra(algebra, BilinearForm(block_diagonal(m.gram, one)))
     ensure(m2.verify().ok, "algebra with the adjoined line fails the metric checks")
-    embedded = Subspace.from_vectors(d + 1, [algebra.basis_vector(i) for i in range(d)])
-    ensure(is_hom_ideal(embedded, algebra), "g is not a Hom-ideal after adjoining a line")
 
     z = _find_norm_minus_one(m, ideal)
     b_vec = [x for x in z] + [1]  # a + z
@@ -1115,8 +1059,6 @@ def tstar_series_laws(g: HomSuperAlgebra, theta: Cochain | None = None) -> Repor
 
 def tstar_direct_sum_law(a: HomSuperAlgebra, b: HomSuperAlgebra) -> Report:
     """T*_0(I (+) J) decomposes into the Hom-ideals T*_0-blocks of I and J."""
-    from .core import direct_sum
-
     s = direct_sum(a, b)
     ext = tstar_extend(s, None, validated=True)
     alg = ext.algebra

@@ -277,6 +277,26 @@ class TestTStarCommands:
         assert t.algebra.dim == 6
         assert t.form is not None
 
+    def test_tstar_verifies_the_metric_once(self, tmpfiles, tmp_path, monkeypatch):
+        from nambu import core
+
+        real = core.verify_metric
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("nambu."):
+                for key, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, key, counting)
+        path = tmpfiles("n4.json", ff.algebra_to_json(samples.n4()))
+        code, out = run(["tstar", path, "--out", str(tmp_path / "t.json")])
+        assert (code, out) == (0, "metric: PASS\n")
+        assert len(calls) == 1
+
     def test_tstar_with_theta_file(self, tmpfiles, tmp_path):
         g = samples.abelian(1, 1)
         sp = theta_spaces(g)

@@ -1,4 +1,5 @@
-"""The acceptance suite under ``python -O``: every acceptance claim must
+"""The acceptance, T* and extension suites under ``python -O``: every
+acceptance claim and every postcondition of the extension builders must
 rest on checks that raise, not on ``assert`` statements that -O strips."""
 
 import os
@@ -7,13 +8,14 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SUITES = ["tests/test_acceptance.py", "tests/test_tstar.py", "tests/test_extensions.py"]
 
 
 def test_acceptance_suite_passes_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"],
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *SUITES],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -33,6 +33,7 @@ from nambu.errors import (
     ThetaNotClosed,
     ThetaNotCyclic,
 )
+from nambu.extensions import ExtensionDatum, build_extension
 from nambu.linalg import Matrix, Subspace, nullspace, rank
 from nambu.samples import abelian, h3, n4, odd_square, sh12
 from nambu.tstar import (
@@ -308,6 +309,36 @@ class TestTStarExtend:
             else:
                 nonclosed_checked += 1
         assert closed_checked > 0
+
+    def test_tstar_is_the_extension_by_the_dual(self):
+        # T*_theta(g) and the extension of g by g* through ad* and theta agree
+        # once the blocks are swapped: fiber i -> d + i, base i -> i - d
+        rng = random.Random(6)
+        compared = 0
+        for g in samples.catalog():
+            coad = coadjoint_rep(g)
+            if not coad.exists:
+                continue
+            thetas = [zero_theta(g)]
+            basis = theta_spaces(g)["closed_cyclic"].basis_vectors()
+            if basis:
+                coeffs = [0] * CochainModel(g, coad.rep, 1).raw_dim
+                for vec in basis:
+                    c = rng.choice((-3, -2, -1, 1, 2, 3))
+                    coeffs = [x + c * y for x, y in zip(coeffs, vec)]
+                thetas.append(cochain_from_vec(g, coad.rep, coeffs))
+            for theta in thetas:
+                t = tstar_extend(g, theta).algebra
+                e = build_extension(ExtensionDatum(g, g.space, g.alpha.transpose(), coad.rep, theta))
+                d = g.dim
+                swap = [d + i for i in range(d)] + list(range(d))
+                assert [t.parity[swap[i]] for i in range(2 * d)] == list(e.parity)
+                for key in itertools.product(range(2 * d), repeat=g.arity):
+                    val = e.bracket_basis(key)
+                    assert t.bracket_basis(tuple(swap[k] for k in key)) == [val[swap[j]] for j in range(2 * d)]
+                assert all(t.alpha[swap[i], swap[j]] == e.alpha[i, j] for i in range(2 * d) for j in range(2 * d))
+                compared += 1
+        assert compared == 12 + 7  # the catalog, and the seven with closed cyclic thetas
 
     def test_cyclic_check_examples(self):
         g = abelian(1, 1)
