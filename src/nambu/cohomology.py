@@ -10,6 +10,7 @@ indexing; evaluation on arbitrary arguments is multilinear expansion.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -21,7 +22,7 @@ from .core import (
     straighten,
 )
 from .errors import ArityMismatch, DimensionMismatch, NotACochain
-from .linalg import Matrix, Subspace, sparse_kernel, sparse_rank
+from .linalg import Matrix, Subspace, _primitive, sparse_kernel, sparse_rank
 
 
 class WedgeBasis:
@@ -495,19 +496,92 @@ def cochain_parity_of_vector(model: CochainModel, vec):
 
 
 def satisfies_compat(a, r, f: Cochain) -> bool:
-    """Twist compatibility: nu o f(x_1..x_m, z) = f(alpha x_1,...,alpha x_m, alpha z)."""
-    model = f.model
+    """Twist compatibility: nu o f(x_1..x_m, z) = f(alpha x_1,...,alpha x_m, alpha z),
+    i.e. membership in cochain_basis(a, r, m)."""
+    return compat_test(a, r, f.degree)({k: x for k, x in enumerate(f.coeffs) if x != 0})
+
+
+def compat_test(a, r, k, parity="both"):
+    """Membership in C^k(g, V) of the given parity by its defining equations,
+    without a basis of C^k: a predicate on sparse raw vectors {flat: coeff}.
+
+    A vector F passes if it is zero at every coordinate of an unwanted parity
+    and nu o F = F o (alpha^wedge x ... x alpha^wedge x alpha).  The right-hand
+    side is applied one slot at a time, k + 2 sparse passes in all, with
+    alpha^wedge, alpha and nu scaled to integers.  As in cochain_basis, each
+    parity part of F is held to the equations at the coordinates of its own
+    parity; for even twists the parts cannot mix, so F is tested whole.  The
+    same predicate as membership in cochain_basis(a, r, k, parity).
+    """
+    model = CochainModel(a, r, k)
+    W, D, DV = model.W, model.D, model.DV
     cx = _complex_tables(a)
-    aw = cx.alpha_wedge()
-    for ws, j in model.input_tuples():
-        lhs = r.nu.apply(f.value(ws, j))
-        rhs = [0] * model.DV
-        for off, c in _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j]):
-            for v in range(model.DV):
-                rhs[v] += c * f.coeffs[off + v]
-        if lhs != rhs:
+    pv = r.target.parity
+    # row u of a map L lists (x, L[u][x]): the entry of F at u feeds x in F o L
+    wedge_rows, d_wedge = _integral_rows(cx.alpha_wedge(), W)
+    alpha_rows, d_alpha = _integral_rows(cx.alpha_cols, D)
+    # nu o F acts on the V slot as F o nu^T would
+    nu_rows, d_nu = _integral_rows(_sparse_columns(r.nu.transpose()), DV)
+    # both sides carry the same factor d_wedge^k * d_alpha * d_nu
+    nu_rows = [[(u, c * d_wedge**k * d_alpha) for u, c in row] for row in nu_rows]
+    alpha_rows = [[(j, c * d_nu) for j, c in row] for row in alpha_rows]
+    strides = [W ** (k - 1 - s) * D * DV for s in range(k)]
+    parts = _parity_filter(parity)
+    mixed = not (is_even_map(a.alpha, a.parity, a.parity) and is_even_map(r.nu, pv, pv))
+    # parity of the (x_1..x_k, z) prefix of each flat index, by block of DV
+    prefix = [0]
+    for _ in range(k):
+        prefix = [p + q for p in prefix for q in model.wb.parities]
+    prefix = [p + q for p in prefix for q in a.parity]
+
+    def parity_of(flat):
+        return (prefix[flat // DV] + pv[flat % DV]) % 2
+
+    def defect(vec):
+        """nu o F - F o (alpha^wedge, ..., alpha), scaled, zeros dropped."""
+        lhs = _apply_slot(vec, 1, DV, nu_rows)
+        for stride in strides:
+            vec = _apply_slot(vec, stride, W, wedge_rows)
+        for flat, x in _apply_slot(vec, DV, D, alpha_rows).items():
+            lhs[flat] = lhs.get(flat, 0) - x
+        return {flat: x for flat, x in lhs.items() if x != 0}
+
+    def holds(vec) -> bool:
+        if parts != (0, 1) and any(parity_of(flat) not in parts for flat in vec):
             return False
-    return True
+        if not mixed:
+            return not defect(vec)
+        for p in parts:
+            part = {flat: x for flat, x in vec.items() if parity_of(flat) == p}
+            if any(parity_of(flat) == p for flat in defect(part)):
+                return False
+        return True
+
+    return holds
+
+
+def _integral_rows(cols, size):
+    """The rows of a map given by sparse columns {row: entry}, as lists of
+    (column, entry), scaled by the common denominator d; returns (rows, d)."""
+    d = math.lcm(*(x.denominator for col in cols for x in col.values()))
+    rows = [[] for _ in range(size)]
+    for x, col in enumerate(cols):
+        for u, c in col.items():
+            rows[u].append((x, c.numerator * (d // c.denominator)))
+    return rows, d
+
+
+def _apply_slot(vec, stride, size, rows):
+    """F o L on the slot of the flat index with the given stride and size,
+    for a map L given by its rows; zeros are kept."""
+    out = {}
+    for flat, x in vec.items():
+        digit = flat // stride % size
+        base = flat - digit * stride
+        for y, c in rows[digit]:
+            key = base + y * stride
+            out[key] = out.get(key, 0) + c * x
+    return out
 
 
 def _parity_filter(parity):
@@ -767,14 +841,6 @@ def _images(rows: dict, vectors) -> list:
     return [{k: x for k, x in img.items() if x != 0} for img in out]
 
 
-def _delta_columns(op: dict, cm: CochainBasis, cm1: CochainBasis):
-    """delta on the basis cm of C^m: the raw images and their sparse
-    coordinates in the basis cm1 of C^{m+1}.  An image outside C^{m+1}
-    raises NotACochain."""
-    images = _images(op, cm.vectors())
-    return images, [cm1.coordinates(img) for img in images]
-
-
 def coboundary(a, r, f: Cochain, check=True) -> Cochain:
     """The degree-(m+1) coboundary of f: delta_operator applied to f.
 
@@ -791,11 +857,12 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
 
 
 def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
-    """Exact matrix of delta^m from the basis cm of C^m to the basis cm1 of C^{m+1}."""
-    _, cols = _delta_columns(delta_operator(a, r, cm.model.m), cm, cm1)
+    """Exact matrix of delta^m from the basis cm of C^m to the basis cm1 of
+    C^{m+1}.  An image outside C^{m+1} raises NotACochain."""
+    images = _images(delta_operator(a, r, cm.model.m), cm.vectors())
     data = [0] * (cm1.dim * cm.dim)
-    for j, col in enumerate(cols):
-        for i, x in col.items():
+    for j, image in enumerate(images):
+        for i, x in cm1.coordinates(image).items():
             data[i * cm.dim + j] = x
     return Matrix(cm1.dim, cm.dim, data)
 
@@ -829,24 +896,43 @@ class CohomologyDims(tuple):
 def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
     """(dim Z^m, dim B^m, dim H^m); B^0 = 0 since there is no delta^{-1}.
 
-    Builds C^{m-1}, C^m and C^{m+1} once each.  dim Z^m = dim C^m - rank
-    delta^m and dim B^m = rank delta^{m-1}, both by the sparse
-    fraction-free rank; delta^m o delta^{m-1} = 0 is checked on the
-    images.
+    Builds C^m and, for m > 0, C^{m-1}, once each; C^{m+1} is never built.
+    delta^m is applied to the basis of C^m and delta^{m-1} to that of
+    C^{m-1}, in integers: each operator is scaled by one common denominator
+    and each basis vector made primitive, which changes no rank, no zero
+    test and no membership.  Every image must satisfy the equations of the
+    next cochain space (compat_test), else NotACochain.  dim Z^m = dim C^m -
+    rank delta^m and dim B^m = rank delta^{m-1}, both by the sparse
+    fraction-free rank of the raw images; delta^m o delta^{m-1} = 0 is
+    checked on the images.
     """
     cm = cochain_basis(a, r, m, parity)
-    op = delta_operator(a, r, m)
-    _, cols = _delta_columns(op, cm, cochain_basis(a, r, m + 1, parity))
-    z_dim = cm.dim - sparse_rank(cols)
+    op = _integral(delta_operator(a, r, m))
+    images = _images(op, [_primitive(vec) for vec in cm.vectors()])
+    _check_images(compat_test(a, r, m + 1, parity), images, m)
+    z_dim = cm.dim - sparse_rank(images)
     b_dim = 0
     if m > 0:
         prev = cochain_basis(a, r, m - 1, parity)
-        images, prev_cols = _delta_columns(delta_operator(a, r, m - 1), prev, cm)
-        b_dim = sparse_rank(prev_cols)
+        prev_images = _images(_integral(delta_operator(a, r, m - 1)), [_primitive(vec) for vec in prev.vectors()])
+        _check_images(compat_test(a, r, m, parity), prev_images, m - 1)
+        b_dim = sparse_rank(prev_images)
         # B^m must sit inside Z^m: delta^m kills every image of delta^{m-1}
-        if any(_images(op, images)):
+        if any(_images(op, prev_images)):
             raise NotACochain("delta^2 != 0 (internal error)")
     return CohomologyDims(cm, z_dim, b_dim)
+
+
+def _integral(op: dict) -> dict:
+    """A sparse operator scaled by the common denominator of its entries."""
+    d = math.lcm(*(x.denominator for row in op.values() for x in row.values()))
+    return {o: {k: x.numerator * (d // x.denominator) for k, x in row.items()} for o, row in op.items()}
+
+
+def _check_images(holds, images, m):
+    for image in images:
+        if not holds(image):
+            raise NotACochain(f"a delta^{m} image violates the compatibility equations of C^{m + 1}")
 
 
 def alternating_subspace(a, r) -> Subspace:

@@ -1,4 +1,5 @@
-"""The literal term-by-term coboundary, kept as the oracle for delta_operator.
+"""The literal term-by-term coboundary, kept as the oracle for delta_operator,
+and the literal twist compatibility, kept as the oracle for compat_test.
 
 This is the definition of delta written out slot by slot, with no sharing
 between output coordinates: slow, but independent of the one-pass sparse
@@ -27,6 +28,23 @@ def evaluate(f: Cochain, wedge_args, z_arg):
         for v in range(f.model.DV):
             out[v] += c * f.coeffs[off + v]
     return out
+
+
+def literal_satisfies_compat(a, r, f: Cochain) -> bool:
+    """nu o f(x_1..x_m, z) = f(alpha x_1,...,alpha x_m, alpha z), one input
+    (x_1..x_m, z) of the basis at a time, by multilinear expansion."""
+    model = f.model
+    cx = _complex_tables(a)
+    aw = cx.alpha_wedge()
+    for ws, j in model.input_tuples():
+        lhs = r.nu.apply(f.value(ws, j))
+        rhs = [0] * model.DV
+        for off, c in _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j]):
+            for v in range(model.DV):
+                rhs[v] += c * f.coeffs[off + v]
+        if lhs != rhs:
+            return False
+    return True
 
 
 def literal_coboundary(a, r, f: Cochain) -> Cochain:

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -10,10 +11,11 @@ import pytest
 from nambu import fileformat as ff
 from nambu import samples
 from nambu.cli import main
-from nambu.core import verify_algebra
+from nambu.core import twist_by_endomorphism, verify_algebra
 from nambu.errors import ParseError
 from nambu.linalg import Matrix
 from nambu.tstar import theta_spaces
+from test_delta_operator import _dense_basis
 
 
 @pytest.fixture
@@ -186,20 +188,29 @@ class TestCohomologyCommand:
         assert out.strip() == "C=576 Z=164 B=69 H=95"
 
     def test_same_bytes_under_python_O(self, tmpfiles):
-        # -O strips assert statements: the answer must not depend on them
-        path = tmpfiles("h3.json", ff.algebra_to_json(samples.h3()))
+        # -O strips assert statements: the answer must not depend on them;
+        # the sheared H3 in a dense basis takes the non-diagonal path, where
+        # every delta image is held to the equations of the next cochain space
+        shear = twist_by_endomorphism(samples.h3(), Matrix(3, 3, [1, 0, 0, 1, 1, 0, 0, 0, 1]))
+        sheared = _dense_basis(shear, random.Random(0))
+        assert not sheared.alpha.is_diagonal()
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        outputs = []
-        for flags in ([], ["-O"]):
-            proc = subprocess.run(
-                [sys.executable, *flags, "-m", "nambu.cli", "cohomology", path, "--m", "1"],
-                capture_output=True,
-                env=env,
-                check=True,
-            )
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1] == "C=27 Z=11 B=3 H=8\n".encode()
+        for name, a, expected in (
+            ("h3.json", samples.h3(), "C=27 Z=11 B=3 H=8\n"),
+            ("h3-sheared-dense.json", sheared, "C=13 Z=5 B=2 H=3\n"),
+        ):
+            path = tmpfiles(name, ff.algebra_to_json(a))
+            outputs = []
+            for flags in ([], ["-O"]):
+                proc = subprocess.run(
+                    [sys.executable, *flags, "-m", "nambu.cli", "cohomology", path, "--m", "1"],
+                    capture_output=True,
+                    env=env,
+                    check=True,
+                )
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1] == expected.encode(), name
 
     def test_dump_writes_basis(self, tmpfiles, tmp_path):
         path = tmpfiles("ab2.json", ff.algebra_to_json(samples.abelian(2)))

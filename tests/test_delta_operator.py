@@ -4,10 +4,11 @@ and the checks around it that must hold under `python -O` too."""
 import ast
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from coboundary_oracle import literal_coboundary, literal_coboundary_matrix
+from coboundary_oracle import literal_coboundary, literal_coboundary_matrix, literal_satisfies_compat
 from nambu import cohomology, samples
 from nambu.cohomology import (
     Cochain,
@@ -17,10 +18,12 @@ from nambu.cohomology import (
     coboundary,
     coboundary_matrix,
     cohomology_dims,
+    compat_test,
+    satisfies_compat,
 )
 from nambu.core import HomSuperAlgebra, StructureTensor, _canonical_tuples, twist_by_endomorphism
 from nambu.errors import NotACochain
-from nambu.linalg import Matrix, solve_affine
+from nambu.linalg import Matrix, rank, solve_affine
 from nambu.tstar import coadjoint_rep
 from test_acceptance import _delta2_corpus
 
@@ -140,8 +143,9 @@ def test_image_outside_the_next_cochain_space_raises():
         coboundary_matrix(a, rep, 0)
 
 
-@pytest.mark.parametrize("m, builds", [(0, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("m, builds", [(0, 1), (1, 2), (2, 2)])
 def test_cohomology_dims_builds_each_cochain_space_once(monkeypatch, m, builds):
+    # C^{m+1} is never built: delta^m images are held to its equations
     calls = []
     real = cohomology.cochain_basis
 
@@ -152,8 +156,151 @@ def test_cohomology_dims_builds_each_cochain_space_once(monkeypatch, m, builds):
     monkeypatch.setattr(cohomology, "cochain_basis", counting)
     a = samples.h3()
     cohomology_dims(a, adjoint_rep(a), m)
-    assert sorted(calls) == list(range(max(m - 1, 0), m + 2))
+    assert sorted(calls) == list(range(max(m - 1, 0), m + 1))
     assert len(calls) == builds
+
+
+def _diagonal_twisted():
+    half = Fraction(1, 2)
+    twists = [(samples.h3, [half, 2, 1]), (samples.sh12, [2, 1, 2]), (samples.filiform4, [2, half, 1, 2]),
+              (samples.odd_square, [1, -1]), (samples.n4, [half, 2, 3, 3])]
+    out = []
+    for make, diag in twists:
+        d = len(diag)
+        out.append(twist_by_endomorphism(make(), Matrix(d, d, [diag[i] if i == j else 0 for i in range(d) for j in range(d)])))
+    return out
+
+
+def _rational_shear():
+    return twist_by_endomorphism(samples.h3(), Matrix(3, 3, [1, 0, 0, Fraction(1, 2), 1, 0, 0, 0, 1]))
+
+
+def _compat_corpus():
+    """Shear twists, diagonal twists with rational entries, and some of each
+    in a dense basis, seeded."""
+    rng = random.Random(23)
+    shear = _shear_twisted(rng) + [_rational_shear()]
+    diagonal = _diagonal_twisted()
+    return shear + diagonal + [_dense_basis(a, rng) for a in shear[:3] + diagonal[:2]]
+
+
+def _combination(rng, vectors):
+    out = {}
+    for vec in vectors:
+        c = rng.choice([-2, -1, 1, 3])
+        for k, x in vec.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x != 0}
+
+
+def _probes(rng, basis, raw_dim):
+    """Seeded vectors in the span of the basis, and the same perturbed at
+    one raw coordinate."""
+    for _ in range(3):
+        vec = _combination(rng, rng.sample(basis, min(len(basis), 3)))
+        yield vec
+        if raw_dim:
+            k = rng.randrange(raw_dim)
+            yield {**vec, k: vec.get(k, 0) + rng.choice([-1, 1])}
+
+
+def _member(basis, vec):
+    try:
+        basis.coordinates(vec)
+    except NotACochain:
+        return False
+    return True
+
+
+def _non_even_twists():
+    """Twists that join the parities: not Hom-Nambu-Lie data, but C^k is still
+    the kernel of its equations, taken parity part by parity part."""
+    odd = samples.odd_square()
+    alpha = Matrix(2, 2, [1, 1, 0, 1])
+    twisted = HomSuperAlgebra(odd.space, odd.bracket, alpha, name="oddsq~mixed")
+    sh = samples.sh12()
+    ad = adjoint_rep(sh)
+    nu = Matrix(3, 3, [1, 0, 0, 1, 1, 0, 0, 0, 1])
+    return [(twisted, adjoint_rep(twisted)), (sh, Representation(ad.target, ad.rho, nu))]
+
+
+def test_compat_test_equals_cochain_space_membership():
+    rng = random.Random(5)
+    cases = [(a, rep) for a in _compat_corpus() for _, rep in _reps(a)] + _non_even_twists()
+    verdicts = []
+    for a, rep in cases:
+        for k in (0, 1, 2):
+            # probes from both parities test a vector of the wrong parity too
+            both = cochain_basis(a, rep, k)
+            for parity in ("even", "odd", "both"):
+                basis = cochain_basis(a, rep, k, parity)
+                holds = compat_test(a, rep, k, parity)
+                for source in (basis, both):
+                    for vec in _probes(rng, source.vectors(), both.model.raw_dim):
+                        member = _member(basis, vec)
+                        assert holds(vec) == member, (a.name, k, parity, vec)
+                        verdicts.append((parity, member))
+    for parity in ("even", "odd", "both"):
+        assert verdicts.count((parity, True)) > 50 and verdicts.count((parity, False)) > 50
+
+
+def test_satisfies_compat_equals_the_literal_oracle():
+    rng = random.Random(7)
+    verdicts = []
+    for a in _compat_corpus():
+        for name, rep in _reps(a):
+            for k in (0, 1, 2):
+                basis = cochain_basis(a, rep, k)
+                for vec in _probes(rng, basis.vectors(), basis.model.raw_dim):
+                    f = Cochain(basis.model, 0, [vec.get(i, 0) for i in range(basis.model.raw_dim)])
+                    verdict = literal_satisfies_compat(a, rep, f)
+                    assert satisfies_compat(a, rep, f) == verdict, (a.name, name, k)
+                    verdicts.append(verdict)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def _dims_corpus():
+    rng = random.Random(31)
+    rational = _rational_shear()
+    dense = [_dense_basis(make(), rng) for make in (samples.h3, samples.sh12, samples.filiform4)]
+    return dense + _shear_twisted(rng) + [rational, _dense_basis(rational, rng), _diagonal_twisted()[2]]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_cohomology_dims_equals_ranks_of_the_delta_matrices(m):
+    for a in _dims_corpus():
+        for name, rep in _reps(a):
+            for parity in ("even", "odd", "both"):
+                c_dim = cochain_basis(a, rep, m, parity).dim
+                z = c_dim - rank(coboundary_matrix(a, rep, m, parity))
+                b = rank(coboundary_matrix(a, rep, m - 1, parity)) if m > 0 else 0
+                assert cohomology_dims(a, rep, m, parity) == (z, b, z - b), (a.name, name, parity)
+
+
+@pytest.mark.parametrize("m, degree", [(0, 0), (1, 1), (1, 0), (2, 1)])
+def test_perturbed_delta_operator_raises(monkeypatch, m, degree):
+    # one entry of delta^degree moves the image of one basis cochain of
+    # C^degree by a unit vector outside C^{degree+1}, off the diagonal path
+    a = _shear_twisted(random.Random(3))[0]
+    rep = adjoint_rep(a)
+    assert not a.alpha.is_diagonal()
+    basis = cochain_basis(a, rep, degree)
+    column = basis.space.pivots()[0]
+    target = cochain_basis(a, rep, degree + 1)
+    row = next(o for o in range(target.model.raw_dim) if not _member(target, {o: 1}))
+    real = cohomology.delta_operator
+
+    def perturbed(a, r, k):
+        op = real(a, r, k)
+        if k == degree:
+            op.setdefault(row, {})
+            op[row][column] = op[row].get(column, 0) + 1
+        return op
+
+    cohomology_dims(a, rep, m)
+    monkeypatch.setattr(cohomology, "delta_operator", perturbed)
+    with pytest.raises(NotACochain, match=f"delta\\^{degree} image violates"):
+        cohomology_dims(a, rep, m)
 
 
 def test_coadjoint_rep_is_computed_once_per_algebra():
