@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .core import (
     GradedSpace,
@@ -438,8 +440,15 @@ class CochainModel:
         p = sum(self.wb.parity(w) for w in ws) + self.a.parity[j]
         return p % 2
 
-    def coord_parity(self, ws, j, v):
-        return (self.input_parity(ws, j) + self.r.target.parity[v]) % 2
+    @cached_property
+    def parities(self) -> list:
+        """The parity of every raw coordinate (x_1..x_m, z, v), by flat index:
+        a prefix table over the inputs (x_1..x_m, z), extended over v."""
+        prefix = [0]
+        for _ in range(self.m):
+            prefix = [p + q for p in prefix for q in self.wb.parities]
+        prefix = [p + q for p in prefix for q in self.a.parity]
+        return [(p + q) % 2 for p in prefix for q in self.r.target.parity]
 
 
 class Cochain:
@@ -482,78 +491,83 @@ class Cochain:
 
 def cochain_parity_of_vector(model: CochainModel, vec):
     """Infer the parity of a raw coefficient vector; None for 0, error if mixed."""
-    parity = None
-    for (ws, j) in model.input_tuples():
-        base = model.flat(ws, j)
-        for v in range(model.DV):
-            if vec[base + v] != 0:
-                p = model.coord_parity(ws, j, v)
-                if parity is None:
-                    parity = p
-                elif parity != p:
-                    raise NotACochain("coefficient vector mixes parities")
-    return parity
+    parities = {p for x, p in zip(vec, model.parities) if x != 0}
+    if len(parities) > 1:
+        raise NotACochain("coefficient vector mixes parities")
+    return parities.pop() if parities else None
 
 
 def satisfies_compat(a, r, f: Cochain) -> bool:
-    """Twist compatibility: nu o f(x_1..x_m, z) = f(alpha x_1,...,alpha x_m, alpha z),
-    i.e. membership in cochain_basis(a, r, m)."""
-    return compat_test(a, r, f.degree)({k: x for k, x in enumerate(f.coeffs) if x != 0})
+    """Membership of f in C^m(g, V) of its declared parity: nu o f(x_1..x_m, z)
+    = f(alpha x_1,...,alpha x_m, alpha z) and no coordinate of the other parity."""
+    return compat_test(a, r, f.degree, f.parity)({k: x for k, x in enumerate(f.coeffs) if x != 0})
 
 
-def compat_test(a, r, k, parity="both"):
-    """Membership in C^k(g, V) of the given parity by its defining equations,
-    without a basis of C^k: a predicate on sparse raw vectors {flat: coeff}.
+class _Equations(NamedTuple):
+    model: CochainModel
+    nu_rows: list
+    twisted: Callable
+    defect: Callable
 
-    A vector F passes if it is zero at every coordinate of an unwanted parity
-    and nu o F = F o (alpha^wedge x ... x alpha^wedge x alpha).  The right-hand
-    side is applied one slot at a time, k + 2 sparse passes in all, with
-    alpha^wedge, alpha and nu scaled to integers.  As in cochain_basis, each
-    parity part of F is held to the equations at the coordinates of its own
-    parity; for even twists the parts cannot mix, so F is tested whole.  The
-    same predicate as membership in cochain_basis(a, r, k, parity).
+
+def _compat_equations(a, r, k) -> _Equations:
+    """The defining equations of C^k(g, V), nu o F = F o (alpha^wedge x ... x
+    alpha^wedge x alpha) for a raw vector F, and their only encoding.
+
+    A map L on one slot is given by its rows: row u lists (x, L[u][x]), so the
+    entry of F at digit u feeds digit x of F o L.  nu_rows is nu o F on the V
+    slot, twisted(F) is F o (alpha^wedge, ..., alpha), applied one slot at a
+    time, and defect(F) is their difference with zeros dropped.  alpha^wedge,
+    alpha and nu are scaled to integers so that both sides carry the same
+    factor d_wedge^k * d_alpha * d_nu.  The model's parities give the parity
+    of each raw coordinate.
     """
     model = CochainModel(a, r, k)
     W, D, DV = model.W, model.D, model.DV
     cx = _complex_tables(a)
-    pv = r.target.parity
-    # row u of a map L lists (x, L[u][x]): the entry of F at u feeds x in F o L
     wedge_rows, d_wedge = _integral_rows(cx.alpha_wedge(), W)
     alpha_rows, d_alpha = _integral_rows(cx.alpha_cols, D)
     # nu o F acts on the V slot as F o nu^T would
     nu_rows, d_nu = _integral_rows(_sparse_columns(r.nu.transpose()), DV)
-    # both sides carry the same factor d_wedge^k * d_alpha * d_nu
     nu_rows = [[(u, c * d_wedge**k * d_alpha) for u, c in row] for row in nu_rows]
-    alpha_rows = [[(j, c * d_nu) for j, c in row] for row in alpha_rows]
-    strides = [W ** (k - 1 - s) * D * DV for s in range(k)]
-    parts = _parity_filter(parity)
-    mixed = not (is_even_map(a.alpha, a.parity, a.parity) and is_even_map(r.nu, pv, pv))
-    # parity of the (x_1..x_k, z) prefix of each flat index, by block of DV
-    prefix = [0]
-    for _ in range(k):
-        prefix = [p + q for p in prefix for q in model.wb.parities]
-    prefix = [p + q for p in prefix for q in a.parity]
+    slots = [(W ** (k - 1 - s) * D * DV, W, wedge_rows) for s in range(k)]
+    slots.append((DV, D, [[(j, c * d_nu) for j, c in row] for row in alpha_rows]))
 
-    def parity_of(flat):
-        return (prefix[flat // DV] + pv[flat % DV]) % 2
+    def twisted(vec):
+        for slot in slots:
+            vec = _apply_slot(vec, *slot)
+        return vec
 
     def defect(vec):
-        """nu o F - F o (alpha^wedge, ..., alpha), scaled, zeros dropped."""
         lhs = _apply_slot(vec, 1, DV, nu_rows)
-        for stride in strides:
-            vec = _apply_slot(vec, stride, W, wedge_rows)
-        for flat, x in _apply_slot(vec, DV, D, alpha_rows).items():
+        for flat, x in twisted(vec).items():
             lhs[flat] = lhs.get(flat, 0) - x
         return {flat: x for flat, x in lhs.items() if x != 0}
 
+    return _Equations(model, nu_rows, twisted, defect)
+
+
+def compat_test(a, r, k, parity="both"):
+    """Membership in C^k(g, V) of the given parity by its defining equations
+    (_compat_equations), without a basis of C^k: a predicate on sparse raw
+    vectors {flat: coeff}.
+
+    A vector F passes if it is zero at every coordinate of an unwanted parity
+    and each parity part of F satisfies the equations at the coordinates of
+    its own parity, the rule cochain_basis uses; for an even twist the
+    defect of a part has no other coordinates.  The same predicate as
+    membership in cochain_basis(a, r, k, parity).
+    """
+    eq = _compat_equations(a, r, k)
+    parities = eq.model.parities
+    parts = _parity_filter(parity)
+
     def holds(vec) -> bool:
-        if parts != (0, 1) and any(parity_of(flat) not in parts for flat in vec):
+        if any(parities[flat] not in parts for flat in vec):
             return False
-        if not mixed:
-            return not defect(vec)
         for p in parts:
-            part = {flat: x for flat, x in vec.items() if parity_of(flat) == p}
-            if any(parity_of(flat) == p for flat in defect(part)):
+            part = {flat: x for flat, x in vec.items() if parities[flat] == p}
+            if any(parities[flat] == p for flat in eq.defect(part)):
                 return False
         return True
 
@@ -612,7 +626,7 @@ class CochainBasis:
             coeffs = [0] * model.raw_dim
             for k, x in vec.items():
                 coeffs[k] = x
-            yield Cochain(model, model.coord_parity(*_unflatten(model, pivot)), coeffs)
+            yield Cochain(model, model.parities[pivot], coeffs)
 
     def vectors(self) -> list:
         """The basis as sparse raw vectors {flat: coefficient}."""
@@ -633,14 +647,37 @@ class CochainBasis:
 
 
 def cochain_basis(a, r, m, parity="both") -> CochainBasis:
-    """C^m(g, V) of the given parity as one Subspace of the raw coefficients:
-    a coordinate subspace for diagonal twists, read off directly, otherwise
-    the kernel of the compatibility equations, by one elimination."""
-    model = CochainModel(a, r, m)
+    """C^m(g, V) of the given parity as one Subspace of the raw coefficients,
+    by one elimination: the kernel of the equations of _compat_equations plus
+    f = 0 on the coordinates of an unwanted parity.
+
+    Each equation is a row of the defect map, read off its columns: the
+    defect of the unit vector at u.  A parity-homogeneous f only has
+    coordinates of its own parity, so each equation keeps the terms of its
+    output's parity, as in compat_test.  For a diagonal twist every equation
+    has one term and the kernel is spanned by unit vectors.
+    """
+    eq = _compat_equations(a, r, m)
+    model = eq.model
+    parities = model.parities
     parts = _parity_filter(parity)
-    if a.alpha.is_diagonal() and r.nu.is_diagonal():
-        return CochainBasis(model, _diagonal_compat_space(model, parts))
-    return CochainBasis(model, _compat_space(model, parts))
+    rows = [{o: 1} if p not in parts else {} for o, p in enumerate(parities)]
+    for u, p in enumerate(parities):
+        v = u % model.DV
+        if v == 0:
+            # alpha never touches v: one image per (x_1..x_m, z) block, shifted over v
+            image = eq.twisted({u: 1})
+        if p not in parts:
+            continue
+        for y, c in eq.nu_rows[v]:
+            if parities[u - v + y] == p:
+                rows[u - v + y][u] = c
+        for o, c in image.items():
+            if parities[o + v] == p:
+                row = rows[o + v]
+                row[u] = row.get(u, 0) - c
+    rows = [row for row in rows if any(row.values())]
+    return CochainBasis(model, sparse_kernel(rows, model.raw_dim))
 
 
 def cochain_space(a, r, m, parity="both") -> Subspace:
@@ -650,57 +687,6 @@ def cochain_space(a, r, m, parity="both") -> Subspace:
     parity-homogeneous.
     """
     return cochain_basis(a, r, m, parity).to_subspace()
-
-
-def _diagonal_compat_space(model, parts) -> Subspace:
-    """C^m for diagonal alpha and nu: the unit vectors of the raw coordinates
-    (x_1..x_m, z, v) of a wanted parity whose nu-eigenvalue equals the
-    product of the alpha-eigenvalues of the inputs."""
-    lam = [model.a.alpha[i, i] for i in range(model.D)]
-    mu = [model.r.nu[v, v] for v in range(model.DV)]
-    kept = []
-    for ws, j in model.input_tuples():
-        scale = lam[j]
-        for w in ws:
-            for i in model.wb.elements[w]:
-                scale *= lam[i]
-        base = model.flat(ws, j)
-        for v in range(model.DV):
-            if model.coord_parity(ws, j, v) in parts and mu[v] == scale:
-                kept.append(base + v)
-    return Subspace._from_rref(model.raw_dim, [{k: 1} for k in kept])
-
-
-def _compat_space(model, parts) -> Subspace:
-    """C^m for any twist: the kernel of nu o f(x, z) - f(alpha x, alpha z),
-    one equation per raw coordinate, plus f = 0 on the coordinates of an
-    unwanted parity.  A parity-homogeneous f only has coordinates of its own
-    parity, so each equation keeps the terms of its output's parity."""
-    a, r = model.a, model.r
-    cx = _complex_tables(a)
-    aw = cx.alpha_wedge()
-    DV = model.DV
-    parity = [model.coord_parity(ws, j, v) for ws, j in model.input_tuples() for v in range(DV)]
-    rows = []
-    for ws, j in model.input_tuples():
-        base = model.flat(ws, j)
-        # expansion of f(alpha ws, alpha j) as a linear form in raw coords
-        expansion = _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j])
-        for v in range(DV):
-            p = parity[base + v]
-            if p not in parts:
-                rows.append({base + v: 1})
-                continue
-            row = {}
-            for u in range(DV):
-                c = r.nu[v, u]
-                if c != 0 and parity[base + u] == p:
-                    row[base + u] = row.get(base + u, 0) + c
-            for off, c in expansion:
-                if parity[off + v] == p:
-                    row[off + v] = row.get(off + v, 0) - c
-            rows.append(row)
-    return sparse_kernel(rows, model.raw_dim)
 
 
 def _linear_expansion(model, wedge_args, z_arg):
@@ -724,18 +710,6 @@ def _linear_expansion(model, wedge_args, z_arg):
         for j, cz in z_arg.items():
             out.append(((base + j) * DV, c * cz))
     return out
-
-
-def _unflatten(model, flat):
-    v = flat % model.DV
-    rest = flat // model.DV
-    j = rest % model.D
-    rest //= model.D
-    ws = []
-    for _ in range(model.m):
-        ws.append(rest % model.W)
-        rest //= model.W
-    return tuple(reversed(ws)), j, v
 
 
 # ---------------------------------------------------------------------------
@@ -844,10 +818,10 @@ def _images(rows: dict, vectors) -> list:
 def coboundary(a, r, f: Cochain, check=True) -> Cochain:
     """The degree-(m+1) coboundary of f: delta_operator applied to f.
 
-    With check, f and the result must satisfy the twist compatibility.
+    With check, f and the result must lie in the cochain spaces of f's parity.
     """
     if check and not satisfies_compat(a, r, f):
-        raise NotACochain("input violates the twist compatibility")
+        raise NotACochain("input violates the twist compatibility or its declared parity")
     model_out = CochainModel(a, r, f.degree + 1)
     (image,) = _images(delta_operator(a, r, f.degree), [dict(enumerate(f.coeffs))])
     result = Cochain(model_out, f.parity, [image.get(k, 0) for k in range(model_out.raw_dim)])

@@ -73,7 +73,7 @@ class ExtensionDatum:
         if self.cocycle.parity != 0:
             raise CocycleNotEven("extension cocycle must be even")
         if not satisfies_compat(self.base, self.module, self.cocycle):
-            raise NotACochain("cocycle violates the twist compatibility")
+            raise NotACochain("cocycle violates the twist compatibility or has odd coordinates")
         alt = alternating_subspace(self.base, self.module)
         if not alt.contains_vector(self.cocycle.coeffs):
             raise NotACochain("cocycle is not super-alternating across all slots")

@@ -247,7 +247,7 @@ def tstar_extend(g: HomSuperAlgebra, theta: Cochain | None = None, validated=Tru
         if theta.degree != 1 or theta.parity != 0:
             raise NotACochain("theta must be an even 1-cochain")
         if not satisfies_compat(g, coad.rep, theta):
-            raise NotACochain("theta violates the twist compatibility")
+            raise NotACochain("theta violates the twist compatibility or has odd coordinates")
         if not alternating_subspace(g, coad.rep).contains_vector(theta.coeffs):
             raise NotACochain("theta is not super-alternating across all slots")
         if not coboundary(g, coad.rep, theta, check=False).is_zero():

@@ -1,5 +1,6 @@
 """The literal term-by-term coboundary, kept as the oracle for delta_operator,
-and the literal twist compatibility, kept as the oracle for compat_test.
+and the literal twist compatibility, kept as the oracle for compat_test and
+cochain_basis.
 
 This is the definition of delta written out slot by slot, with no sharing
 between output coordinates: slow, but independent of the one-pass sparse
@@ -18,7 +19,7 @@ from nambu.cohomology import (
     cochain_basis,
     module_bracket,
 )
-from nambu.linalg import Matrix
+from nambu.linalg import Matrix, Subspace, sparse_kernel
 
 
 def evaluate(f: Cochain, wedge_args, z_arg):
@@ -30,10 +31,24 @@ def evaluate(f: Cochain, wedge_args, z_arg):
     return out
 
 
+def coordinate_parities(model: CochainModel) -> list:
+    """The parity of every raw coordinate (x_1..x_m, z, v), summed slot by slot."""
+    pv = model.r.target.parity
+    return [
+        (sum(model.wb.parity(w) for w in ws) + model.a.parity[j] + pv[v]) % 2
+        for ws, j in model.input_tuples()
+        for v in range(model.DV)
+    ]
+
+
 def literal_satisfies_compat(a, r, f: Cochain) -> bool:
-    """nu o f(x_1..x_m, z) = f(alpha x_1,...,alpha x_m, alpha z), one input
-    (x_1..x_m, z) of the basis at a time, by multilinear expansion."""
+    """f has no coordinate outside its declared parity and nu o f(x_1..x_m, z)
+    = f(alpha x_1,...,alpha x_m, alpha z), one input (x_1..x_m, z) of the
+    basis at a time, by multilinear expansion."""
     model = f.model
+    parities = coordinate_parities(model)
+    if any(x != 0 and p != f.parity for x, p in zip(f.coeffs, parities)):
+        return False
     cx = _complex_tables(a)
     aw = cx.alpha_wedge()
     for ws, j in model.input_tuples():
@@ -45,6 +60,57 @@ def literal_satisfies_compat(a, r, f: Cochain) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+def literal_cochain_space(a, r, m, parity="both") -> Subspace:
+    """C^m(g, V) of the given parity, from its equations written out one
+    input (x_1..x_m, z) at a time.
+
+    For diagonal alpha and nu: the unit vectors of the raw coordinates of a
+    wanted parity whose nu-eigenvalue equals the product of the
+    alpha-eigenvalues of the inputs.  Otherwise the kernel of nu o f(x, z) -
+    f(alpha x, alpha z), one row per raw coordinate by multilinear expansion,
+    plus f = 0 on the coordinates of an unwanted parity; a parity-homogeneous
+    f only has coordinates of its own parity, so each row keeps the terms of
+    its coordinate's parity.
+    """
+    model = CochainModel(a, r, m)
+    parts = {"both": (0, 1), "even": (0,), "odd": (1,)}[parity]
+    parities = coordinate_parities(model)
+    DV = model.DV
+    if a.alpha.is_diagonal() and r.nu.is_diagonal():
+        lam = [a.alpha[i, i] for i in range(model.D)]
+        mu = [r.nu[v, v] for v in range(DV)]
+        kept = []
+        for ws, j in model.input_tuples():
+            scale = lam[j]
+            for w in ws:
+                for i in model.wb.elements[w]:
+                    scale *= lam[i]
+            base = model.flat(ws, j)
+            kept += [base + v for v in range(DV) if parities[base + v] in parts and mu[v] == scale]
+        return Subspace._from_rref(model.raw_dim, [{k: 1} for k in kept])
+    cx = _complex_tables(a)
+    aw = cx.alpha_wedge()
+    rows = []
+    for ws, j in model.input_tuples():
+        base = model.flat(ws, j)
+        expansion = _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j])
+        for v in range(DV):
+            p = parities[base + v]
+            if p not in parts:
+                rows.append({base + v: 1})
+                continue
+            row = {}
+            for u in range(DV):
+                c = r.nu[v, u]
+                if c != 0 and parities[base + u] == p:
+                    row[base + u] = row.get(base + u, 0) + c
+            for off, c in expansion:
+                if parities[off + v] == p:
+                    row[off + v] = row.get(off + v, 0) - c
+            rows.append(row)
+    return sparse_kernel(rows, model.raw_dim)
 
 
 def literal_coboundary(a, r, f: Cochain) -> Cochain:

@@ -277,6 +277,21 @@ class TestTwistExtendCommands:
         assert ext.algebra.bracket_basis((1, 1)) == [1, 0]
 
 
+    def test_extend_rejects_an_even_cocycle_with_odd_coordinates(self, tmpfiles, capsys):
+        # f(e1, f1) is odd on the even fiber: the datum must be refused up
+        # front, not crash while building the bracket
+        datum = {
+            "base": {"dim": 2, "n": 2, "parity": [0, 1], "alpha": [["1", "0"], ["0", "1"]], "bracket": []},
+            "fiber": {"dim": 1, "parity": [0], "alpha": [["1"]]},
+            "module": {"dim": 1, "parity": [0], "nu": [["1"]], "rho": []},
+            "cocycle": [{"args": [1, 2], "value": {"1": "1"}}, {"args": [2, 1], "value": {"1": "-1"}}],
+        }
+        assert main(["extend", tmpfiles("datum.json", datum)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestTStarCommands:
     def test_tstar_zero_h3(self, tmpfiles, tmp_path):
         path = tmpfiles("h3.json", ff.algebra_to_json(samples.h3()))
@@ -321,6 +336,15 @@ class TestTStarCommands:
         code, out = run(["tstar", path, "--theta", theta_path, "--out", out_path])
         assert code == 0
         assert "metric: PASS" in out
+
+    def test_tstar_rejects_a_theta_with_odd_coordinates(self, tmpfiles, capsys):
+        # theta(f1, f1) lands in the odd dual direction: an odd 1-cochain
+        odd = {"dim": 1, "n": 2, "parity": [1], "alpha": [["1"]], "bracket": []}
+        theta = {"theta": [{"args": [1, 1], "value": {"1": "1"}}]}
+        assert main(["tstar", tmpfiles("odd1.json", odd), "--theta", tmpfiles("t.json", theta)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
     def test_equiv_command(self, tmpfiles, tmp_path):
         g = samples.abelian(1, 1)

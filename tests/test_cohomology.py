@@ -196,37 +196,6 @@ class TestCochainSpaces:
         r = adjoint_rep(twisted)
         assert cochain_space(twisted, r, 1, "both").dim == 8
 
-    def test_diagonal_fast_path_matches_general(self):
-        # both routes of cochain_basis give the same Subspace wherever the
-        # diagonal one applies: catalog algebras and seeded diagonal twists,
-        # both representations, m = 0, 1, 2, every parity
-        from nambu.cohomology import _compat_space, _diagonal_compat_space
-        from nambu.core import twist_by_endomorphism
-        from nambu.tstar import coadjoint_rep
-
-        rng = random.Random(5)
-        algebras = samples.catalog()
-        algebras.append(twist_by_endomorphism(h3(), Matrix(3, 3, [2, 0, 0, 0, 1, 0, 0, 0, 2])))
-        for base in samples.catalog():
-            rho = samples.random_twist(base, rng, diagonal_only=True)
-            if rho is not None:
-                algebras.append(twist_by_endomorphism(base, rho))
-        checked = 0
-        for a in algebras:
-            reps = [adjoint_rep(a)]
-            if coadjoint_rep(a).exists:
-                reps.append(coadjoint_rep(a).rep)
-            for r in reps:
-                assert a.alpha.is_diagonal() and r.nu.is_diagonal()
-                for m in (0, 1, 2):
-                    model = CochainModel(a, r, m)
-                    for parts in ((0, 1), (0,), (1,)):
-                        fast = _diagonal_compat_space(model, parts)
-                        assert fast == _compat_space(model, parts), (a.name, m, parts)
-                        checked += fast.dim > 0
-        assert sum(not a.alpha.is_identity() for a in algebras) >= 5
-        assert checked >= 100
-
     def test_parity_split_adds_up(self):
         a = sh12()
         r = adjoint_rep(a)

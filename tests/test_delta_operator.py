@@ -8,7 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from coboundary_oracle import literal_coboundary, literal_coboundary_matrix, literal_satisfies_compat
+from coboundary_oracle import (
+    literal_coboundary,
+    literal_coboundary_matrix,
+    literal_cochain_space,
+    literal_satisfies_compat,
+)
 from nambu import cohomology, samples
 from nambu.cohomology import (
     Cochain,
@@ -224,6 +229,33 @@ def _non_even_twists():
     return [(twisted, adjoint_rep(twisted)), (sh, Representation(ad.target, ad.rho, nu))]
 
 
+def _oracle_corpus():
+    """Catalog algebras, seeded diagonal twists, shear twists, dense bases and
+    non-even twists, each with its representations."""
+    rng = random.Random(5)
+    algebras = samples.catalog()
+    algebras.append(twist_by_endomorphism(samples.h3(), Matrix(3, 3, [2, 0, 0, 0, 1, 0, 0, 0, 2])))
+    for base in samples.catalog():
+        rho = samples.random_twist(base, rng, diagonal_only=True)
+        if rho is not None:
+            algebras.append(twist_by_endomorphism(base, rho))
+    algebras += _compat_corpus()
+    return [(a, rep) for a in algebras for _, rep in _reps(a)] + _non_even_twists()
+
+
+def test_cochain_basis_equals_the_literal_oracle():
+    checked = diagonal = 0
+    for a, rep in _oracle_corpus():
+        diagonal += a.alpha.is_diagonal() and not a.alpha.is_identity()
+        for m in (0, 1, 2):
+            for parity in ("even", "odd", "both"):
+                got = cochain_basis(a, rep, m, parity).space
+                assert got == literal_cochain_space(a, rep, m, parity), (a.name, m, parity)
+                checked += got.dim > 0
+    assert diagonal >= 5
+    assert checked >= 200
+
+
 def test_compat_test_equals_cochain_space_membership():
     rng = random.Random(5)
     cases = [(a, rep) for a in _compat_corpus() for _, rep in _reps(a)] + _non_even_twists()
@@ -231,13 +263,13 @@ def test_compat_test_equals_cochain_space_membership():
     for a, rep in cases:
         for k in (0, 1, 2):
             # probes from both parities test a vector of the wrong parity too
-            both = cochain_basis(a, rep, k)
+            both = literal_cochain_space(a, rep, k)
             for parity in ("even", "odd", "both"):
-                basis = cochain_basis(a, rep, k, parity)
+                space = literal_cochain_space(a, rep, k, parity)
                 holds = compat_test(a, rep, k, parity)
-                for source in (basis, both):
-                    for vec in _probes(rng, source.vectors(), both.model.raw_dim):
-                        member = _member(basis, vec)
+                for source in (space, both):
+                    for vec in _probes(rng, source.sparse_rows, both.ambient_dim):
+                        member = _member(space, vec)
                         assert holds(vec) == member, (a.name, k, parity, vec)
                         verdicts.append((parity, member))
     for parity in ("even", "odd", "both"):
@@ -245,17 +277,21 @@ def test_compat_test_equals_cochain_space_membership():
 
 
 def test_satisfies_compat_equals_the_literal_oracle():
+    # each probe declares the parity of the basis it is drawn from; a
+    # perturbed probe may leave that parity, which fails membership
     rng = random.Random(7)
     verdicts = []
     for a in _compat_corpus():
         for name, rep in _reps(a):
             for k in (0, 1, 2):
-                basis = cochain_basis(a, rep, k)
-                for vec in _probes(rng, basis.vectors(), basis.model.raw_dim):
-                    f = Cochain(basis.model, 0, [vec.get(i, 0) for i in range(basis.model.raw_dim)])
-                    verdict = literal_satisfies_compat(a, rep, f)
-                    assert satisfies_compat(a, rep, f) == verdict, (a.name, name, k)
-                    verdicts.append(verdict)
+                for parity in (0, 1):
+                    basis = cochain_basis(a, rep, k, parity)
+                    raw_dim = basis.model.raw_dim
+                    for vec in _probes(rng, basis.vectors(), raw_dim):
+                        f = Cochain(basis.model, parity, [vec.get(i, 0) for i in range(raw_dim)])
+                        verdict = literal_satisfies_compat(a, rep, f)
+                        assert satisfies_compat(a, rep, f) == verdict, (a.name, name, k, parity)
+                        verdicts.append(verdict)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
