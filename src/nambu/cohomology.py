@@ -719,6 +719,22 @@ def _linear_expansion(model, wedge_args, z_arg):
 def delta_operator(a, r, m) -> dict:
     """delta^m on raw coefficients: {out_flat: {in_flat: coeff}}, nonzero rows only.
 
+    Kept in a._cache under ("delta", m) with the representation it was built
+    for, and served again only for that same object r (a new representation,
+    even an equal one, is assembled afresh).  The result is shared: callers
+    must not mutate it.
+    """
+    cached = a._cache.get(("delta", m))
+    if cached is not None and cached[0] is r:
+        return cached[1]
+    op = _assemble_delta(a, r, m)
+    a._cache[("delta", m)] = (r, op)
+    return op
+
+
+def _assemble_delta(a, r, m) -> dict:
+    """delta^m of (a, r) as for delta_operator, assembled.
+
     One sweep over the output inputs (x_1..x_{m+1}, z) emits, per output
     coordinate, the linear form in f of the four terms: (1) insert a wedge
     bracket [x_i, x_j]_alpha at slot j and drop slot i; (2) replace z by
@@ -898,8 +914,11 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
 
 
 def _integral(op: dict) -> dict:
-    """A sparse operator scaled by the common denominator of its entries."""
+    """A sparse operator scaled by the common denominator of its entries
+    (op itself when every entry is an int)."""
     d = math.lcm(*(x.denominator for row in op.values() for x in row.values()))
+    if d == 1:
+        return op
     return {o: {k: x.numerator * (d // x.denominator) for k, x in row.items()} for o, row in op.items()}
 
 

@@ -17,6 +17,7 @@ always sees every tuple.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -131,18 +132,27 @@ class StructureTensor:
             if any(c != 0 for c in vec):
                 clean[key] = tuple(vec)
         self.entries = clean
+        self._nonzeros = {}  # raw index tuple -> its sparse_value
+
+    def sparse_value(self, indices) -> tuple:
+        """Bracket of basis vectors e_{i1},...,e_{in} as its nonzero
+        (coordinate, value) pairs, signed.  Straightened once per raw index
+        tuple and memoized; the entries never change after construction."""
+        key = tuple(indices)
+        found = self._nonzeros.get(key)
+        if found is None:
+            sign, canon = straighten(key, self.space.parity)
+            stored = self.entries.get(canon) if sign else None
+            found = () if stored is None else tuple((k, sign * c) for k, c in enumerate(stored) if c != 0)
+            self._nonzeros[key] = found
+        return found
 
     def value(self, indices):
         """Bracket of basis vectors e_{i1},...,e_{in} as a coordinate vector."""
-        sign, canon = straighten(indices, self.space.parity)
-        if sign == 0:
-            return vzero(self.space.dim)
-        stored = self.entries.get(canon)
-        if stored is None:
-            return vzero(self.space.dim)
-        if sign == 1:
-            return list(stored)
-        return [-c for c in stored]
+        out = vzero(self.space.dim)
+        for k, c in self.sparse_value(indices):
+            out[k] = c
+        return out
 
     def items(self):
         return self.entries.items()
@@ -209,13 +219,12 @@ class HomSuperAlgebra:
         supports = [support(v) for v in vectors]
         if any(not s for s in supports):
             return out
+        value = self.bracket.sparse_value
         for combo in itertools.product(*supports):
-            coeff = 1
-            for _, c in combo:
-                coeff *= c
-            val = self.bracket_basis(tuple(i for i, _ in combo))
-            for k, c in enumerate(val):
-                if c != 0:
+            val = value(tuple(i for i, _ in combo))
+            if val:
+                coeff = math.prod(c for _, c in combo)
+                for k, c in val:
                     out[k] += coeff * c
         return out
 

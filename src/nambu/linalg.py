@@ -2,14 +2,20 @@
 sparse rref (under rref, nullspace, particular_solution and Subspace) and a
 sparse fraction-free rank kernel.
 
-Everything is computed over Q with ``fractions.Fraction`` (plain ints are
-accepted everywhere as exact rationals).  There is no floating point
-anywhere: ``Scalar`` refuses float construction and ``Matrix`` refuses
-float entries.
+Everything is computed over Q.  A scalar is an exact rational of one of two
+types: a Python ``int`` or a ``fractions.Fraction``; the two compare, hash
+and format alike, so results never depend on which one a value is.  Input
+enters through ``parse_scalar``, which returns an ``int`` when the rational's
+denominator is 1 and a ``Fraction`` otherwise, so integral data is computed
+on in machine-fast ints throughout.  There is no floating point anywhere:
+``Scalar`` refuses float construction, ``parse_scalar`` refuses floats and
+bools, and ``Matrix`` refuses float entries (the results of its own ring
+operations on checked entries are exact by construction and not rechecked).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from fractions import Fraction
@@ -33,12 +39,13 @@ class Scalar(Fraction):
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
 
-def parse_scalar(text) -> Fraction:
-    """Parse "p/q" (or "p", or a JSON int) into an exact rational."""
+def parse_scalar(text) -> int | Fraction:
+    """Parse "p/q" (or "p", or a JSON int) into an exact rational: an int
+    when its denominator is 1, else a Fraction in lowest terms."""
     if isinstance(text, bool):
         raise ParseError(f"not a rational: {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
+        return int(text)
     if not isinstance(text, str):
         raise ParseError(f"not a rational: {text!r} (floats are rejected)")
     m = _RATIONAL_RE.match(text.strip())
@@ -48,7 +55,8 @@ def parse_scalar(text) -> Fraction:
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ParseError(f"bad rational {text!r}: zero denominator")
-    return Fraction(num, den)
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 else value
 
 
 def format_scalar(x) -> str:
@@ -88,6 +96,14 @@ class Matrix:
         self.data = [_check_entry(x) for x in data]
 
     @classmethod
+    def _trusted(cls, rows, cols, data):
+        """A matrix on data of exact rationals, unchecked: sums, differences
+        and products of checked entries, which cannot be floats."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
+    @classmethod
     def from_rows(cls, rows_list, cols=None):
         rows = len(rows_list)
         if rows == 0:
@@ -106,11 +122,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._trusted(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._trusted(rows, cols, [0] * (rows * cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -136,18 +152,19 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
+        return Matrix._trusted(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
+        return Matrix._trusted(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.data])
+        return Matrix._trusted(self.rows, self.cols, [-a for a in self.data])
 
     def scale(self, c):
-        return Matrix(self.rows, self.cols, [c * a for a in self.data])
+        _check_entry(c)
+        return Matrix._trusted(self.rows, self.cols, [c * a for a in self.data])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -166,7 +183,7 @@ class Matrix:
                         b = other.data[obase + j]
                         if b != 0:
                             out[tbase + j] += a * b
-            return Matrix(self.rows, other.cols, out)
+            return Matrix._trusted(self.rows, other.cols, out)
         return NotImplemented
 
     def apply(self, vec):
@@ -184,7 +201,7 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(self.cols, self.rows, [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
+        return Matrix._trusted(self.cols, self.rows, [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
 
     def is_zero(self):
         return all(x == 0 for x in self.data)
@@ -269,9 +286,12 @@ def sparse_rank(rows) -> int:
     denominators and divided by its gcd, then rows are eliminated by
     integer cross-multiplication against the pivot row and made primitive
     again.  The pivot row is the live row with the fewest
-    nonzeros, its pivot the column that the fewest live rows share.  Each
-    retired pivot row is independent of everything eliminated against it,
-    so their count is the rank.
+    nonzeros (the lowest id among those), its pivot the column that the
+    fewest live rows share.  Each retired pivot row is independent of
+    everything eliminated against it, so their count is the rank.
+
+    Pivot rows come off a heap of (nonzeros, id) pushed whenever a row
+    changes; an entry whose row has since changed or retired is skipped.
     """
     live = {}
     holders = {}  # column -> ids of the live rows with a nonzero there
@@ -281,9 +301,13 @@ def sparse_rank(rows) -> int:
             live[rid] = row
             for c in row:
                 holders.setdefault(c, set()).add(rid)
+    queue = [(len(row), rid) for rid, row in live.items()]
+    heapq.heapify(queue)
     found = 0
     while live:
-        rid = min(live, key=lambda i: (len(live[i]), i))
+        size, rid = heapq.heappop(queue)
+        if rid not in live or len(live[rid]) != size:
+            continue
         prow = live.pop(rid)
         for c in prow:
             holders[c].discard(rid)
@@ -297,6 +321,7 @@ def sparse_rank(rows) -> int:
                 holders.setdefault(c, set()).add(oid)
             if new:
                 live[oid] = new
+                heapq.heappush(queue, (len(new), oid))
             else:
                 del live[oid]
         found += 1

@@ -5,17 +5,18 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from nambu import fileformat as ff
 from nambu import samples
 from nambu.cli import main
-from nambu.core import twist_by_endomorphism, verify_algebra
+from nambu.core import HomSuperAlgebra, StructureTensor, canonical_tuples, twist_by_endomorphism, verify_algebra
 from nambu.errors import ParseError
 from nambu.linalg import Matrix
 from nambu.tstar import theta_spaces
-from test_delta_operator import _dense_basis
+from test_delta_operator import _dense_basis, _inverse
 
 
 @pytest.fixture
@@ -82,6 +83,47 @@ class TestLoadDump:
     def test_floats_rejected(self):
         with pytest.raises(ParseError):
             ff.loads('{"name": "x", "n": 2, "dim": 1, "parity": [0], "alpha": [[1.5]], "bracket": []}')
+
+    def test_integral_files_load_as_ints_and_round_trip(self, tmpfiles, tmp_path):
+        # the scalar contract at the parse boundary: every integral entry is a
+        # plain int after loading, and writing it back gives the same bytes
+        def entries(loaded):
+            a = loaded.algebra
+            out = [c for vec in a.bracket.entries.values() for c in vec] + a.alpha.data
+            return out + (loaded.form.data if loaded.form is not None else [])
+
+        files = [tmpfiles(f"cat{i}.json", ff.algebra_to_json(a)) for i, a in enumerate(samples.catalog())]
+        tstar_path = str(tmp_path / "tn4.json")
+        code, _ = run(["tstar", tmpfiles("n4.json", ff.algebra_to_json(samples.n4())), "--out", tstar_path])
+        assert code == 0
+        for path in files + [tstar_path]:
+            loaded = ff.load(path)
+            assert all(type(x) is int for x in entries(loaded)), path
+            text = ff.to_json_str(ff.algebra_to_json(loaded.algebra, name=loaded.name, form=loaded.form))
+            assert text == pathlib.Path(path).read_text(), path
+        assert ff.load(tstar_path).form is not None
+
+    def test_rational_file_round_trips(self, tmpfiles):
+        # fil4 in the basis of a lower triangular matrix with diagonal
+        # (1, 1, 2, 2) and 1/2 below it: rational entries stay Fractions,
+        # integral ones ints
+        a = samples.filiform4()
+        d = a.dim
+        diagonal = (1, 1, 2, 2)
+        basis = Matrix(d, d, [diagonal[i] if i == j else Fraction(1, 2) if i > j else 0 for i in range(d) for j in range(d)])
+        inv = _inverse(basis)
+        cols = [basis.col(j) for j in range(d)]
+        entries = {key: inv.apply(a.bracket_eval([cols[i] for i in key])) for key in canonical_tuples(a.space, 2)}
+        tensor = StructureTensor(2, a.space, {k: v for k, v in entries.items() if any(v)})
+        dense = HomSuperAlgebra(a.space, tensor, inv * a.alpha * basis, name="fil4@half")
+        path = tmpfiles("dense.json", ff.algebra_to_json(dense))
+        text = pathlib.Path(path).read_text()
+        assert '"1/2"' in text
+        loaded = ff.load(path)
+        values = [c for vec in loaded.algebra.bracket.entries.values() for c in vec] + loaded.algebra.alpha.data
+        assert {type(x) for x in values} == {int, Fraction}
+        assert all(type(x) is int for x in values if x.denominator == 1)
+        assert ff.to_json_str(ff.algebra_to_json(loaded.algebra, name=loaded.name)) == text
 
     def test_zero_denominator_rejected(self):
         obj = ff.algebra_to_json(samples.h3())

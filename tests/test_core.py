@@ -107,6 +107,58 @@ class TestBracketEval:
         assert lhs == [0, 0, 2 * 7 - 3 * 5]
 
 
+def _literal_value(tensor, indices):
+    """The bracket of basis vectors by its definition: straighten, look up
+    the canonical entry, apply the sign."""
+    sign, canon = straighten(indices, tensor.space.parity)
+    stored = tensor.entries.get(canon)
+    if sign == 0 or stored is None:
+        return [0] * tensor.space.dim
+    return [sign * c for c in stored]
+
+
+def _memo_corpus():
+    from test_axiom_oracle import _raw_algebra
+
+    return samples.catalog() + [_raw_algebra(random.Random(seed)) for seed in range(120)]
+
+
+def test_memoized_basis_values_equal_the_definition():
+    # every raw tuple, canonical or not, with repeated even and odd indices;
+    # the second lookup is served from the memo
+    for a in _memo_corpus():
+        t = a.bracket
+        for indices in itertools.product(range(a.dim), repeat=a.arity):
+            want = _literal_value(t, indices)
+            for _ in range(2):
+                assert t.value(indices) == want, (a.name, indices)
+                assert t.value(list(indices)) == want, (a.name, indices)
+                assert t.sparse_value(indices) == tuple((k, c) for k, c in enumerate(want) if c != 0)
+
+
+def test_bracket_eval_equals_the_multilinear_expansion():
+    rng = random.Random(7)
+    for a in _memo_corpus():
+        for _ in range(3):
+            vectors = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(a.dim)] for _ in range(a.arity)]
+            want = [0] * a.dim
+            for indices in itertools.product(range(a.dim), repeat=a.arity):
+                coeff = 1
+                for v, i in zip(vectors, indices):
+                    coeff *= v[i]
+                want = [w + coeff * c for w, c in zip(want, _literal_value(a.bracket, indices))]
+            assert a.bracket_eval(vectors) == want, a.name
+
+
+def test_basis_value_of_an_out_of_range_index_still_raises():
+    from nambu.errors import IndexOutOfRange
+
+    t = samples.h3().bracket
+    for _ in range(2):
+        with pytest.raises(IndexOutOfRange):
+            t.value((0, 3))
+
+
 class TestStructureTensor:
     def test_rejects_non_canonical_key(self):
         space = GradedSpace(2, (0, 0))

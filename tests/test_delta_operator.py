@@ -339,6 +339,59 @@ def test_perturbed_delta_operator_raises(monkeypatch, m, degree):
         cohomology_dims(a, rep, m)
 
 
+def _counting_assembly(monkeypatch):
+    real = cohomology._assemble_delta
+    calls = []
+
+    def counting(a, r, m):
+        calls.append((r, m))
+        return real(a, r, m)
+
+    monkeypatch.setattr(cohomology, "_assemble_delta", counting)
+    return calls
+
+
+def _seeded_cochains(a, rep, m, rng, count):
+    basis = cochain_basis(a, rep, m, 0)
+    out = []
+    for _ in range(count):
+        coeffs = [0] * basis.model.raw_dim
+        for vec in basis.vectors():
+            c = rng.choice([-2, -1, 0, 1, 3])
+            for k, x in vec.items():
+                coeffs[k] += c * x
+        out.append(Cochain(basis.model, 0, coeffs))
+    return out
+
+
+def test_delta_is_assembled_once_per_algebra_representation_and_degree(monkeypatch):
+    a = samples.n4()
+    rep = coadjoint_rep(a).rep
+    cochains = _seeded_cochains(a, rep, 1, random.Random(2), 4)
+    calls = _counting_assembly(monkeypatch)
+    images = [coboundary(a, rep, f) for f in cochains + cochains]
+    assert calls == [(rep, 1)]
+    assert images[:4] == images[4:]
+    # another degree, and a new representation object, even an equal one,
+    # are assembled afresh
+    coboundary(a, rep, _seeded_cochains(a, rep, 0, random.Random(2), 1)[0])
+    equal = Representation(rep.target, list(rep.rho), rep.nu)
+    coboundary(a, equal, cochains[0])
+    assert [m for _, m in calls] == [1, 0, 1] and calls[2][0] is equal
+
+
+def test_adjoint_and_coadjoint_each_get_their_own_operator():
+    rng = random.Random(4)
+    for a in (samples.n4(), samples.h3(), samples.sh12(), samples.filiform4()):
+        reps = [rep for _, rep in _reps(a)]
+        assert len(reps) == 2, a.name
+        for m in (0, 1):
+            work = [(rep, f) for rep in reps for f in _seeded_cochains(a, rep, m, rng, 2)]
+            # alternate the representations on one algebra and degree
+            for rep, f in work[::2] + work[1::2]:
+                assert coboundary(a, rep, f).coeffs == literal_coboundary(a, rep, f).coeffs, (a.name, m)
+
+
 def test_coadjoint_rep_is_computed_once_per_algebra():
     a = samples.n4()
     assert coadjoint_rep(a) is coadjoint_rep(a)

@@ -65,6 +65,40 @@ class TestScalar:
         with pytest.raises(TypeError):
             Matrix(1, 1, [0.5])
 
+    def test_parse_returns_int_when_integral(self):
+        # the scalar contract: integral input is computed on as a plain int
+        for text, value in ((4, 4), ("4", 4), ("-6/3", -2), ("0/5", 0), (" +7/1 ", 7)):
+            x = parse_scalar(text)
+            assert type(x) is int and x == value, text
+        half = parse_scalar("1/2")
+        assert type(half) is Fraction and half == Fraction(1, 2)
+        assert type(parse_scalar("-4/6")) is Fraction and parse_scalar("-4/6") == Fraction(-2, 3)
+
+    def test_parse_rejects_bools(self):
+        from nambu.errors import ParseError
+
+        for flag in (True, False):
+            with pytest.raises(ParseError):
+                parse_scalar(flag)
+
+    def test_ring_operations_refuse_floats_without_rechecking(self):
+        # the results of +, -, *, transpose and scale are built unchecked;
+        # floats still cannot get in through the constructor or the scalar
+        m = Matrix(2, 2, [1, Fraction(1, 2), 0, 3])
+        with pytest.raises(TypeError):
+            m.scale(0.5)
+        with pytest.raises(TypeError):
+            m.scale(True)
+        with pytest.raises(TypeError):
+            Matrix(1, 2, [1, 0.5])
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[1, 2.0]])
+        results = [m + m, m - m, -m, m * m, m.transpose(), m.scale(Fraction(2, 3)), m.power(3)]
+        for r in results:
+            assert all(type(x) in (int, Fraction) for x in r.data)
+        assert m * m == Matrix(2, 2, [1, 2, 0, 9])
+        assert m.transpose() == Matrix(2, 2, [1, 0, Fraction(1, 2), 3])
+
 
 class TestRref:
     def test_identity(self):

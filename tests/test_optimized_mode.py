@@ -1,6 +1,7 @@
-"""The acceptance, T* and extension suites under ``python -O``: every
-acceptance claim and every postcondition of the extension builders must
-rest on checks that raise, not on ``assert`` statements that -O strips."""
+"""The acceptance, T*, extension and linalg suites under ``python -O``: every
+acceptance claim, every postcondition of the extension builders and the
+float refusals of the unchecked Matrix paths must rest on checks that
+raise, not on ``assert`` statements that -O strips."""
 
 import os
 import pathlib
@@ -8,7 +9,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SUITES = ["tests/test_acceptance.py", "tests/test_tstar.py", "tests/test_extensions.py"]
+SUITES = ["tests/test_acceptance.py", "tests/test_tstar.py", "tests/test_extensions.py", "tests/test_linalg.py"]
 
 
 def test_acceptance_suite_passes_under_python_O():
