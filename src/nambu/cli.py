@@ -48,11 +48,9 @@ def cmd_verify(args, out=None):
     out = out if out is not None else sys.stdout
     loaded = ff.load(args.file)
     reports = {"algebra": verify_algebra(loaded.algebra)}
-    if args.metric:
-        if loaded.form is None:
-            raise AlgebraError("--metric requires a 'form' block in the file")
-        reports["metric"] = verify_metric(loaded.algebra, BilinearForm(loaded.form))
-    elif loaded.form is not None:
+    if args.metric and loaded.form is None:
+        raise AlgebraError("--metric requires a 'form' block in the file")
+    if loaded.form is not None:
         reports["metric"] = verify_metric(loaded.algebra, BilinearForm(loaded.form))
     if args.rep:
         if loaded.representation is None:

@@ -212,58 +212,37 @@ def _complex_tables(a: HomSuperAlgebra) -> _Tables:
     return a._cache["tables"]
 
 
-def module_bracket(a: HomSuperAlgebra, r: Representation, slots) -> list:
-    """Bracket with module entries: n slots tagged ('g', vec) or ('v', vec).
+def module_action(a: HomSuperAlgebra, r: Representation, g_vecs, pos) -> Matrix:
+    """The matrix of v -> [g_1, ..., v, ..., g_{n-1}] on V, with v in slot pos
+    (0-based) among the n slots and the g-vectors in the others, in order.
 
-    Two V-slots give 0 by definition; exactly one V-slot is moved to the
-    last position with straightening signs and then rho is applied.
+    rho acts from the last slot, so moving v there passes the g-slots after
+    it: a sign -1 per slot, and one more for an odd v when their parities add
+    up to odd.  The matrix is therefore (-1)^(n-1-pos) (rho(W_0) + rho(W_1) P),
+    where W_q is the wedge of the g-vectors restricted to the parity parts
+    whose later slots add up to q, and P is (-1)^|v| on V.  Splitting the
+    later g-vectors into parity parts keeps the sign exact for arguments
+    that are not homogeneous.
     """
-    if len(slots) != a.arity:
-        raise ArityMismatch(f"expected {a.arity} slots")
-    v_positions = [i for i, (tag, _) in enumerate(slots) if tag == "v"]
-    dv = r.target.dim
-    if len(v_positions) > 2:
-        raise ArityMismatch("more than two module slots")
-    if len(v_positions) == 2:
-        return [0] * dv
-    if not v_positions:
-        raise ArityMismatch("module_bracket needs at least one module slot")
-    pos = v_positions[0]
-    v_vec = slots[pos][1]
-    g_vecs = [vec for tag, vec in slots if tag == "g"]
-    n_after = len(slots) - 1 - pos  # g-slots passed when moving V to the end
+    if len(g_vecs) != a.arity - 1 or not 0 <= pos < a.arity:
+        raise ArityMismatch(f"expected {a.arity - 1} algebra slots around one module slot")
     wb = _wedge(a)
     p = a.parity
-    pv_of = r.target.parity
-
-    g_supports = []
-    for vec in g_vecs:
-        s = [(i, c) for i, c in enumerate(vec) if c != 0]
-        if not s:
-            return [0] * dv
-        g_supports.append(s)
-    v_support = [(i, c) for i, c in enumerate(v_vec) if c != 0]
-    out = [0] * dv
-    for combo in itertools.product(*g_supports):
-        idx = tuple(i for i, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        sign_w, w = wb.lookup(idx)
-        if sign_w == 0:
-            continue
-        passed_parity = sum(p[i] for i in idx[pos:]) % 2  # g-slots after V
-        for vi, cv in v_support:
-            pv = pv_of[vi]
-            swap_sign = (-1) ** n_after
-            if pv == 1 and passed_parity == 1:
-                swap_sign = -swap_sign
-            c_all = coeff * cv * sign_w * swap_sign
-            col = r.rho[w].col(vi)
-            for k, x in enumerate(col):
+    later = []
+    for vec in g_vecs[pos:]:
+        parts = [(q, [c if p[i] == q else 0 for i, c in enumerate(vec)]) for q in (0, 1)]
+        later.append([(q, part) for q, part in parts if any(part)])
+    sign = (-1) ** (len(g_vecs) - pos)
+    dv = r.target.dim
+    pv = r.target.parity
+    data = [0] * (dv * dv)
+    for choice in itertools.product(*later):
+        odd = sum(q for q, _ in choice) % 2
+        for w, c in wedge_of_vectors(wb, list(g_vecs[:pos]) + [part for _, part in choice]).items():
+            for k, x in enumerate(r.rho[w].data):
                 if x != 0:
-                    out[k] += c_all * x
-    return out
+                    data[k] += (-sign if odd and pv[k % dv] else sign) * c * x
+    return Matrix(dv, dv, data)
 
 
 def verify_representation(r: Representation, a: HomSuperAlgebra) -> Report:
@@ -739,8 +718,8 @@ def _assemble_delta(a, r, m) -> dict:
     coordinate, the linear form in f of the four terms: (1) insert a wedge
     bracket [x_i, x_j]_alpha at slot j and drop slot i; (2) replace z by
     x_i . z and drop slot i; (3) act by rho(alpha^m(x_i)) on f without
-    slot i; (4) the module bracket of f(x_1..x_m, -) against the
-    components of x_{m+1} and alpha^m(z).  Terms 3 and 4 carry the parity
+    slot i; (4) the module action on f(x_1..x_m, -) of the components of
+    x_{m+1} and alpha^m(z).  Terms 3 and 4 carry the parity
     of f, taken per input coordinate, so every parity-homogeneous cochain
     is mapped with its own sign.
     """
@@ -753,15 +732,14 @@ def _assemble_delta(a, r, m) -> dict:
     rho_apw = [_sparse_columns(r.matrix_of(coords)) for coords in cx.alpha_pow_wedge(m)]
     DV = model_out.DV
     pv = r.target.parity
-    # term 4 depends on f only through one V-block: module brackets of unit
-    # V-vectors, keyed by (x_{m+1}, z, slot of the V-vector, unit)
-    brackets = {}
+    # term 4 depends on f only through one V-block: the module action on it,
+    # as sparse columns, keyed by (x_{m+1}, z, slot of the V-vector)
+    apm_cols = [apm.col(x) for x in range(a.dim)]
+    actions = {}
     for w, t in enumerate(wb.elements):
-        for j, i, u in itertools.product(range(a.dim), range(len(t)), range(DV)):
-            unit = [1 if v == u else 0 for v in range(DV)]
-            slots = [("v", unit) if k == i else ("g", apm.col(x)) for k, x in enumerate(t)]
-            val = module_bracket(a, r, slots + [("g", apm.col(j))])
-            brackets[w, j, i, u] = {v: c for v, c in enumerate(val) if c != 0}
+        for j, i in itertools.product(range(a.dim), range(len(t))):
+            g_vecs = [apm_cols[x] for k, x in enumerate(t) if k != i] + [apm_cols[j]]
+            actions[w, j, i] = _sparse_columns(module_action(a, r, g_vecs, i))
 
     rows = {}
     for ws, j in model_out.input_tuples():
@@ -796,8 +774,7 @@ def _assemble_delta(a, r, m) -> dict:
             acting.append((rest, j, i, sum(wpar[:i]), wpar[i], rho_apw[ws[i]]))
         prefix = 0
         for i, t in enumerate(wb.elements[ws[m]]):
-            mbs = [brackets[ws[m], j, i, u] for u in range(DV)]
-            acting.append((ws[:m], t, m, sum(wpar[:m]), prefix, mbs))
+            acting.append((ws[:m], t, m, sum(wpar[:m]), prefix, actions[ws[m], j, i]))
             prefix = (prefix + a.parity[t]) % 2
         for rest, t, i, before, odd, columns in acting:
             base = model_in.flat(rest, t)

@@ -36,7 +36,7 @@ from .linalg import (
     block_diagonal,
     format_scalar,
     is_zero_vec,
-    particular_solution,
+    left_inverse,
     rank,
     vzero,
 )
@@ -170,6 +170,34 @@ class StructureTensor:
 def is_even_map(m: Matrix, p_out, p_in):
     """No entry of m joins basis vectors of different parities."""
     return all(m[i, j] == 0 for i in range(m.rows) for j in range(m.cols) if p_out[i] != p_in[j])
+
+
+def intertwiner_rows(f: Matrix, g: Matrix, p_out, p_in) -> list:
+    """The linear equations F X = X G and X even on an unknown matrix X with
+    rows of parities p_out and columns of parities p_in, its entries taken
+    row-major as the variables: one dense row per entry of F X - X G that is
+    not identically zero, then one per entry that is_even_map forces to 0.
+    Every right-hand side is 0."""
+    rows_x, cols_x = len(p_out), len(p_in)
+    rows = []
+    for r in range(rows_x):
+        for c in range(cols_x):
+            row = [0] * (rows_x * cols_x)
+            for i in range(rows_x):
+                if f[r, i] != 0:
+                    row[i * cols_x + c] += f[r, i]
+            for k in range(cols_x):
+                if g[k, c] != 0:
+                    row[r * cols_x + k] -= g[k, c]
+            if any(x != 0 for x in row):
+                rows.append(row)
+    for i in range(rows_x):
+        for j in range(cols_x):
+            if p_out[i] != p_in[j]:
+                row = [0] * (rows_x * cols_x)
+                row[i * cols_x + j] = 1
+                rows.append(row)
+    return rows
 
 
 def support(vec):
@@ -614,13 +642,8 @@ def quotient(a: HomSuperAlgebra, i: Subspace):
     # projection: solve x = (I-part) + sum c_k e_{comp_k}; pi(x) = (c_k)
     cols = [list(r) for r in i.basis_vectors()] + [_unit(a.dim, j) for j in comp]
     basis_matrix = Matrix.from_rows(cols, cols=a.dim).transpose()
-    # basis_matrix * coords = x ; invert by solving for each standard basis vector
-    inv_cols = []
-    for j in range(a.dim):
-        sol = particular_solution(basis_matrix, _unit(a.dim, j))
-        ensure(sol is not None, "ideal basis plus complement does not span g")
-        inv_cols.append(sol)
-    inv = Matrix.from_rows(inv_cols, cols=a.dim).transpose()
+    inv = left_inverse(basis_matrix)
+    ensure(inv is not None, "ideal basis plus complement does not span g")
     pi_rows = [inv.row(i.dim + k) for k in range(q_dim)]
     pi = Matrix.from_rows(pi_rows, cols=a.dim) if q_dim else Matrix(0, a.dim, [])
 

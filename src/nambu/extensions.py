@@ -20,7 +20,7 @@ from .cohomology import (
     cochain_basis,
     coboundary,
     delta_matrix,
-    module_bracket,
+    module_action,
     satisfies_compat,
     verify_representation,
     _wedge,
@@ -31,6 +31,8 @@ from .core import (
     Report,
     StructureTensor,
     _canonical_tuples,
+    intertwiner_rows,
+    is_even_map,
     is_hom_ideal,
     vector_parity,
     verify_algebra,
@@ -62,10 +64,8 @@ class ExtensionDatum:
         if self.module.nu != self.fiber_twist:
             raise DimensionMismatch("module twist must equal the fiber twist")
         pf = self.fiber.parity
-        for i in range(self.fiber.dim):
-            for j in range(self.fiber.dim):
-                if pf[i] != pf[j] and self.fiber_twist[i, j] != 0:
-                    raise DimensionMismatch("fiber twist must be even")
+        if not is_even_map(self.fiber_twist, pf, pf):
+            raise DimensionMismatch("fiber twist must be even")
         if not verify_representation(self.module, self.base).ok:
             raise NotACochain("module fails the representation identities")
         if self.cocycle.degree != 1:
@@ -111,7 +111,8 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
 
     On canonical tuples: two or more fiber slots give 0, no fiber slot
     gives the base bracket plus the signed cocycle value in the fiber, one
-    fiber slot gives the module action.  The twist is block-diagonal.
+    fiber slot gives a column of the module action.  The twist is
+    block-diagonal.
     """
     b = d.base
     da, db = d.fiber.dim, b.dim
@@ -137,15 +138,9 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
             if sign != 0:
                 vec[fo : fo + da] = [sign * c for c in d.cocycle.value((w,), bkey[-1])]
         else:
-            slots = []
-            for t in key:
-                if t in fiber_slots:
-                    v = vzero(da)
-                    v[t - fo] = 1
-                    slots.append(("v", v))
-                else:
-                    slots.append(("g", b.basis_vector(t - bo)))
-            vec[fo : fo + da] = module_bracket(b, d.module, slots)
+            (t,) = fiber_slots
+            g_vecs = [b.basis_vector(s - bo) for s in key if s != t]
+            vec[fo : fo + da] = module_action(b, d.module, g_vecs, key.index(t)).col(t - fo)
         if any(c != 0 for c in vec):
             entries[key] = vec
     return HomSuperAlgebra(
@@ -174,7 +169,8 @@ def canonical_section(da, db) -> Section:
 
 
 def find_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Matrix) -> Section:
-    """Solve pi . tau = id_b, alpha_g . tau = tau . beta, tau even.
+    """Solve pi . tau = id_b, alpha_g . tau = tau . beta, tau even (the last
+    two by intertwiner_rows).
 
     Deterministic: the minimal-lex solution of the rref'd system (free
     variables zero).  Raises NoCompatibleSection when none exists.
@@ -194,25 +190,9 @@ def find_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Matrix
                     row[i * db + c] += pi[r, i]
             rows.append(row)
             rhs.append(1 if r == c else 0)
-    for r in range(dg):
-        for c in range(db):
-            row = [0] * nvars
-            for i in range(dg):
-                if g.alpha[r, i] != 0:
-                    row[i * db + c] += g.alpha[r, i]
-            for k in range(db):
-                if b.alpha[k, c] != 0:
-                    row[r * db + k] -= b.alpha[k, c]
-            if any(x != 0 for x in row):
-                rows.append(row)
-                rhs.append(0)
-    for i in range(dg):
-        for j in range(db):
-            if g.parity[i] != b.parity[j]:
-                row = [0] * nvars
-                row[i * db + j] = 1
-                rows.append(row)
-                rhs.append(0)
+    twist_rows = intertwiner_rows(g.alpha, b.alpha, g.parity, b.parity)
+    rows += twist_rows
+    rhs += [0] * len(twist_rows)
     sol = particular_solution(Matrix.from_rows(rows, cols=nvars), rhs)
     if sol is None:
         raise NoCompatibleSection("no even section compatible with the twists")
@@ -228,10 +208,8 @@ def check_section(g, a: Subspace, b, pi, s: Section):
         raise SectionInvalid("pi . tau is not the identity")
     if g.alpha * tau != tau * b.alpha:
         raise SectionInvalid("section does not intertwine the twists")
-    for i in range(g.dim):
-        for j in range(b.dim):
-            if g.parity[i] != b.parity[j] and tau[i, j] != 0:
-                raise SectionInvalid("section is not even")
+    if not is_even_map(tau, g.parity, b.parity):
+        raise SectionInvalid("section is not even")
 
 
 def module_from_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, s: Section) -> Representation:

@@ -1,6 +1,6 @@
 """Exact rational linear algebra: scalars, dense matrices, one canonical
-sparse rref (under rref, nullspace, particular_solution and Subspace) and a
-sparse fraction-free rank kernel.
+sparse rref (under rref, nullspace, particular_solution, left_inverse and
+Subspace) and a sparse fraction-free rank kernel.
 
 Everything is computed over Q.  A scalar is an exact rational of one of two
 types: a Python ``int`` or a ``fractions.Fraction``; the two compare, hash
@@ -411,6 +411,24 @@ def particular_solution(a: Matrix, b):
     for row in reduced:
         x[min(row)] = row.get(a.cols, 0)
     return x
+
+
+def left_inverse(m: Matrix):
+    """The matrix L with L m = I, or None when the columns of m are dependent.
+
+    Read off one rref of [m | I]: the rref is E [m | I] for an invertible E,
+    and when m has full column rank its first m.cols rows are [I | L] with
+    L = those rows of E.  For a square m, L is the inverse; for a tall m,
+    L x is the coordinate vector of any x in the column space of m in the
+    basis of its columns (one product per vector, no elimination).
+    """
+    rows = _sparse_rows(m)
+    for i, row in enumerate(rows):
+        row[m.cols + i] = 1
+    reduced = _rref(rows)
+    if len(reduced) < m.cols or any(min(reduced[k]) != k for k in range(m.cols)):
+        return None
+    return Matrix(m.cols, m.rows, [reduced[k].get(m.cols + i, 0) for k in range(m.cols) for i in range(m.rows)])
 
 
 class Subspace:

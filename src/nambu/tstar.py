@@ -24,7 +24,6 @@ from .cohomology import (
     delta_operator,
     satisfies_compat,
     verify_representation,
-    _complex_tables,
     _images,
     _wedge,
 )
@@ -36,6 +35,7 @@ from .core import (
     StructureTensor,
     _canonical_tuples,
     direct_sum,
+    intertwiner_rows,
     is_hom_ideal,
     nilpotent_length,
     pairing,
@@ -66,7 +66,7 @@ from .errors import (
     ensure,
 )
 from .extensions import ExtensionDatum, _twisted_algebra
-from .linalg import Matrix, Subspace, block_diagonal, nullspace, particular_solution, rank, sparse_kernel
+from .linalg import Matrix, Subspace, block_diagonal, left_inverse, nullspace, particular_solution, rank, sparse_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +78,16 @@ class CoadjointRep:
     rep: Representation
     exists: bool  # ad* really satisfies the representation identities
     witness: dict | None = None
-    operator_conditions: bool = True  # the sufficient bracket-operator laws
-    operator_witness: dict | None = None
 
 
 def coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
     """ad*(x)(f)(z) = -(-1)^{|x||f|} f(ad x (z)); nu* = transpose of alpha.
 
     The exists flag records whether ad* satisfies the representation
-    identities; the sufficient bracket-operator conditions
-    are checked separately (they imply existence but are strictly stronger:
-    condition (ii) asks for termwise anticommutation where only a summed
-    cancellation is needed).  Computed once per algebra and kept in its
-    cache; callers share the result and must not modify it.
+    identities, twist-equivariance included, by one verify_representation;
+    the witness is the first wedge where twist-equivariance fails, else the
+    report of the failed identities.  Computed once per algebra and kept in
+    its cache; callers share the result and must not modify it.
     """
     if "coadjoint" not in a._cache:
         a._cache["coadjoint"] = _coadjoint_rep(a)
@@ -101,9 +98,8 @@ def _coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
     wb = _wedge(a)
     d = a.dim
     p = a.parity
-    ad = adjoint_rep(a)
     mats = []
-    for w, admat in enumerate(ad.rho):
+    for w, admat in enumerate(adjoint_rep(a).rho):
         pw = wb.parity(w)
         data = [0] * (d * d)
         for i in range(d):  # image of e_i*
@@ -115,67 +111,11 @@ def _coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
                     data[k * d + i] = sgn * c
         mats.append(Matrix(d, d, data))
     rep = Representation(a.space, mats, a.alpha.transpose())
-    conditions_ok, operator_witness = _coadjoint_conditions(a, ad)
-    cx = _complex_tables(a)
-    aw = cx.alpha_wedge()
-    equivariant = True
-    witness = None
-    for w in range(len(wb)):
-        if rep.nu * rep.rho[w] != rep.matrix_of(aw[w]) * rep.nu:
-            equivariant = False
-            witness = {"equivariance": [k + 1 for k in wb.elements[w]]}
-            break
-    if equivariant and conditions_ok:
-        exists = True
-    elif equivariant:
-        rep_report = verify_representation(rep, a)
-        exists = rep_report.ok
-        witness = None if exists else rep_report.to_dict()
-    else:
-        exists = False
-    return CoadjointRep(rep, exists, witness, conditions_ok, operator_witness)
-
-
-def _coadjoint_conditions(a: HomSuperAlgebra, ad: Representation):
-    wb = _wedge(a)
-    cx = _complex_tables(a)
-    aw = cx.alpha_wedge()
-    n = a.arity
-
-    # first condition: ad(x) ad(alpha y) - (-1)^{|x||y|} ad(y) ad(alpha x) = alpha o ad([x,y]_alpha)
-    for w1 in range(len(wb)):
-        for w2 in range(len(wb)):
-            sgn = -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1
-            lhs = ad.rho[w1] * ad.matrix_of(aw[w2]) - (ad.rho[w2] * ad.matrix_of(aw[w1])).scale(sgn)
-            rhs = a.alpha * ad.matrix_of(cx.fb(w1, w2))
-            if lhs != rhs:
-                return False, {
-                    "condition": "commutator",
-                    "x": [k + 1 for k in wb.elements[w1]],
-                    "y": [k + 1 for k in wb.elements[w2]],
-                }
-
-    # second condition: ad(x_1..x_{n-2}, y_i) ad(alpha hat-wedge)
-    #      = (-1)^{(sum x)(sum hat)} { - ad(alpha hat-wedge) ad(x_1..x_{n-2}, y_i) }
-    for xs in _canonical_tuples(a.space, n - 2):
-        px = a.space.parity_of_indices(xs)
-        for h in range(len(wb)):
-            ph = wb.parity(h)
-            right = ad.matrix_of(aw[h])
-            for y in range(a.dim):
-                sign_w, w_small = wb.lookup(xs + (y,))
-                if sign_w == 0:
-                    continue
-                left = ad.rho[w_small].scale(sign_w)
-                sgn = -1 if (px == 1 and ph == 1) else 1
-                if left * right != (right * left).scale(-sgn):
-                    return False, {
-                        "condition": "anticommutation",
-                        "x": [k + 1 for k in xs],
-                        "hat": [k + 1 for k in wb.elements[h]],
-                        "y": y + 1,
-                    }
-    return True, None
+    report = verify_representation(rep, a)
+    equivariance = next(c for c in report.checks if c.name == "twist-equivariance")
+    if not equivariance.passed:
+        return CoadjointRep(rep, False, {"equivariance": equivariance.witness["wedge"]})
+    return CoadjointRep(rep, report.ok, None if report.ok else report.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +327,10 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
             row[k * d + j] = c
         rows.append(row)
         rhs.append(diff[out])
-    # theta'(alpha x) = theta'(x) o alpha: A^T T = T A on the matrix T
-    at = g.alpha.transpose()
-    for i in range(d):
-        for j in range(d):
-            row = [0] * nvars
-            for k in range(d):
-                if at[i, k] != 0:
-                    row[k * d + j] += at[i, k]
-                if g.alpha[k, j] != 0:
-                    row[i * d + k] -= g.alpha[k, j]
-            if any(x != 0 for x in row):
-                rows.append(row)
-                rhs.append(0)
-    # evenness of theta'
-    for k in range(d):
-        for j in range(d):
-            if p[k] != p[j]:
-                row = [0] * nvars
-                row[k * d + j] = 1
-                rows.append(row)
-                rhs.append(0)
+    # theta'(alpha x) = theta'(x) o alpha: A^T T = T A on the matrix T, T even
+    twist_rows = intertwiner_rows(g.alpha.transpose(), g.alpha, p, p)
+    rows += twist_rows
+    rhs += [0] * len(twist_rows)
 
     base_matrix = Matrix.from_rows(rows, cols=nvars)
     sol = particular_solution(base_matrix, rhs)
@@ -592,33 +515,40 @@ def _find_isotropic_stable_vector(parity, gram, ops, alpha, dim):
         if got is not None:
             return got
     # quadratic search on pairs of even candidates, as in the inductive proof
-    first_disc = None
-    for i in range(len(even_vecs)):
-        for j in range(i + 1, len(even_vecs)):
-            vi, vj = list(even_vecs[i]), list(even_vecs[j])
+    discs = []
+    for cand in _pair_candidates(gram, [list(v) for v in even_vecs], 0, discs):
+        got = try_vector(cand)
+        if got is not None:
+            return got
+    if discs:
+        raise NeedsFieldExtension(discs[0], "isotropic vector construction")
+    raise NoStableIsotropicVector("no isotropic vector with an isotropic alpha-orbit")
+
+
+def _pair_candidates(gram, vecs, target, discs):
+    """Vectors v_i + t v_j, i < j in lex order, with <v_i + t v_j, v_i + t v_j>
+    = q_i + 2tc + t^2 q_j = target over Q: t = (target - q_i) / 2c when
+    q_j = 0 (none when c = 0 too), else t = (-c + sqrt(disc)) / q_j with
+    disc = c^2 - q_j (q_i - target).  An irrational disc is appended to
+    discs and its pair skipped."""
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            vi, vj = vecs[i], vecs[j]
             qi = pairing(gram, vi, vi)
             qj = pairing(gram, vj, vj)
             c = pairing(gram, vi, vj)
             if qj == 0:
                 if c == 0:
                     continue
-                t = -Fraction(qi) / (2 * c)
-                cand = [x + t * y for x, y in zip(vi, vj)]
+                t = Fraction(target - qi) / (2 * c)
             else:
-                disc = Fraction(c * c - qi * qj)
+                disc = Fraction(c * c - qj * (qi - target))
                 root = _sqrt_fraction(disc)
                 if root is None:
-                    if first_disc is None:
-                        first_disc = disc
+                    discs.append(disc)
                     continue
                 t = (-c + root) / Fraction(qj)
-                cand = [x + t * y for x, y in zip(vi, vj)]
-            got = try_vector(cand)
-            if got is not None:
-                return got
-    if first_disc is not None:
-        raise NeedsFieldExtension(first_disc, "isotropic vector construction")
-    raise NoStableIsotropicVector("no isotropic vector with an isotropic alpha-orbit")
+            yield [x + t * y for x, y in zip(vi, vj)]
 
 
 def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
@@ -653,10 +583,12 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
     # coordinates in W^perp: columns = [w basis | reps]
     basis_cols = [list(r) for r in w.basis_vectors()] + reps
     basis_matrix = Matrix.from_rows(basis_cols, cols=dim).transpose()
+    coords = left_inverse(basis_matrix)
+    ensure(coords is not None, "W and the quotient representatives are dependent")
 
     def quotient_coords(vec):
-        sol = particular_solution(basis_matrix, list(vec))
-        ensure(sol is not None, "vector leaves W-perp")
+        sol = coords.apply(list(vec))
+        ensure(basis_matrix.apply(sol) == list(vec), "vector leaves W-perp")
         return sol[w.dim :]
 
     q_gram = Matrix(
@@ -821,22 +753,20 @@ def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
     g0_cols = [list(r) for r in g0.basis_vectors()]
     pi_g0_cols = [pi.apply(v) for v in g0_cols]
     pi_g0 = Matrix.from_rows(pi_g0_cols, cols=g1.dim).transpose()
-    lift_cols = []
-    for k in range(g1.dim):
-        unit = [0] * g1.dim
-        unit[k] = 1
-        sol = particular_solution(pi_g0, unit)
-        ensure(sol is not None, "complement does not project onto the quotient")
-        vec = [sum(c * g0_cols[t][i] for t, c in enumerate(sol) if c != 0) for i in range(a.dim)]
-        lift_cols.append(vec)
+    lift = left_inverse(pi_g0)
+    ensure(lift is not None, "complement does not project onto the quotient")
+    lift_cols = [
+        [sum(c * g0_cols[t][i] for t, c in enumerate(lift.col(k)) if c != 0) for i in range(a.dim)]
+        for k in range(g1.dim)
+    ]
 
     ideal_rows = [list(r) for r in ideal.basis_vectors()]
     decomp_cols = g0_cols + ideal_rows
-    decomp = Matrix.from_rows(decomp_cols, cols=a.dim).transpose()
+    decomp = left_inverse(Matrix.from_rows(decomp_cols, cols=a.dim).transpose())
+    ensure(decomp is not None, "complement plus ideal does not span g")
 
     def split(vec):
-        sol = particular_solution(decomp, list(vec))
-        ensure(sol is not None, "complement plus ideal does not span g")
+        sol = decomp.apply(list(vec))
         return sol[: len(g0_cols)], sol[len(g0_cols) :]
 
     # f1*: I -> g1*, f1*(z)(pi x) = <z, x>
@@ -923,32 +853,14 @@ def _find_norm_minus_one(m: MetricAlgebra, ideal: Subspace):
         root = _sqrt_fraction(target)
         if root is not None:
             return [root * x for x in v]
-        if first_disc is None and q > 0:
+        if first_disc is None:
             first_disc = target
-        elif first_disc is None:
-            first_disc = target
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            vi, vj = cands[i], cands[j]
-            qi = pairing(m.gram, vi, vi)
-            qj = pairing(m.gram, vj, vj)
-            c = pairing(m.gram, vi, vj)
-            # <vi + t vj> = qi + 2tc + t^2 qj = -1
-            if qj == 0:
-                if c == 0:
-                    continue
-                t = -Fraction(qi + 1) / (2 * c)
-                return [x + t * y for x, y in zip(vi, vj)]
-            disc = Fraction(c * c - qj * (qi + 1))
-            root = _sqrt_fraction(disc)
-            if root is None:
-                if first_disc is None:
-                    first_disc = disc
-                continue
-            t = (-c + root) / Fraction(qj)
-            return [x + t * y for x, y in zip(vi, vj)]
+    discs = []
+    cand = next(_pair_candidates(m.gram, cands, -1, discs), None)
+    if cand is not None:
+        return cand
     if first_disc is None:
-        first_disc = Fraction(-1)
+        first_disc = discs[0] if discs else Fraction(-1)
     raise NeedsFieldExtension(first_disc, "no vector of norm -1 over Q")
 
 

@@ -1,6 +1,7 @@
 """The literal term-by-term coboundary, kept as the oracle for delta_operator,
-and the literal twist compatibility, kept as the oracle for compat_test and
-cochain_basis.
+the literal twist compatibility, kept as the oracle for compat_test and
+cochain_basis, and the literal module bracket, kept as the oracle for
+module_action.
 
 This is the definition of delta written out slot by slot, with no sharing
 between output coordinates: slow, but independent of the one-pass sparse
@@ -16,9 +17,10 @@ from nambu.cohomology import (
     CochainModel,
     _complex_tables,
     _linear_expansion,
+    _wedge,
     cochain_basis,
-    module_bracket,
 )
+from nambu.errors import ArityMismatch
 from nambu.linalg import Matrix, Subspace, sparse_kernel
 
 
@@ -111,6 +113,61 @@ def literal_cochain_space(a, r, m, parity="both") -> Subspace:
                     row[off + v] = row.get(off + v, 0) - c
             rows.append(row)
     return sparse_kernel(rows, model.raw_dim)
+
+
+def literal_module_bracket(a, r, slots) -> list:
+    """Bracket with module entries: n slots tagged ('g', vec) or ('v', vec).
+
+    Two V-slots give 0 by definition; exactly one V-slot is moved to the
+    last position with straightening signs and then rho is applied, one
+    basis tuple of the g-slots and one unit V-vector at a time.
+    """
+    if len(slots) != a.arity:
+        raise ArityMismatch(f"expected {a.arity} slots")
+    v_positions = [i for i, (tag, _) in enumerate(slots) if tag == "v"]
+    dv = r.target.dim
+    if len(v_positions) > 2:
+        raise ArityMismatch("more than two module slots")
+    if len(v_positions) == 2:
+        return [0] * dv
+    if not v_positions:
+        raise ArityMismatch("module_bracket needs at least one module slot")
+    pos = v_positions[0]
+    v_vec = slots[pos][1]
+    g_vecs = [vec for tag, vec in slots if tag == "g"]
+    n_after = len(slots) - 1 - pos  # g-slots passed when moving V to the end
+    wb = _wedge(a)
+    p = a.parity
+    pv_of = r.target.parity
+
+    g_supports = []
+    for vec in g_vecs:
+        s = [(i, c) for i, c in enumerate(vec) if c != 0]
+        if not s:
+            return [0] * dv
+        g_supports.append(s)
+    v_support = [(i, c) for i, c in enumerate(v_vec) if c != 0]
+    out = [0] * dv
+    for combo in itertools.product(*g_supports):
+        idx = tuple(i for i, _ in combo)
+        coeff = 1
+        for _, c in combo:
+            coeff *= c
+        sign_w, w = wb.lookup(idx)
+        if sign_w == 0:
+            continue
+        passed_parity = sum(p[i] for i in idx[pos:]) % 2  # g-slots after V
+        for vi, cv in v_support:
+            pv = pv_of[vi]
+            swap_sign = (-1) ** n_after
+            if pv == 1 and passed_parity == 1:
+                swap_sign = -swap_sign
+            c_all = coeff * cv * sign_w * swap_sign
+            col = r.rho[w].col(vi)
+            for k, x in enumerate(col):
+                if x != 0:
+                    out[k] += c_all * x
+    return out
 
 
 def literal_coboundary(a, r, f: Cochain) -> Cochain:
@@ -214,7 +271,7 @@ def literal_coboundary(a, r, f: Cochain) -> Cochain:
                     else:
                         slots.append(("g", apm.col(last[k])))
                 slots.append(("g", apm.col(j)))
-                val = module_bracket(a, r, slots)
+                val = literal_module_bracket(a, r, slots)
                 for v, c in enumerate(val):
                     if c != 0:
                         total[v] += sgn * c

@@ -1,0 +1,96 @@
+"""One digest per benchmark request, so that two checkouts can be compared
+byte for byte with `diff`.
+
+Run from the root of a checkout:
+
+    python3 tests/output_digest.py --seeds 1 2 > digest.txt
+
+For every workload of perfbench at each seed, this generates the workload's
+inputs into a scratch directory and prints a digest of each generated file;
+then it answers every request once, in-process as perfbench does, and prints
+a digest of its exit code, stdout, stderr and written file.  Each cohomology
+request is answered a second time with `--dump`, and the dump gets a digest
+of its own.  The scratch directory's path is replaced by `<out>` before
+hashing, so digests do not depend on where it lies.  Stdlib only; perfbench
+is imported, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import pathlib
+import random
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(PERFBENCH))  # run.py imports workloads and checks by name
+
+import workloads  # noqa: E402
+from nambu import cli  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run)
+
+
+def digest(outdir, *parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        text = "<none>" if part is None else str(part).replace(outdir, "<out>")
+        h.update(text.encode())
+        h.update(b"\0")
+    return h.hexdigest()[:20]
+
+
+def answer(req, outdir):
+    _, res, crash = run.run_request(cli, req)
+    if crash is not None:
+        return "crash", digest(outdir, crash.strip().splitlines()[-1])
+    return res.code, digest(outdir, res.code, res.stdout, res.stderr, res.out_text)
+
+
+def digest_workload(name, seed, outdir, emit):
+    """Emit the digest lines of one workload at one seed; returns the number
+    of requests that crashed."""
+    suite = workloads.BUILDERS[name](random.Random(seed), outdir)
+    for path in sorted(pathlib.Path(outdir).iterdir()):
+        emit(f"{name} seed={seed} input {path.name} {digest(outdir, path.read_text())}")
+    crashes = 0
+    for i, req in enumerate(suite.requests):
+        code, value = answer(req, outdir)
+        crashes += code == "crash"
+        emit(f"{name} seed={seed} {i:03d} exit={code} {value} {req.label}")
+        if req.argv[0] == "cohomology":
+            dump = os.path.join(outdir, "dump.json")
+            dumped = workloads.Request(req.label, list(req.argv) + ["--dump", dump], out=dump)
+            code, value = answer(dumped, outdir)
+            crashes += code == "crash"
+            emit(f"{name} seed={seed} {i:03d} dump exit={code} {value} {req.label}")
+    return crashes
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--workloads", nargs="+", choices=run.WORKLOADS, default=list(run.WORKLOADS))
+    args = p.parse_args(argv)
+    crashes = 0
+    with tempfile.TemporaryDirectory(prefix="nambu-digest-") as tmp:
+        for name in args.workloads:
+            for seed in args.seeds:
+                outdir = os.path.join(tmp, f"{name}-seed{seed}")
+                os.makedirs(outdir)
+                crashes += digest_workload(name, seed, outdir, print)
+    if crashes:
+        print(f"output_digest: {crashes} requests crashed", file=sys.stderr)
+    return 1 if crashes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,12 +1,16 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from coboundary_oracle import literal_module_bracket
 from nambu import samples
 from nambu.cohomology import (
     Cochain,
     CochainModel,
+    Representation,
+    _wedge,
     adjoint_rep,
     alternating_subspace,
     coboundary,
@@ -17,7 +21,7 @@ from nambu.cohomology import (
     cohomology_dims,
     delta_square_is_zero,
     fundamental_bracket,
-    module_bracket,
+    module_action,
     satisfies_compat,
     verify_prop_2_2,
     verify_representation,
@@ -27,6 +31,7 @@ from nambu.core import GradedSpace, HomSuperAlgebra, StructureTensor, straighten
 from nambu.errors import ArityMismatch, NotACochain
 from nambu.linalg import Matrix, solve_affine
 from nambu.samples import abelian, h3, n4, odd_square, sh12
+from nambu.tstar import coadjoint_rep
 
 
 class TestWedgeBasis:
@@ -142,11 +147,13 @@ class TestAdjoint:
 
 
 class TestModuleBracket:
+    """The literal module bracket of the oracle, and module_action against it."""
+
     def test_two_module_slots_vanish(self):
         a = n4()
         r = adjoint_rep(a)
         v = [1, 2, 3, 4]
-        out = module_bracket(a, r, [("v", v), ("v", v), ("g", a.basis_vector(0))])
+        out = literal_module_bracket(a, r, [("v", v), ("v", v), ("g", a.basis_vector(0))])
         assert out == [0, 0, 0, 0]
 
     def test_too_many_module_slots(self):
@@ -154,30 +161,90 @@ class TestModuleBracket:
         r = adjoint_rep(a)
         v = [1, 0, 0, 0]
         with pytest.raises(ArityMismatch):
-            module_bracket(a, r, [("v", v)] * 3)
+            literal_module_bracket(a, r, [("v", v)] * 3)
+
+    def test_module_action_needs_n_minus_1_algebra_slots(self):
+        a = n4()
+        r = adjoint_rep(a)
+        with pytest.raises(ArityMismatch):
+            module_action(a, r, [a.basis_vector(0)], 0)
+        with pytest.raises(ArityMismatch):
+            module_action(a, r, [a.basis_vector(0)] * 2, 3)
 
     def test_single_slot_matches_bracket_for_adjoint(self):
         # with the adjoint action the module bracket is the algebra bracket
         a = h3()
         r = adjoint_rep(a)
         e1, e2 = a.basis_vector(0), a.basis_vector(1)
-        assert module_bracket(a, r, [("v", e1), ("g", e2)]) == a.bracket_eval([e1, e2])
-        assert module_bracket(a, r, [("g", e1), ("v", e2)]) == a.bracket_eval([e1, e2])
+        assert literal_module_bracket(a, r, [("v", e1), ("g", e2)]) == a.bracket_eval([e1, e2])
+        assert literal_module_bracket(a, r, [("g", e1), ("v", e2)]) == a.bracket_eval([e1, e2])
+        assert module_action(a, r, [e2], 0).apply(e1) == a.bracket_eval([e1, e2])
+        assert module_action(a, r, [e1], 1).apply(e2) == a.bracket_eval([e1, e2])
 
     def test_zero_rho_kills_everything(self):
         a = abelian(2)
         r = adjoint_rep(a)
-        out = module_bracket(a, r, [("v", [1, 1]), ("g", [1, 0])])
+        out = literal_module_bracket(a, r, [("v", [1, 1]), ("g", [1, 0])])
         assert out == [0, 0]
+        assert module_action(a, r, [[1, 0]], 0).is_zero()
 
     def test_leading_module_slot_sign_n3(self):
         # all even: [v, x_1, x_2] picks up (-1)^{n-1} = +1 for n = 3
         a = n4()
         r = adjoint_rep(a)
         e = [a.basis_vector(i) for i in range(4)]
-        got = module_bracket(a, r, [("v", e[2]), ("g", e[0]), ("g", e[1])])
+        got = literal_module_bracket(a, r, [("v", e[2]), ("g", e[0]), ("g", e[1])])
         assert got == a.bracket_basis((2, 0, 1))
         assert got == [0, 0, 0, 1]
+        assert module_action(a, r, [e[0], e[1]], 0).apply(e[2]) == got
+
+
+def _modules(a, rng):
+    """The adjoint and coadjoint modules of a, and one with a seeded random
+    rho on g's own grading (not a representation: the action's signs only
+    read rho's entries and the parities)."""
+    wb = _wedge(a)
+    d = a.dim
+    rho = [Matrix(d, d, [rng.choice((0, 0, 1, -1, 2, Fraction(1, 2))) for _ in range(d * d)]) for _ in wb.elements]
+    return [
+        ("adjoint", adjoint_rep(a)),
+        ("coadjoint", coadjoint_rep(a).rep),
+        ("random", Representation(a.space, rho, Matrix.identity(d))),
+    ]
+
+
+def _g_vector(a, rng, kind):
+    d = a.dim
+    if kind == "zero":
+        return [0] * d
+    if kind == "unit":
+        return a.basis_vector(rng.randrange(d))
+    if kind == "homogeneous":
+        q = rng.choice(a.parity)
+        return [rng.choice((1, -1, 2, Fraction(-1, 3))) if a.parity[i] == q else 0 for i in range(d)]
+    return [rng.choice((0, 1, -1, 2, Fraction(3, 2))) for _ in range(d)]  # dense, mixes parities
+
+
+_ACTION_CORPUS = samples.catalog() + [samples.random_twisted_algebra(random.Random(s)) for s in range(8)]
+
+
+@pytest.mark.parametrize("a", _ACTION_CORPUS, ids=lambda a: a.name)
+def test_module_action_equals_literal_module_bracket(a):
+    # column u of module_action is the oracle's bracket with the unit
+    # V-vector u in the module slot, for every module slot position
+    rng = random.Random(a.dim * 31 + a.arity)
+    kinds = ("dense", "dense", "homogeneous", "unit", "zero")
+    for name, r in _modules(a, rng):
+        dv = r.target.dim
+        for pos in range(a.arity):
+            for _ in range(4):
+                g_vecs = [_g_vector(a, rng, rng.choice(kinds)) for _ in range(a.arity - 1)]
+                mat = module_action(a, r, g_vecs, pos)
+                for u in range(dv):
+                    unit = [1 if v == u else 0 for v in range(dv)]
+                    slots = [("g", vec) for vec in g_vecs]
+                    slots.insert(pos, ("v", unit))
+                    assert mat.col(u) == literal_module_bracket(a, r, slots), (a.name, name, pos, g_vecs, u)
 
 
 class TestCochainSpaces:

@@ -9,6 +9,7 @@ from nambu.linalg import (
     Subspace,
     format_scalar,
     image,
+    left_inverse,
     nullspace,
     particular_solution,
     parse_scalar,
@@ -363,3 +364,56 @@ def test_coordinates_round_trip_and_reject_outside(m, data):
         space.coordinates({m.cols: 1})
     with pytest.raises(DimensionMismatch):
         space.coordinates({-1: 1})
+
+
+@st.composite
+def full_column_rank(draw, entries=dense_entries):
+    """An r x c matrix of rank c, c <= r <= 6, square or tall, 0 columns
+    included: rows of (unit lower triangular) x (upper trapezoidal with a
+    nonzero diagonal), shuffled."""
+    r = draw(st.integers(min_value=0, max_value=6))
+    c = draw(st.integers(min_value=0, max_value=r))
+    nonzero = entries.filter(lambda x: x != 0)
+    lower = [[1 if i == j else (draw(entries) if j < i else 0) for j in range(r)] for i in range(r)]
+    upper = [[(draw(nonzero) if i == j else draw(entries)) if i <= j and i < c else 0 for j in range(c)] for i in range(r)]
+    rows = [[sum(lower[i][k] * upper[k][j] for k in range(r)) for j in range(c)] for i in range(r)]
+    return Matrix(r, c, [x for row in draw(st.permutations(rows)) for x in row]) if r else Matrix(0, 0, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(full_column_rank(), full_column_rank(sparse_entries)), st.data())
+def test_left_inverse_equals_particular_solutions(m, data):
+    inv = left_inverse(m)
+    assert (inv.rows, inv.cols) == (m.cols, m.rows)
+    assert (inv * m).is_identity()
+    if m.rows == m.cols:
+        # the inverse, built one unit vector at a time
+        units = [[int(i == j) for i in range(m.rows)] for j in range(m.rows)]
+        assert [inv.col(j) for j in range(m.rows)] == [particular_solution(m, u) for u in units]
+    # coordinates of a vector of the column space in the basis of the columns
+    y = data.draw(st.lists(dense_entries, min_size=m.cols, max_size=m.cols))
+    x = m.apply(y)
+    assert inv.apply(x) == y == particular_solution(m, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_column_rank(), st.data())
+def test_left_inverse_of_dependent_columns_is_none(m, data):
+    # a column that repeats a combination of the others, or a zero column
+    coeffs = data.draw(st.lists(dense_entries, min_size=m.cols, max_size=m.cols))
+    extra = m.apply(coeffs)
+    at = data.draw(st.integers(min_value=0, max_value=m.cols))
+    rows = [row[:at] + [x] + row[at:] for row, x in zip(m.row_list(), extra)]
+    dependent = Matrix(m.rows, m.cols + 1, [x for row in rows for x in row])
+    assert left_inverse(dependent) is None
+    assert left_inverse(Matrix(2, 3, [1, 0, 0, 0, 1, 0])) is None  # wide
+
+
+def test_left_inverse_edge_shapes():
+    assert left_inverse(Matrix(0, 0, [])) == Matrix(0, 0, [])
+    assert left_inverse(Matrix(3, 0, [])) == Matrix(0, 3, [])
+    assert left_inverse(Matrix(0, 1, [])) is None
+    assert left_inverse(Matrix.zeros(2, 2)) is None
+    assert left_inverse(mat([[2, 1], [1, 1]])) == mat([[1, -1], [-1, 2]])
+    tall = mat([[2], [4]])
+    assert (left_inverse(tall) * tall).is_identity()

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from coadjoint_conditions import coadjoint_conditions
 from nambu import samples
 from nambu.cohomology import (
     Cochain,
     CochainModel,
+    adjoint_rep,
     coboundary,
     delta_square_is_zero,
     verify_representation,
@@ -76,10 +78,21 @@ def cochain_from_vec(g, rep, vec):
     return Cochain(model, 0, list(vec))
 
 
+def operator_conditions(a):
+    """The sufficient bracket-operator conditions for ad*: (ok, witness)."""
+    return coadjoint_conditions(a, adjoint_rep(a))
+
+
+def twist_equivariant(a, ca):
+    report = verify_representation(ca.rep, a)
+    return next(c.passed for c in report.checks if c.name == "twist-equivariance")
+
+
 class TestCoadjoint:
     def test_abelian_coadjoint_zero(self):
-        ca = coadjoint_rep(abelian(2, 1))
-        assert ca.exists and ca.operator_conditions
+        a = abelian(2, 1)
+        ca = coadjoint_rep(a)
+        assert ca.exists and operator_conditions(a)[0]
         assert all(m.is_zero() for m in ca.rep.rho)
 
     @pytest.mark.parametrize("make", [h3, sh12, n4, odd_square])
@@ -102,8 +115,9 @@ class TestCoadjoint:
         g = make_algebra("affine2", 2, (0, 0), {(0, 1): [0, 1]})
         assert verify_algebra(g).ok
         ca = coadjoint_rep(g)
-        assert not ca.operator_conditions
-        assert ca.operator_witness["condition"] == "anticommutation"
+        ok, witness = operator_conditions(g)
+        assert not ok
+        assert witness["condition"] == "anticommutation"
         assert ca.exists
         assert verify_representation(ca.rep, g).ok
         for m in (0, 1):
@@ -123,7 +137,7 @@ class TestCoadjoint:
             ca = coadjoint_rep(a)
             if a.alpha.is_identity():
                 assert ca.exists, a.name
-            if not ca.operator_conditions and ca.exists:
+            if not operator_conditions(a)[0] and ca.exists:
                 condition_violations += 1
                 assert a.name.startswith("fil4")
             if not ca.exists:
@@ -131,13 +145,28 @@ class TestCoadjoint:
                 assert ca.witness is not None
         assert condition_violations > 0 and missing > 0
 
+    def test_operator_conditions_and_equivariance_give_existence(self):
+        # the sufficiency that lets existence rest on one representation
+        # check: wherever the bracket-operator conditions hold and ad* is
+        # twist-equivariant, coadjoint_rep reports that ad* exists
+        rng = random.Random(99)
+        corpus = [samples.random_twisted_algebra(rng) for _ in range(30)] + samples.catalog()
+        covered = 0
+        for a in corpus:
+            ca = coadjoint_rep(a)
+            if operator_conditions(a)[0] and twist_equivariant(a, ca):
+                assert ca.exists, a.name
+                assert ca.witness is None, a.name
+                covered += 1
+        assert covered >= 10
+
     def test_equivariance_gap_witness(self):
         # diag(1,3,3)-twisted H3: the bracket-operator conditions and the three
         # representation identities hold for ad*, yet T*_0 is not multiplicative;
         # the exists flag therefore demands twist-equivariance as well
         t = twist_by_endomorphism(h3(), Matrix(3, 3, [1, 0, 0, 0, 3, 0, 0, 0, 3]))
         ca = coadjoint_rep(t)
-        assert ca.operator_conditions
+        assert operator_conditions(t)[0]
         assert not ca.exists
         assert "equivariance" in ca.witness
         raw = tstar_extend(t, None, validated=False)
