@@ -21,6 +21,7 @@ from .core import (
     Report,
     _canonical_tuples,
     is_even_map,
+    sparse_columns,
     straighten,
 )
 from .errors import ArityMismatch, DimensionMismatch, NotACochain
@@ -149,7 +150,7 @@ class _Tables:
         self._ad = {}
         self._alpha_pow_wedge = {}
         self._alpha_pow_mat = {0: Matrix.identity(a.dim)}
-        self.alpha_cols = _sparse_columns(a.alpha)
+        self.alpha_cols = a.alpha_columns()
 
     def alpha_pow(self, m) -> Matrix:
         while m not in self._alpha_pow_mat:
@@ -199,11 +200,6 @@ class _Tables:
                 prefix = (prefix + a.parity[yt[i]]) % 2
             self._fb[key] = {k: v for k, v in out.items() if v != 0}
         return self._fb[key]
-
-
-def _sparse_columns(mat: Matrix) -> list:
-    """Columns of a matrix as sparse vectors {row: entry}."""
-    return [{i: c for i, c in enumerate(mat.col(j)) if c != 0} for j in range(mat.cols)]
 
 
 def _complex_tables(a: HomSuperAlgebra) -> _Tables:
@@ -410,6 +406,17 @@ class CochainModel:
             off = off * self.W + w
         return (off * self.D + j) * self.DV
 
+    def coordinate(self, flat):
+        """The raw coordinate (x_1..x_m, z, v) at a flat index, 0-based: m
+        wedge positions, a basis index of g and one of V."""
+        off, v = divmod(flat, self.DV)
+        off, z = divmod(off, self.D)
+        ws = []
+        for _ in range(self.m):
+            off, w = divmod(off, self.W)
+            ws.append(w)
+        return tuple(reversed(ws)), z, v
+
     def input_tuples(self):
         return itertools.product(
             itertools.product(range(self.W), repeat=self.m), range(self.D)
@@ -507,7 +514,7 @@ def _compat_equations(a, r, k) -> _Equations:
     wedge_rows, d_wedge = _integral_rows(cx.alpha_wedge(), W)
     alpha_rows, d_alpha = _integral_rows(cx.alpha_cols, D)
     # nu o F acts on the V slot as F o nu^T would
-    nu_rows, d_nu = _integral_rows(_sparse_columns(r.nu.transpose()), DV)
+    nu_rows, d_nu = _integral_rows(sparse_columns(r.nu.transpose()), DV)
     nu_rows = [[(u, c * d_wedge**k * d_alpha) for u, c in row] for row in nu_rows]
     slots = [(W ** (k - 1 - s) * D * DV, W, wedge_rows) for s in range(k)]
     slots.append((DV, D, [[(j, c * d_nu) for j, c in row] for row in alpha_rows]))
@@ -526,31 +533,38 @@ def _compat_equations(a, r, k) -> _Equations:
     return _Equations(model, nu_rows, twisted, defect)
 
 
-def compat_test(a, r, k, parity="both"):
-    """Membership in C^k(g, V) of the given parity by its defining equations
-    (_compat_equations), without a basis of C^k: a predicate on sparse raw
-    vectors {flat: coeff}.
+def compat_offenders(a, r, k, parity="both"):
+    """The defining equations of C^k(g, V) of the given parity
+    (_compat_equations) as a function from a sparse raw vector {flat: coeff}
+    to the set of raw coordinates where it breaks them; empty exactly for
+    the members.
 
-    A vector F passes if it is zero at every coordinate of an unwanted parity
-    and each parity part of F satisfies the equations at the coordinates of
-    its own parity, the rule cochain_basis uses; for an even twist the
-    defect of a part has no other coordinates.  The same predicate as
-    membership in cochain_basis(a, r, k, parity).
+    A vector F is a member if it is zero at every coordinate of an unwanted
+    parity and each parity part of F satisfies the equations at the
+    coordinates of its own parity, the rule cochain_basis uses; for an even
+    twist the defect of a part has no other coordinates.  The offenders are
+    those coordinates of F and of the defects.
     """
     eq = _compat_equations(a, r, k)
     parities = eq.model.parities
     parts = _parity_filter(parity)
 
-    def holds(vec) -> bool:
-        if any(parities[flat] not in parts for flat in vec):
-            return False
+    def offenders(vec) -> set:
+        bad = {flat for flat in vec if parities[flat] not in parts}
         for p in parts:
             part = {flat: x for flat, x in vec.items() if parities[flat] == p}
-            if any(parities[flat] == p for flat in eq.defect(part)):
-                return False
-        return True
+            bad.update(flat for flat in eq.defect(part) if parities[flat] == p)
+        return bad
 
-    return holds
+    return offenders
+
+
+def compat_test(a, r, k, parity="both"):
+    """Membership in C^k(g, V) of the given parity by its defining equations,
+    without a basis of C^k: a predicate on sparse raw vectors {flat: coeff},
+    the same as membership in cochain_basis(a, r, k, parity)."""
+    offenders = compat_offenders(a, r, k, parity)
+    return lambda vec: not offenders(vec)
 
 
 def _integral_rows(cols, size):
@@ -729,7 +743,7 @@ def _assemble_delta(a, r, m) -> dict:
     wb = cx.wb
     aw = cx.alpha_wedge()
     apm = cx.alpha_pow(m)
-    rho_apw = [_sparse_columns(r.matrix_of(coords)) for coords in cx.alpha_pow_wedge(m)]
+    rho_apw = [sparse_columns(r.matrix_of(coords)) for coords in cx.alpha_pow_wedge(m)]
     DV = model_out.DV
     pv = r.target.parity
     # term 4 depends on f only through one V-block: the module action on it,
@@ -739,7 +753,7 @@ def _assemble_delta(a, r, m) -> dict:
     for w, t in enumerate(wb.elements):
         for j, i in itertools.product(range(a.dim), range(len(t))):
             g_vecs = [apm_cols[x] for k, x in enumerate(t) if k != i] + [apm_cols[j]]
-            actions[w, j, i] = _sparse_columns(module_action(a, r, g_vecs, i))
+            actions[w, j, i] = sparse_columns(module_action(a, r, g_vecs, i))
 
     rows = {}
     for ws, j in model_out.input_tuples():
@@ -876,17 +890,19 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
     cm = cochain_basis(a, r, m, parity)
     op = _integral(delta_operator(a, r, m))
     images = _images(op, [_primitive(vec) for vec in cm.vectors()])
-    _check_images(compat_test(a, r, m + 1, parity), images, m)
+    _check_images(a, r, m, parity, images)
     z_dim = cm.dim - sparse_rank(images)
     b_dim = 0
     if m > 0:
         prev = cochain_basis(a, r, m - 1, parity)
         prev_images = _images(_integral(delta_operator(a, r, m - 1)), [_primitive(vec) for vec in prev.vectors()])
-        _check_images(compat_test(a, r, m, parity), prev_images, m - 1)
+        _check_images(a, r, m - 1, parity, prev_images)
         b_dim = sparse_rank(prev_images)
         # B^m must sit inside Z^m: delta^m kills every image of delta^{m-1}
-        if any(_images(op, prev_images)):
-            raise NotACochain("delta^2 != 0 (internal error)")
+        for i, image in enumerate(_images(op, prev_images)):
+            if image:
+                where = _witness(CochainModel(a, r, m + 1), m - 1, i, min(image))
+                raise NotACochain(f"delta^2 != 0 (internal error): {where}")
     return CohomologyDims(cm, z_dim, b_dim)
 
 
@@ -899,10 +915,24 @@ def _integral(op: dict) -> dict:
     return {o: {k: x.numerator * (d // x.denominator) for k, x in row.items()} for o, row in op.items()}
 
 
-def _check_images(holds, images, m):
-    for image in images:
-        if not holds(image):
-            raise NotACochain(f"a delta^{m} image violates the compatibility equations of C^{m + 1}")
+def _check_images(a, r, m, parity, images):
+    """Every image of a basis cochain of C^m under delta^m lies in C^{m+1},
+    else NotACochain naming the first failing cochain and its first
+    offending raw coordinate."""
+    offenders = compat_offenders(a, r, m + 1, parity)
+    for i, image in enumerate(images):
+        bad = offenders(image)
+        if bad:
+            where = _witness(CochainModel(a, r, m + 1), m, i, min(bad))
+            raise NotACochain(f"a delta^{m} image violates the compatibility equations of C^{m + 1}: {where}")
+
+
+def _witness(model: CochainModel, m, i, flat) -> str:
+    """Basis cochain i of C^m and the raw coordinate (x_1..x_k, z, v) of the
+    model at a flat index, one-based; each x_i is a wedge of basis indices."""
+    ws, z, v = model.coordinate(flat)
+    x = [[k + 1 for k in model.wb.elements[w]] for w in ws]
+    return f"basis cochain {i + 1} of C^{m}, coordinate x={x} z={z + 1} v={v + 1}"
 
 
 def alternating_subspace(a, r) -> Subspace:

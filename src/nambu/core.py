@@ -12,6 +12,14 @@ fundamental identity is super-skew in its x- and y-blocks only for an even
 twist and homogeneous entries; when either check fails it sweeps every
 basis tuple.  Super skew-symmetry itself, which tests ``straighten``,
 always sees every tuple.
+
+Every bracket of vectors is one multilinear kernel,
+``StructureTensor.sparse_bracket``, on sparse (index, coeff) arguments;
+``bracket_eval`` is its dense wrapper.  The axiom and ideal checks run on
+it and on sparse columns, with no dense vector until a witness is
+reported: super skew-symmetry, the fundamental identity, multiplicativity
+and the bracket check of ``verify_morphism``, invariance of a form,
+``is_hom_ideal`` and both kinds of ``series``.
 """
 
 from __future__ import annotations
@@ -57,12 +65,6 @@ class GradedSpace:
 
     def parity_of_indices(self, indices):
         return sum(self.parity[i] for i in indices) % 2
-
-    def even_indices(self):
-        return [i for i, p in enumerate(self.parity) if p == 0]
-
-    def odd_indices(self):
-        return [i for i, p in enumerate(self.parity) if p == 1]
 
 
 def straighten(indices, parity):
@@ -147,12 +149,25 @@ class StructureTensor:
             self._nonzeros[key] = found
         return found
 
+    def sparse_bracket(self, args) -> dict:
+        """The bracket of n vectors, each given by its nonzero (index, coeff)
+        pairs, expanded multilinearly over the basis brackets: the one
+        expansion loop.  Returns {coordinate: value}, zeros dropped; an
+        argument with no pairs gives {} at no cost."""
+        out = {}
+        value = self.sparse_value
+        for combo in itertools.product(*args):
+            indices, coeffs = zip(*combo)
+            val = value(indices)
+            if val:
+                coeff = math.prod(coeffs)
+                for k, c in val:
+                    out[k] = out.get(k, 0) + coeff * c
+        return _nonzero(out)
+
     def value(self, indices):
         """Bracket of basis vectors e_{i1},...,e_{in} as a coordinate vector."""
-        out = vzero(self.space.dim)
-        for k, c in self.sparse_value(indices):
-            out[k] = c
-        return out
+        return _dense(self.sparse_value(indices), self.space.dim)
 
     def items(self):
         return self.entries.items()
@@ -204,6 +219,29 @@ def support(vec):
     return [(i, c) for i, c in enumerate(vec) if c != 0]
 
 
+def sparse_columns(m: Matrix) -> list:
+    """Columns of a matrix as sparse vectors {row: entry}."""
+    return [{i: c for i, c in enumerate(m.col(j)) if c != 0} for j in range(m.cols)]
+
+
+def _dense(pairs, dim):
+    """The coordinate vector of a sparse vector given by its (index, value) pairs."""
+    out = vzero(dim)
+    for k, c in pairs:
+        out[k] = c
+    return out
+
+
+def _accumulate(out: dict, pairs, scale):
+    """out += scale * vec for a sparse vec given by its (index, value) pairs."""
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + scale * c
+
+
+def _nonzero(vec: dict) -> dict:
+    return {k: c for k, c in vec.items() if c != 0}
+
+
 class HomSuperAlgebra:
     """(g, [.,...,.], alpha): graded space, bracket tensor, even twist."""
 
@@ -243,21 +281,16 @@ class HomSuperAlgebra:
         for v in vectors:
             if len(v) != self.dim:
                 raise DimensionMismatch("argument has wrong dimension")
-        out = vzero(self.dim)
-        supports = [support(v) for v in vectors]
-        if any(not s for s in supports):
-            return out
-        value = self.bracket.sparse_value
-        for combo in itertools.product(*supports):
-            val = value(tuple(i for i, _ in combo))
-            if val:
-                coeff = math.prod(c for _, c in combo)
-                for k, c in val:
-                    out[k] += coeff * c
-        return out
+        return _dense(self.bracket.sparse_bracket([support(v) for v in vectors]).items(), self.dim)
 
     def alpha_column(self, j):
         return self.alpha.col(j)
+
+    def alpha_columns(self) -> list:
+        """The columns of alpha as sparse vectors {row: entry}, built once."""
+        if "alpha_columns" not in self._cache:
+            self._cache["alpha_columns"] = sparse_columns(self.alpha)
+        return self._cache["alpha_columns"]
 
     def is_abelian(self):
         return not self.bracket.entries
@@ -345,67 +378,105 @@ def _skew_witnesses(a: HomSuperAlgebra):
     this tests ``straighten`` itself, so no tuple may be skipped."""
     p = a.parity
     n = a.arity
+    value = a.bracket.sparse_value
     for t in itertools.product(range(a.dim), repeat=n):
-        base = a.bracket_basis(t)
+        base = value(t)
         for pos in range(n - 1):
-            s = list(t)
-            s[pos], s[pos + 1] = s[pos + 1], s[pos]
-            swapped = a.bracket_basis(tuple(s))
+            swapped = value(t[:pos] + (t[pos + 1], t[pos]) + t[pos + 2 :])
+            if not (base or swapped):
+                continue
             sgn = 1 if (p[t[pos]] == 1 and p[t[pos + 1]] == 1) else -1
-            if any(x != sgn * y for x, y in zip(base, swapped)):
+            if base != tuple((k, sgn * c) for k, c in swapped):
                 yield {"args": _one_based(t), "swap_at": pos + 1}
 
 
 def _fundamental_identity_witnesses(a: HomSuperAlgebra, canonical: bool):
     """Basis pairs (x, y), x in g^{n-1}, y in g^n, in lex order, where the
-    twisted fundamental identity fails.
+    twisted fundamental identity
+        [alpha x_1, ..., alpha x_{n-1}, [y_1, ..., y_n]]
+          = sum_i (-1)^{|x|(|y_1| + ... + |y_{i-1}|)}
+                  [alpha y_1, ..., [x_1, ..., x_{n-1}, y_i], ..., alpha y_n]
+    fails.
 
     With ``canonical`` (alpha even, every entry homogeneous) both sides are
     super-skew in the x-block and in the y-block, so the failing pairs are
     closed under permuting x and permuting y, and their lex-first one is
     canonical: canonical tuples give the same verdict and first witness.
     Otherwise every basis tuple is swept.
+
+    Both sides are sparse.  For each x the left side is L_{alpha x}([y]),
+    with L_{alpha x}: e_j -> [alpha x_1, ..., alpha x_{n-1}, e_j] built
+    column by column on first use, and the right side is read off the
+    sparse mids [x, e_j].  A pair with [y] = 0 and every [x, y_i] = 0 has
+    both sides 0 and is never evaluated.
     """
     n = a.arity
     p = a.parity
-    alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
+    expand = a.bracket.sparse_bracket
+    value = a.bracket.sparse_value
+    alpha_cols = [col.items() for col in a.alpha_columns()]
     if canonical:
         x_tuples = _canonical_tuples(a.space, n - 1)
         y_tuples = canonical_tuples(a.space, n)
     else:
         x_tuples = itertools.product(range(a.dim), repeat=n - 1)
         y_tuples = list(itertools.product(range(a.dim), repeat=n))
+    inner = [value(ys) for ys in y_tuples]
+    with_bracket = [k for k, b in enumerate(inner) if b]
+    holding = [[] for _ in range(a.dim)]  # j -> positions of the y-tuples with a slot j
+    for k, ys in enumerate(y_tuples):
+        for j in set(ys):
+            holding[j].append(k)
     for xs in x_tuples:
         px = sum(p[i] for i in xs) % 2
         x_alpha = [alpha_cols[i] for i in xs]
-        mids = [a.bracket_basis(xs + (j,)) for j in range(a.dim)]
-        for ys in y_tuples:
-            lhs = a.bracket_eval(x_alpha + [a.bracket_basis(ys)])
-            rhs = vzero(a.dim)
+        mids = [value(xs + (j,)) for j in range(a.dim)]
+        active = set(with_bracket)
+        for j, mid in enumerate(mids):
+            if mid:
+                active.update(holding[j])
+        l_alpha_x = {}
+        for k in sorted(active):
+            ys = y_tuples[k]
+            lhs = {}
+            for j, c in inner[k]:
+                if j not in l_alpha_x:
+                    l_alpha_x[j] = expand(x_alpha + [((j, 1),)])
+                _accumulate(lhs, l_alpha_x[j].items(), c)
+            rhs = {}
             prefix = 0
             for i in range(n):
                 mid = mids[ys[i]]
-                if not is_zero_vec(mid):
+                if mid:
                     sign = -1 if (px == 1 and prefix == 1) else 1
-                    args = [alpha_cols[ys[k]] for k in range(i)] + [mid] + [
-                        alpha_cols[ys[k]] for k in range(i + 1, n)
-                    ]
-                    for k, c in enumerate(a.bracket_eval(args)):
-                        if c != 0:
-                            rhs[k] += sign * c
+                    args = [alpha_cols[y] for y in ys[:i]] + [mid] + [alpha_cols[y] for y in ys[i + 1 :]]
+                    _accumulate(rhs, expand(args).items(), sign)
                 prefix = (prefix + p[ys[i]]) % 2
+            lhs, rhs = _nonzero(lhs), _nonzero(rhs)
             if lhs != rhs:
-                yield {"x": _one_based(xs), "y": _one_based(ys), "lhs": _fmt_vec(lhs), "rhs": _fmt_vec(rhs)}
+                yield {
+                    "x": _one_based(xs),
+                    "y": _one_based(ys),
+                    "lhs": _fmt_vec(_dense(lhs.items(), a.dim)),
+                    "rhs": _fmt_vec(_dense(rhs.items(), a.dim)),
+                }
 
 
 def _bracket_map_witnesses(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra):
     """Canonical tuples where f[x1,...,xn] != [f(x1),...,f(xn)]' for f: a -> b."""
-    f_cols = [f.col(j) for j in range(a.dim)]
+    f_cols = [col.items() for col in sparse_columns(f)]
     for key in _canonical_tuples(a.space, a.arity):
-        lhs = f.apply(a.bracket_basis(key))
-        rhs = b.bracket_eval([f_cols[i] for i in key])
+        lhs = {}
+        for k, c in a.bracket.sparse_value(key):
+            _accumulate(lhs, f_cols[k], c)
+        lhs = _nonzero(lhs)
+        rhs = b.bracket.sparse_bracket([f_cols[i] for i in key])
         if lhs != rhs:
-            yield {"args": _one_based(key), "lhs": _fmt_vec(lhs), "rhs": _fmt_vec(rhs)}
+            yield {
+                "args": _one_based(key),
+                "lhs": _fmt_vec(_dense(lhs.items(), b.dim)),
+                "rhs": _fmt_vec(_dense(rhs.items(), b.dim)),
+            }
 
 
 def _canonical_tuples(space: GradedSpace, length: int):
@@ -426,6 +497,11 @@ def _canonical_tuples(space: GradedSpace, length: int):
 
 def canonical_tuples(space: GradedSpace, length: int):
     return list(_canonical_tuples(space, length))
+
+
+def _unit_arguments(space: GradedSpace, length: int):
+    """Each canonical tuple as kernel arguments: one unit vector per slot."""
+    return [[((i, 1),) for i in t] for t in _canonical_tuples(space, length)]
 
 
 def verify_morphism(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra) -> Report:
@@ -472,18 +548,19 @@ def twist_by_endomorphism(a: HomSuperAlgebra, rho: Matrix) -> HomSuperAlgebra:
 
 
 def split_graded(h: Subspace, space: GradedSpace):
-    """Split a subspace into (even part, odd part); error if not graded."""
-    even_axes = Subspace.from_vectors(
-        space.dim, [_unit(space.dim, i) for i in space.even_indices()]
-    )
-    odd_axes = Subspace.from_vectors(
-        space.dim, [_unit(space.dim, i) for i in space.odd_indices()]
-    )
-    he = h.intersect(even_axes)
-    ho = h.intersect(odd_axes)
-    if he.dim + ho.dim != h.dim:
-        raise NonGradedSubspace("subspace is not spanned by parity-homogeneous vectors")
-    return he, ho
+    """Split a subspace into (even part, odd part); error if not graded.
+
+    h is graded exactly when every row of its rref is parity-homogeneous:
+    the parity part of a row with pivot c has the same entries at every
+    pivot column, so if it lies in h it is the row itself.  The even and
+    the odd rows are then the rref bases of the two parts."""
+    parts = ([], [])
+    for row in h.sparse_rows:
+        parities = {space.parity[k] for k in row}
+        if len(parities) != 1:
+            raise NonGradedSubspace("subspace is not spanned by parity-homogeneous vectors")
+        parts[parities.pop()].append(row)
+    return tuple(Subspace._from_rref(h.ambient_dim, rows) for rows in parts)
 
 
 def vector_parity(vec, parity):
@@ -501,7 +578,14 @@ def _unit(n, i):
 
 
 def _alpha_stable(h: Subspace, a: HomSuperAlgebra):
-    return all(h.contains_vector(a.alpha.apply(v)) for v in h.basis_vectors())
+    alpha_cols = a.alpha_columns()
+    for row in h.sparse_rows:
+        image = {}
+        for j, c in row.items():
+            _accumulate(image, alpha_cols[j].items(), c)
+        if not h.contains_sparse(image):
+            return False
+    return True
 
 
 def is_hom_subalgebra(h: Subspace, a: HomSuperAlgebra) -> bool:
@@ -525,12 +609,12 @@ def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
     split_graded(h, a.space)
     if not _alpha_stable(h, a):
         return False
-    basis = [a.basis_vector(i) for i in range(a.dim)]
-    rests = canonical_tuples(a.space, a.arity - 1)
-    for v in h.basis_vectors():
+    expand = a.bracket.sparse_bracket
+    rests = _unit_arguments(a.space, a.arity - 1)
+    for row in h.sparse_rows:
         for rest in rests:
-            args = [v] + [basis[i] for i in rest]
-            if not h.contains_vector(a.bracket_eval(args)):
+            vec = expand([row.items()] + rest)
+            if vec and not h.contains_sparse(vec):
                 return False
     return True
 
@@ -553,28 +637,19 @@ def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
     """
     if kind not in ("derived", "lower_central"):
         raise ValueError("kind must be 'derived' or 'lower_central'")
-    full = Subspace.full(a.dim)
-    terms = [full]
-    basis_g = [a.basis_vector(i) for i in range(a.dim)]
-    rests = canonical_tuples(a.space, a.arity - 1)
+    terms = [Subspace.full(a.dim)]
+    expand = a.bracket.sparse_bracket
+    rests = _unit_arguments(a.space, a.arity - 1)
     while True:
         current = terms[-1]
         if current.dim == 0:
             break
-        rows = current.basis_vectors()
-        spanned = []
+        rows = [row.items() for row in current.sparse_rows]
         if kind == "derived":
-            for combo in itertools.product(rows, repeat=a.arity):
-                vec = a.bracket_eval(list(combo))
-                if not is_zero_vec(vec):
-                    spanned.append(vec)
+            brackets = (expand(list(combo)) for combo in itertools.product(rows, repeat=a.arity))
         else:
-            for v in rows:
-                for rest in rests:
-                    vec = a.bracket_eval([v] + [basis_g[i] for i in rest])
-                    if not is_zero_vec(vec):
-                        spanned.append(vec)
-        nxt = Subspace.from_vectors(a.dim, spanned)
+            brackets = (expand([v] + rest) for v in rows for rest in rests)
+        nxt = Subspace.from_vectors(a.dim, [_dense(vec.items(), a.dim) for vec in brackets if vec])
         if nxt == current:
             return SeriesResult(kind, terms, None, True)
         terms.append(nxt)
@@ -715,20 +790,34 @@ def verify_metric(a: HomSuperAlgebra, form: BilinearForm) -> Report:
 
 
 def _invariance_witnesses(a: HomSuperAlgebra, g: Matrix):
-    """(x, y, z), x canonical, where <[x_1..x_{n-1}, y], z> differs from
-    -(-1)^{|x||y|} <y, [x_1..x_{n-1}, z]>.  With b_y = [x_1..x_{n-1}, y] the
-    left side is (G^T b_y)[z] and the right side -sgn (G b_z)[y], so each x
-    costs 2 dim products."""
-    gt = g.transpose()
+    """(x, y, z), x canonical, in lex order, where <[x_1..x_{n-1}, y], z>
+    differs from -(-1)^{|x||y|} <y, [x_1..x_{n-1}, z]>.  With
+    b_y = [x_1..x_{n-1}, y] the left side is (G^T b_y)[z] and the right side
+    -sgn (G b_z)[y], both sums over the nonzero entries of b and the sparse
+    rows and columns of G; a pair (y, z) outside the supports of both is
+    0 = 0."""
+    d = a.dim
+    g_rows = sparse_columns(g.transpose())
+    g_cols = sparse_columns(g)
+    value = a.bracket.sparse_value
     for xs in _canonical_tuples(a.space, a.arity - 1):
         px = a.space.parity_of_indices(xs)
-        brackets = [a.bracket_basis(xs + (y,)) for y in range(a.dim)]
-        left = [gt.apply(b) for b in brackets]
-        right = [g.apply(b) for b in brackets]
-        for y in range(a.dim):
+        brackets = [value(xs + (y,)) for y in range(d)]
+        left = []  # left[y] = G^T b_y, by z
+        right = [{} for _ in range(d)]  # right[y] = (G b_z)[y], by z
+        for y, b in enumerate(brackets):
+            gtb = {}
+            gb = {}
+            for k, c in b:
+                _accumulate(gtb, g_rows[k].items(), c)
+                _accumulate(gb, g_cols[k].items(), c)
+            left.append(gtb)
+            for u, c in gb.items():
+                right[u][y] = c
+        for y in range(d):
             sgn = -1 if (px == 1 and a.parity[y] == 1) else 1
-            for z in range(a.dim):
-                lhs, rhs = left[y][z], -sgn * right[z][y]
+            for z in sorted(left[y].keys() | right[y].keys()):
+                lhs, rhs = left[y].get(z, 0), -sgn * right[y].get(z, 0)
                 if lhs != rhs:
                     yield {
                         "x": _one_based(xs),

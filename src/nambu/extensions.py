@@ -111,8 +111,8 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
 
     On canonical tuples: two or more fiber slots give 0, no fiber slot
     gives the base bracket plus the signed cocycle value in the fiber, one
-    fiber slot gives a column of the module action.  The twist is
-    block-diagonal.
+    fiber slot gives a column of the module action, one matrix per base
+    tuple and slot.  The twist is block-diagonal.
     """
     b = d.base
     da, db = d.fiber.dim, b.dim
@@ -126,6 +126,7 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
     space = GradedSpace(da + db, tuple(first.parity) + tuple(second.parity))
     wb = _wedge(b)
     entries = {}
+    actions = {}  # (base indices, fiber slot) -> module_action matrix
     for key in _canonical_tuples(space, n):
         fiber_slots = [t for t in key if fo <= t < fo + da]
         if len(fiber_slots) >= 2:
@@ -139,8 +140,10 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
                 vec[fo : fo + da] = [sign * c for c in d.cocycle.value((w,), bkey[-1])]
         else:
             (t,) = fiber_slots
-            g_vecs = [b.basis_vector(s - bo) for s in key if s != t]
-            vec[fo : fo + da] = module_action(b, d.module, g_vecs, key.index(t)).col(t - fo)
+            base_key = (tuple(s - bo for s in key if s != t), key.index(t))
+            if base_key not in actions:
+                actions[base_key] = module_action(b, d.module, [b.basis_vector(s) for s in base_key[0]], base_key[1])
+            vec[fo : fo + da] = actions[base_key].col(t - fo)
         if any(c != 0 for c in vec):
             entries[key] = vec
     return HomSuperAlgebra(

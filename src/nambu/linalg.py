@@ -530,8 +530,12 @@ class Subspace:
     def contains_vector(self, v):
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
+        return self.contains_sparse(dict(enumerate(v)))
+
+    def contains_sparse(self, vec: dict):
+        """Membership of a sparse vector {index: value}."""
         try:
-            self.coordinates(dict(enumerate(v)))
+            self.coordinates(vec)
         except NotACochain:
             return False
         return True

@@ -34,6 +34,7 @@ from .core import (
     Report,
     StructureTensor,
     _canonical_tuples,
+    _unit_arguments,
     direct_sum,
     intertwiner_rows,
     is_hom_ideal,
@@ -387,20 +388,20 @@ def centralizer(m: MetricAlgebra, v: Subspace) -> Subspace:
     """C(V) = {x : [x, g, ..., g] <= V}, computed both by definition and as
     [g, ..., g, V^perp]^perp; the two answers must agree (InternalError)."""
     a = m.algebra
-    ann = v.annihilator().basis_vectors()
+    ann = v.annihilator().sparse_rows
     rows = []
     for t in _canonical_tuples(a.space, a.arity - 1):
-        cols = [a.bracket_basis((j,) + t) for j in range(a.dim)]
-        rows.extend([sum(x * y for x, y in zip(u, col)) for col in cols] for u in ann)
-    by_definition = nullspace(Matrix.from_rows(rows, cols=a.dim))
+        cols = [a.bracket.sparse_value((j,) + t) for j in range(a.dim)]
+        rows.extend({j: sum(u.get(k, 0) * c for k, c in col) for j, col in enumerate(cols) if col} for u in ann)
+    by_definition = sparse_kernel(rows, a.dim)
 
     vperp = v.orthogonal_complement(m.gram)
     spanned = []
-    for t in _canonical_tuples(a.space, a.arity - 1):
-        for w in vperp.basis_vectors():
-            vec = a.bracket_eval([a.basis_vector(i) for i in t] + [list(w)])
-            if any(c != 0 for c in vec):
-                spanned.append(vec)
+    for units in _unit_arguments(a.space, a.arity - 1):
+        for w in vperp.sparse_rows:
+            vec = a.bracket.sparse_bracket(units + [w.items()])
+            if vec:
+                spanned.append([vec.get(k, 0) for k in range(a.dim)])
     bracket_span = Subspace.from_vectors(a.dim, spanned)
     by_perp = bracket_span.orthogonal_complement(m.gram)
     ensure(by_definition == by_perp, "centralizer dual-path mismatch")

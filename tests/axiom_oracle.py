@@ -6,9 +6,17 @@ and no shared products: slow, but independent of the canonical-tuple loops
 in nambu.core, nambu.cohomology and nambu.tstar, which the tests pin
 against it report for report.
 
-``verify_algebra``, ``verify_metric`` and ``verify_representation`` return
-the production report with the swept check replaced by the oracle's verdict
-and witness, so comparing ``to_dict()`` compares every check at once.
+The bracket is the oracle's own: ``literal_value`` straightens a basis
+tuple, looks up the stored entry and applies the sign, and
+``literal_bracket`` expands it multilinearly over dense vectors.  Nothing
+here calls the production bracket (``bracket_eval``, ``bracket_basis``,
+``sparse_value`` or the kernel ``sparse_bracket``), so a slip in that
+kernel cannot pass on both sides; a test scans this file for those names.
+
+``verify_algebra``, ``verify_metric``, ``verify_morphism`` and
+``verify_representation`` return the production report with every check
+that evaluates the bracket replaced by the oracle's verdict and witness,
+so comparing ``to_dict()`` compares every check at once.
 """
 
 from __future__ import annotations
@@ -23,13 +31,51 @@ from nambu.core import (
     Check,
     HomSuperAlgebra,
     SeriesResult,
-    _alpha_stable,
     _fmt_vec,
     _one_based,
     pairing,
     split_graded,
+    straighten,
 )
 from nambu.linalg import Matrix, Subspace, format_scalar, is_zero_vec, vzero
+
+
+def literal_value(tensor, indices):
+    """The bracket of basis vectors by its definition: straighten, look up
+    the canonical entry, apply the sign."""
+    sign, canon = straighten(indices, tensor.space.parity)
+    stored = tensor.entries.get(canon)
+    if sign == 0 or stored is None:
+        return [0] * tensor.space.dim
+    return [sign * c for c in stored]
+
+
+def literal_bracket(a: HomSuperAlgebra, vectors):
+    """The bracket of dense vectors: the sum over basis tuples of the product
+    of the coordinates times its literal value.  Tuples through a zero
+    coordinate add nothing, so only the nonzero coordinates are combined."""
+    out = vzero(a.dim)
+    nonzero = [[i for i, c in enumerate(v) if c != 0] for v in vectors]
+    for indices in itertools.product(*nonzero):
+        coeff = 1
+        for v, i in zip(vectors, indices):
+            coeff *= v[i]
+        out = [x + coeff * c for x, c in zip(out, literal_value(a.bracket, indices))]
+    return out
+
+
+def check_super_skew(a: HomSuperAlgebra):
+    p = a.parity
+    n = a.arity
+    for t in itertools.product(range(a.dim), repeat=n):
+        base = literal_value(a.bracket, t)
+        for pos in range(n - 1):
+            s = list(t)
+            s[pos], s[pos + 1] = s[pos + 1], s[pos]
+            sgn = 1 if (p[t[pos]] == 1 and p[t[pos + 1]] == 1) else -1
+            if base != [sgn * c for c in literal_value(a.bracket, s)]:
+                return False, {"args": _one_based(t), "swap_at": pos + 1}
+    return True, None
 
 
 def check_fundamental_identity(a: HomSuperAlgebra):
@@ -39,17 +85,17 @@ def check_fundamental_identity(a: HomSuperAlgebra):
     for xs in itertools.product(range(a.dim), repeat=n - 1):
         px = sum(p[i] for i in xs) % 2
         for ys in itertools.product(range(a.dim), repeat=n):
-            inner = a.bracket_basis(ys)
-            lhs = a.bracket_eval([alpha_cols[i] for i in xs] + [inner])
+            inner = literal_value(a.bracket, ys)
+            lhs = literal_bracket(a, [alpha_cols[i] for i in xs] + [inner])
             rhs = vzero(a.dim)
             prefix = 0
             for i in range(n):
                 sign = -1 if (px == 1 and prefix == 1) else 1
-                mid = a.bracket_basis(xs + (ys[i],))
+                mid = literal_value(a.bracket, xs + (ys[i],))
                 args = [alpha_cols[ys[k]] for k in range(i)] + [mid] + [
                     alpha_cols[ys[k]] for k in range(i + 1, n)
                 ]
-                term = a.bracket_eval(args)
+                term = literal_bracket(a, args)
                 for k, c in enumerate(term):
                     if c != 0:
                         rhs[k] += sign * c
@@ -65,6 +111,18 @@ def check_fundamental_identity(a: HomSuperAlgebra):
     return True, None
 
 
+def check_bracket_map(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra):
+    """f[x1..xn] = [f x1, ..., f xn]' on canonical tuples, as production
+    sweeps them."""
+    f_cols = [f.col(j) for j in range(a.dim)]
+    for key in core._canonical_tuples(a.space, a.arity):
+        lhs = f.apply(literal_value(a.bracket, key))
+        rhs = literal_bracket(b, [f_cols[i] for i in key])
+        if lhs != rhs:
+            return False, {"args": _one_based(key), "lhs": _fmt_vec(lhs), "rhs": _fmt_vec(rhs)}
+    return True, None
+
+
 def check_rep_nary(r: Representation, a: HomSuperAlgebra):
     """The n-ary action law over canonical x-tuples and all basis y-tuples."""
     n = a.arity
@@ -76,7 +134,7 @@ def check_rep_nary(r: Representation, a: HomSuperAlgebra):
         x_alpha = [alpha_cols[i] for i in xs]
         for ys in itertools.product(range(a.dim), repeat=n):
             py_total = sum(p[i] for i in ys) % 2
-            inner = a.bracket_basis(ys)
+            inner = literal_value(a.bracket, ys)
             lhs = r.matrix_of(wedge_of_vectors(wb, x_alpha + [inner])) * r.nu
             rhs = Matrix.zeros(r.target.dim, r.target.dim)
             for i in range(n):
@@ -110,11 +168,11 @@ def check_invariance(a: HomSuperAlgebra, form: BilinearForm):
     for xs in core._canonical_tuples(a.space, n - 1):
         px = a.space.parity_of_indices(xs)
         for y in range(a.dim):
-            by = a.bracket_basis(xs + (y,))
+            by = literal_value(a.bracket, xs + (y,))
             sgn = -1 if (px == 1 and p[y] == 1) else 1
             for z in range(a.dim):
                 lhs = pairing(g, by, basis[z])
-                rhs = -sgn * pairing(g, basis[y], a.bracket_basis(xs + (z,)))
+                rhs = -sgn * pairing(g, basis[y], literal_value(a.bracket, xs + (z,)))
                 if lhs != rhs:
                     witness = {
                         "x": _one_based(xs),
@@ -131,6 +189,10 @@ def check_invariance(a: HomSuperAlgebra, form: BilinearForm):
     return witness is None, witness
 
 
+def _alpha_stable(h: Subspace, a: HomSuperAlgebra):
+    return all(h.contains_vector(a.alpha.apply(v)) for v in h.basis_vectors())
+
+
 def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
     split_graded(h, a.space)
     if not _alpha_stable(h, a):
@@ -139,7 +201,7 @@ def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
     for v in h.basis_vectors():
         for rest in itertools.product(range(a.dim), repeat=a.arity - 1):
             args = [v] + [basis[i] for i in rest]
-            if not h.contains_vector(a.bracket_eval(args)):
+            if not h.contains_vector(literal_bracket(a, args)):
                 return False
     return True
 
@@ -158,13 +220,13 @@ def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
         spanned = []
         if kind == "derived":
             for combo in itertools.product(rows, repeat=a.arity):
-                vec = a.bracket_eval(list(combo))
+                vec = literal_bracket(a, list(combo))
                 if not is_zero_vec(vec):
                     spanned.append(vec)
         else:
             for v in rows:
                 for rest in itertools.product(range(a.dim), repeat=a.arity - 1):
-                    vec = a.bracket_eval([v] + [basis_g[i] for i in rest])
+                    vec = literal_bracket(a, [v] + [basis_g[i] for i in rest])
                     if not is_zero_vec(vec):
                         spanned.append(vec)
         nxt = Subspace.from_vectors(a.dim, spanned)
@@ -181,27 +243,37 @@ def isotropic_half_ideal_bracket_vanishes(a: HomSuperAlgebra, i: Subspace) -> bo
     for t in itertools.product(range(a.dim), repeat=a.arity - 2):
         for u in rows:
             for v in rows:
-                val = a.bracket_eval([basis[k] for k in t] + [u, v])
+                val = literal_bracket(a, [basis[k] for k in t] + [u, v])
                 if any(c != 0 for c in val):
                     return False
     return True
 
 
-def _with_check(report, name, result):
-    passed, witness = result
-    report.checks = [Check(name, passed, witness) if c.name == name else c for c in report.checks]
+def _with_checks(report, results):
+    """The report with each named check replaced by (passed, witness)."""
+    report.checks = [
+        Check(c.name, *results[c.name]) if c.name in results else c for c in report.checks
+    ]
     return report
 
 
 def verify_algebra(a: HomSuperAlgebra):
-    return _with_check(core.verify_algebra(a), "fundamental-identity", check_fundamental_identity(a))
+    return _with_checks(core.verify_algebra(a), {
+        "super-skew-symmetry": check_super_skew(a),
+        "fundamental-identity": check_fundamental_identity(a),
+        "multiplicativity": check_bracket_map(a.alpha, a, a),
+    })
+
+
+def verify_morphism(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra):
+    return _with_checks(core.verify_morphism(f, a, b), {"bracket": check_bracket_map(f, a, b)})
 
 
 def verify_metric(a: HomSuperAlgebra, form: BilinearForm):
-    return _with_check(core.verify_metric(a, form), "invariant", check_invariance(a, form))
+    return _with_checks(core.verify_metric(a, form), {"invariant": check_invariance(a, form)})
 
 
 def verify_representation(r: Representation, a: HomSuperAlgebra):
-    return _with_check(
-        cohomology.verify_representation(r, a), "n-ary-compatibility", check_rep_nary(r, a)
+    return _with_checks(
+        cohomology.verify_representation(r, a), {"n-ary-compatibility": check_rep_nary(r, a)}
     )

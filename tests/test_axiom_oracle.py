@@ -15,11 +15,13 @@ from nambu.core import (
     HomSuperAlgebra,
     StructureTensor,
     canonical_tuples,
+    direct_sum,
     is_hom_ideal,
     series,
     twist_by_endomorphism,
     verify_algebra,
     verify_metric,
+    verify_morphism,
 )
 from nambu.linalg import Matrix, Subspace
 from nambu.tstar import (
@@ -179,6 +181,46 @@ def test_tstar_reports_equal_oracle(m):
     assert verify_metric(a, m.form).to_dict() == oracle.verify_metric(a, m.form).to_dict()
 
 
+def _maps(a):
+    """Self-maps of a: its twist, the identity, 2 times it (a morphism
+    only of an abelian bracket) and seeded twists."""
+    rng = random.Random(a.dim)
+    maps = [a.alpha, Matrix.identity(a.dim), Matrix.identity(a.dim).scale(2)]
+    if a.alpha.is_identity():
+        maps += [rho for _ in range(3) if (rho := samples.random_twist(a, rng)) is not None]
+    return maps
+
+
+@pytest.mark.parametrize(
+    "a",
+    _criterion1_corpus() + _random_corpus() + _broken_corpus(),
+    ids=lambda a: a.name or "anon",
+)
+def test_verify_morphism_equals_oracle(a):
+    for f in _maps(a):
+        assert verify_morphism(f, a, a).to_dict() == oracle.verify_morphism(f, a, a).to_dict()
+
+
+def test_morphism_comparison_is_not_vacuous():
+    # 2 times the identity breaks the bracket check of a nonabelian algebra
+    for a in (samples.h3(), samples.sh12(), samples.n4()):
+        (failed,) = oracle.verify_morphism(Matrix.identity(a.dim).scale(2), a, a).failed_checks()
+        assert failed.name == "bracket" and failed.witness, a.name
+
+
+def test_oracle_calls_no_production_bracket():
+    # the oracle's bracket is literal; a name of the production kernel in it
+    # would let one slip pass on both sides of every comparison
+    import ast
+    import pathlib
+
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"bracket_eval", "bracket_basis", "sparse_value", "sparse_bracket"}
+
+
 def _representations(a):
     coad = coadjoint_rep(a)
     return [adjoint_rep(a)] + ([coad.rep] if coad.exists else [])
@@ -203,7 +245,11 @@ def _decompose_ideals(m: MetricAlgebra):
     return j, ideal, rec.g1
 
 
-@pytest.mark.parametrize("m", TSTARS, ids=lambda m: m.algebra.name)
+# T*(N4 (+) K^2): dim 12, 3-ary, as test_tstar builds it
+DIM12 = [tstar_extend(direct_sum(samples.n4(), samples.abelian(2, n=3))).result]
+
+
+@pytest.mark.parametrize("m", TSTARS + DIM12, ids=lambda m: m.algebra.name)
 def test_ideals_and_series_equal_oracle(m):
     a = m.algebra
     j, ideal, g1 = _decompose_ideals(m)

@@ -1,9 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from axiom_oracle import literal_value
+from nambu import core
 from nambu.core import (
     BilinearForm,
     GradedSpace,
@@ -107,16 +110,6 @@ class TestBracketEval:
         assert lhs == [0, 0, 2 * 7 - 3 * 5]
 
 
-def _literal_value(tensor, indices):
-    """The bracket of basis vectors by its definition: straighten, look up
-    the canonical entry, apply the sign."""
-    sign, canon = straighten(indices, tensor.space.parity)
-    stored = tensor.entries.get(canon)
-    if sign == 0 or stored is None:
-        return [0] * tensor.space.dim
-    return [sign * c for c in stored]
-
-
 def _memo_corpus():
     from test_axiom_oracle import _raw_algebra
 
@@ -129,11 +122,22 @@ def test_memoized_basis_values_equal_the_definition():
     for a in _memo_corpus():
         t = a.bracket
         for indices in itertools.product(range(a.dim), repeat=a.arity):
-            want = _literal_value(t, indices)
+            want = literal_value(t, indices)
             for _ in range(2):
                 assert t.value(indices) == want, (a.name, indices)
                 assert t.value(list(indices)) == want, (a.name, indices)
                 assert t.sparse_value(indices) == tuple((k, c) for k, c in enumerate(want) if c != 0)
+
+
+def _literal_expansion(a, vectors):
+    """The bracket of dense vectors over every basis tuple, zeros included."""
+    want = [0] * a.dim
+    for indices in itertools.product(range(a.dim), repeat=a.arity):
+        coeff = 1
+        for v, i in zip(vectors, indices):
+            coeff *= v[i]
+        want = [w + coeff * c for w, c in zip(want, literal_value(a.bracket, indices))]
+    return want
 
 
 def test_bracket_eval_equals_the_multilinear_expansion():
@@ -141,13 +145,60 @@ def test_bracket_eval_equals_the_multilinear_expansion():
     for a in _memo_corpus():
         for _ in range(3):
             vectors = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(a.dim)] for _ in range(a.arity)]
-            want = [0] * a.dim
-            for indices in itertools.product(range(a.dim), repeat=a.arity):
-                coeff = 1
-                for v, i in zip(vectors, indices):
-                    coeff *= v[i]
-                want = [w + coeff * c for w, c in zip(want, _literal_value(a.bracket, indices))]
+            assert a.bracket_eval(vectors) == _literal_expansion(a, vectors), a.name
+
+
+def _kernel_arguments(a, rng):
+    """Zero, unit, single-parity and mixed-parity vectors of a."""
+    p = a.parity
+    units = [[1 if k == i else 0 for k in range(a.dim)] for i in range(a.dim)]
+    by_parity = [
+        [rng.choice([0, 1, -1, 2]) if p[k] == q else 0 for k in range(a.dim)] for q in (0, 1)
+    ]
+    mixed = [rng.choice([1, -1, 2, Fraction(1, 2)]) for _ in range(a.dim)]
+    return [[0] * a.dim] + units + by_parity + [mixed]
+
+
+def test_sparse_bracket_equals_the_literal_expansion():
+    rng = random.Random(11)
+    for a in _memo_corpus():
+        pool = _kernel_arguments(a, rng)
+        for _ in range(6):
+            vectors = [rng.choice(pool) for _ in range(a.arity)]
+            want = _literal_expansion(a, vectors)
+            sparse = [[(i, c) for i, c in enumerate(v) if c != 0] for v in vectors]
+            # sparse arguments, in index order and reversed, and the dense wrapper
+            got = a.bracket.sparse_bracket(sparse)
+            assert got == {k: c for k, c in enumerate(want) if c != 0}, a.name
+            assert a.bracket.sparse_bracket([list(reversed(v)) for v in sparse]) == got, a.name
             assert a.bracket_eval(vectors) == want, a.name
+
+
+def test_fundamental_identity_of_an_abelian_algebra_evaluates_no_bracket(monkeypatch):
+    # every pair has [y] = 0 and [x, y_i] = 0, so no side is ever expanded
+    calls = {"inside": 0, "all": 0}
+    inside = [False]
+    real_kernel = StructureTensor.sparse_bracket
+    real_fi = core._fundamental_identity_witnesses
+
+    def counting(self, args):
+        calls["all"] += 1
+        calls["inside"] += inside[0]
+        return real_kernel(self, args)
+
+    def fi(a, canonical):
+        inside[0] = True
+        try:
+            yield from real_fi(a, canonical)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(StructureTensor, "sparse_bracket", counting)
+    monkeypatch.setattr(core, "_fundamental_identity_witnesses", fi)
+    for a in (samples.abelian(3, 2), samples.abelian(4, n=3), samples.abelian(2, 2, n=3)):
+        assert verify_algebra(a).ok
+    assert calls["inside"] == 0
+    assert calls["all"] > 0  # the counter sees the multiplicativity check
 
 
 def test_basis_value_of_an_out_of_range_index_still_raises():

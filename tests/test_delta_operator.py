@@ -17,12 +17,14 @@ from coboundary_oracle import (
 from nambu import cohomology, samples
 from nambu.cohomology import (
     Cochain,
+    CochainModel,
     Representation,
     adjoint_rep,
     cochain_basis,
     coboundary,
     coboundary_matrix,
     cohomology_dims,
+    compat_offenders,
     compat_test,
     satisfies_compat,
 )
@@ -335,8 +337,50 @@ def test_perturbed_delta_operator_raises(monkeypatch, m, degree):
 
     cohomology_dims(a, rep, m)
     monkeypatch.setattr(cohomology, "delta_operator", perturbed)
-    with pytest.raises(NotACochain, match=f"delta\\^{degree} image violates"):
+    with pytest.raises(NotACochain, match=f"delta\\^{degree} image violates") as raised:
         cohomology_dims(a, rep, m)
+    # the witness: the perturbed basis cochain, and the first coordinate
+    # where the unit image at row breaks the equations of C^{degree+1}
+    offending = min(compat_offenders(a, rep, degree + 1)({row: 1}))
+    assert str(raised.value).endswith(
+        f": basis cochain 1 of C^{degree}, coordinate {_one_based_coordinate(target.model, offending)}"
+    )
+
+
+def _one_based_coordinate(model, flat):
+    ws, z, v = model.coordinate(flat)
+    assert model.flat(ws, z) + v == flat
+    return f"x={[[k + 1 for k in model.wb.elements[w]] for w in ws]} z={z + 1} v={v + 1}"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_delta_square_witness_names_cochain_and_coordinate(monkeypatch, m):
+    # delta^{m-1} of the first basis cochain of C^{m-1} moves by a cochain u
+    # of C^m with delta^m u != 0: every image stays in C^m, but delta^2 != 0
+    a = _shear_twisted(random.Random(3))[0]
+    rep = adjoint_rep(a)
+    column = cochain_basis(a, rep, m - 1).space.pivots()[0]
+    real = cohomology.delta_operator
+    u, image = next(
+        (u, image)
+        for u in cochain_basis(a, rep, m).vectors()
+        if (image := cohomology._images(real(a, rep, m), [u])[0])
+    )
+
+    def perturbed(a, r, k):
+        op = real(a, r, k)
+        if k == m - 1:
+            for o, x in u.items():
+                op.setdefault(o, {})
+                op[o][column] = op[o].get(column, 0) + x
+        return op
+
+    cohomology_dims(a, rep, m)
+    monkeypatch.setattr(cohomology, "delta_operator", perturbed)
+    with pytest.raises(NotACochain, match=r"delta\^2 != 0 \(internal error\)") as raised:
+        cohomology_dims(a, rep, m)
+    coordinate = _one_based_coordinate(CochainModel(a, rep, m + 1), min(image))
+    assert str(raised.value).endswith(f": basis cochain 1 of C^{m - 1}, coordinate {coordinate}")
 
 
 def _counting_assembly(monkeypatch):
