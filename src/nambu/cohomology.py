@@ -2,9 +2,12 @@
 
 Wedge coordinates: a degree-(n-1) fundamental object is a vector over the
 canonical wedge basis (nondecreasing tuples, no repeated even index),
-stored sparsely as {position: coefficient}.  Cochains of degree m are
-dense coefficient tensors over (wedge basis)^m x g x V with flat
-indexing; evaluation on arbitrary arguments is multilinear expansion.
+stored sparsely as {position: coefficient}.  Wedges of vectors and the
+fundamental bracket are calls of ``core.multilinear``.  Dense rho is only
+the construction and file format of a Representation: the module action is
+sparse columns, and every law on rho is checked column by column.  Cochains
+of degree m are dense coefficient tensors over (wedge basis)^m x g x V with
+flat indexing; evaluation on arbitrary arguments is multilinear expansion.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from .core import (
     GradedSpace,
     HomSuperAlgebra,
     Report,
+    _accumulate,
     _canonical_tuples,
+    _nonzero,
     is_even_map,
+    multilinear,
     sparse_columns,
     straighten,
 )
@@ -53,61 +59,51 @@ class WedgeBasis:
             return 0, None
         return sign, self.index[canon]
 
+    def sparse_value(self, indices) -> tuple:
+        """The wedge of basis vectors e_{i1},...,e_{ik} as its (position,
+        sign) pairs: ((pos, sign),), or () if it dies."""
+        sign, pos = self.lookup(indices)
+        return ((pos, sign),) if sign else ()
+
 
 def wedge_basis(space: GradedSpace, degree: int) -> WedgeBasis:
     return WedgeBasis(space, degree)
 
 
 def wedge_of_vectors(wb: WedgeBasis, vectors) -> dict:
-    """Expand v_1 ^ ... ^ v_k (dense coordinate vectors) in wedge coordinates."""
+    """Expand v_1 ^ ... ^ v_k in wedge coordinates, each v_i given by its
+    nonzero (index, coeff) pairs."""
     if len(vectors) != wb.degree:
         raise DimensionMismatch("wrong number of wedge factors")
-    supports = []
-    for v in vectors:
-        s = [(i, c) for i, c in enumerate(v) if c != 0]
-        if not s:
-            return {}
-        supports.append(s)
-    out = {}
-    for combo in itertools.product(*supports):
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        sign, pos = wb.lookup(tuple(i for i, _ in combo))
-        if sign == 0:
-            continue
-        out[pos] = out.get(pos, 0) + sign * coeff
-    return {k: v for k, v in out.items() if v != 0}
+    return multilinear(vectors, wb.sparse_value)
 
 
 @dataclass
 class Representation:
-    """rho on the wedge power plus the module twist nu on V."""
+    """rho on the wedge power plus the module twist nu on V.  The dense
+    fields are the construction and file format; algorithms read the sparse
+    columns {row: entry} built once per object (``columns``, ``nu_columns``,
+    ``action``), so the fields are never mutated."""
 
     target: GradedSpace
     rho: list  # Matrix per canonical wedge element
     nu: Matrix
 
-    def matrix_of(self, coords: dict) -> Matrix:
-        dv = self.target.dim
-        out = Matrix.zeros(dv, dv)
-        for w, c in coords.items():
-            if c != 0:
-                out = out + self.rho[w].scale(c)
-        return out
+    @cached_property
+    def columns(self) -> list:
+        return [sparse_columns(m) for m in self.rho]
 
-    def act(self, coords: dict, v):
-        """rho(coords) applied to a dense V-vector."""
-        dv = self.target.dim
-        out = [0] * dv
+    @cached_property
+    def nu_columns(self) -> list:
+        return sparse_columns(self.nu)
+
+    def action(self, coords: dict) -> list:
+        """rho of wedge coordinates {position: coeff} as sparse columns."""
+        out = [{} for _ in range(self.target.dim)]
         for w, c in coords.items():
-            if c == 0:
-                continue
-            piece = self.rho[w].apply(v)
-            for k, x in enumerate(piece):
-                if x != 0:
-                    out[k] += c * x
-        return out
+            for col, piece in zip(out, self.columns[w]):
+                _accumulate(col, piece.items(), c)
+        return [_nonzero(col) for col in out]
 
 
 def adjoint_rep(a: HomSuperAlgebra) -> Representation:
@@ -129,15 +125,7 @@ def _wedge(a: HomSuperAlgebra) -> WedgeBasis:
 def fundamental_bracket(a: HomSuperAlgebra, x_coords: dict, y_coords: dict) -> dict:
     """[x,y]_alpha on wedge coordinates, bilinear in both arguments."""
     cx = _complex_tables(a)
-    out = {}
-    for w1, c1 in x_coords.items():
-        for w2, c2 in y_coords.items():
-            c = c1 * c2
-            if c == 0:
-                continue
-            for pos, val in cx.fb(w1, w2).items():
-                out[pos] = out.get(pos, 0) + c * val
-    return {k: v for k, v in out.items() if v != 0}
+    return multilinear([x_coords.items(), y_coords.items()], lambda ws: cx.fb(*ws).items())
 
 
 class _Tables:
@@ -163,8 +151,7 @@ class _Tables:
 
     def alpha_pow_wedge(self, m):
         if m not in self._alpha_pow_wedge:
-            mat = self.alpha_pow(m)
-            cols = [mat.col(j) for j in range(self.a.dim)]
+            cols = [col.items() for col in sparse_columns(self.alpha_pow(m))]
             self._alpha_pow_wedge[m] = [
                 wedge_of_vectors(self.wb, [cols[i] for i in t]) for t in self.wb.elements
             ]
@@ -174,8 +161,7 @@ class _Tables:
         """x_w . e_j as a sparse g-vector."""
         key = (w, j)
         if key not in self._ad:
-            vec = self.a.bracket_basis(self.wb.elements[w] + (j,))
-            self._ad[key] = {i: c for i, c in enumerate(vec) if c != 0}
+            self._ad[key] = dict(self.a.bracket.sparse_value(self.wb.elements[w] + (j,)))
         return self._ad[key]
 
     def fb(self, w1, w2) -> dict:
@@ -186,19 +172,16 @@ class _Tables:
             xt = wb.elements[w1]
             yt = wb.elements[w2]
             px = wb.parity(w1)
-            alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
+            alpha = [col.items() for col in self.alpha_cols]
             out = {}
             prefix = 0
-            for i in range(len(yt)):
+            for i, y in enumerate(yt):
                 sign = -1 if (px == 1 and prefix == 1) else 1
-                mid = a.bracket_basis(xt + (yt[i],))
-                vecs = [alpha_cols[yt[k]] for k in range(i)] + [mid] + [
-                    alpha_cols[yt[k]] for k in range(i + 1, len(yt))
-                ]
-                for pos, val in wedge_of_vectors(wb, vecs).items():
-                    out[pos] = out.get(pos, 0) + sign * val
-                prefix = (prefix + a.parity[yt[i]]) % 2
-            self._fb[key] = {k: v for k, v in out.items() if v != 0}
+                mid = a.bracket.sparse_value(xt + (y,))
+                factors = [alpha[k] for k in yt[:i]] + [mid] + [alpha[k] for k in yt[i + 1 :]]
+                _accumulate(out, wedge_of_vectors(wb, factors).items(), sign)
+                prefix = (prefix + a.parity[y]) % 2
+            self._fb[key] = _nonzero(out)
         return self._fb[key]
 
 
@@ -208,60 +191,73 @@ def _complex_tables(a: HomSuperAlgebra) -> _Tables:
     return a._cache["tables"]
 
 
-def module_action(a: HomSuperAlgebra, r: Representation, g_vecs, pos) -> Matrix:
-    """The matrix of v -> [g_1, ..., v, ..., g_{n-1}] on V, with v in slot pos
-    (0-based) among the n slots and the g-vectors in the others, in order.
+def module_action(a: HomSuperAlgebra, r: Representation, g_args, pos) -> list:
+    """The map v -> [g_1, ..., v, ..., g_{n-1}] on V as sparse columns, with v
+    in slot pos (0-based) among the n slots and the g-vectors, given by
+    their nonzero (index, coeff) pairs, in the others, in order.
 
     rho acts from the last slot, so moving v there passes the g-slots after
     it: a sign -1 per slot, and one more for an odd v when their parities add
-    up to odd.  The matrix is therefore (-1)^(n-1-pos) (rho(W_0) + rho(W_1) P),
+    up to odd.  The map is therefore (-1)^(n-1-pos) (rho(W_0) + rho(W_1) P),
     where W_q is the wedge of the g-vectors restricted to the parity parts
     whose later slots add up to q, and P is (-1)^|v| on V.  Splitting the
     later g-vectors into parity parts keeps the sign exact for arguments
     that are not homogeneous.
     """
-    if len(g_vecs) != a.arity - 1 or not 0 <= pos < a.arity:
+    if len(g_args) != a.arity - 1 or not 0 <= pos < a.arity:
         raise ArityMismatch(f"expected {a.arity - 1} algebra slots around one module slot")
     wb = _wedge(a)
     p = a.parity
     later = []
-    for vec in g_vecs[pos:]:
-        parts = [(q, [c if p[i] == q else 0 for i, c in enumerate(vec)]) for q in (0, 1)]
-        later.append([(q, part) for q, part in parts if any(part)])
-    sign = (-1) ** (len(g_vecs) - pos)
-    dv = r.target.dim
+    for arg in g_args[pos:]:
+        parts = [(q, [(i, c) for i, c in arg if p[i] == q]) for q in (0, 1)]
+        later.append([(q, part) for q, part in parts if part])
+    sign = (-1) ** (len(g_args) - pos)
     pv = r.target.parity
-    data = [0] * (dv * dv)
+    cols = [{} for _ in range(r.target.dim)]
     for choice in itertools.product(*later):
         odd = sum(q for q, _ in choice) % 2
-        for w, c in wedge_of_vectors(wb, list(g_vecs[:pos]) + [part for _, part in choice]).items():
-            for k, x in enumerate(r.rho[w].data):
-                if x != 0:
-                    data[k] += (-sign if odd and pv[k % dv] else sign) * c * x
-    return Matrix(dv, dv, data)
+        coords = wedge_of_vectors(wb, list(g_args[:pos]) + [part for _, part in choice])
+        for u, (col, piece) in enumerate(zip(cols, r.action(coords))):
+            _accumulate(col, piece.items(), -sign if odd and pv[u] else sign)
+    return [_nonzero(col) for col in cols]
+
+
+def _first_failing_column(terms):
+    """The first column u at which the sum of s * (A o B) over the terms
+    (s, A, B) is nonzero, for maps A and B given by sparse columns; None
+    when the sum is the zero map.  Every law on rho is checked this way."""
+    for u in range(len(terms[0][2])):
+        total = {}
+        for s, left, right in terms:
+            for k, c in right[u].items():
+                _accumulate(total, left[k].items(), s * c)
+        if any(total.values()):
+            return u
+    return None
 
 
 def verify_representation(r: Representation, a: HomSuperAlgebra) -> Report:
-    """The grading, binary and n-ary action laws as exact matrix identities."""
+    """The grading, the binary and n-ary action laws and twist-equivariance,
+    the laws checked column by column on sparse columns."""
     wb = _wedge(a)
-    dv = r.target.dim
     if len(r.rho) != len(wb):
         raise DimensionMismatch("rho must assign a matrix to every wedge element")
     report = Report()
 
     pv = r.target.parity
+    ungraded = sorted(
+        (w, i, j) for w, cols in enumerate(r.columns) for j, col in enumerate(cols) for i in col
+        if pv[i] != (pv[j] + wb.parity(w)) % 2
+    )
     witness = next((
-        {"wedge": [k + 1 for k in wb.elements[w]], "i": i + 1, "j": j + 1}
-        for w, mat in enumerate(r.rho)
-        for i in range(dv)
-        for j in range(dv)
-        if mat[i, j] != 0 and pv[i] != (pv[j] + wb.parity(w)) % 2
+        {"wedge": [k + 1 for k in wb.elements[w]], "i": i + 1, "j": j + 1} for w, i, j in ungraded
     ), None)
     graded = witness is None and is_even_map(r.nu, pv, pv)
     report.add("grading", graded, witness)
 
     cx = _complex_tables(a)
-    aw = cx.alpha_wedge()
+    aw = [r.action(coords) for coords in cx.alpha_wedge()]  # rho(alpha x) per basis wedge x
     report.add_first("hom-jacobi", _rep_jacobi_witnesses(r, wb, cx, aw))
     report.add_first("n-ary-compatibility", _rep_nary_witnesses(r, a, graded and a.alpha_is_even()))
 
@@ -272,19 +268,23 @@ def verify_representation(r: Representation, a: HomSuperAlgebra) -> Report:
     report.add_first("twist-equivariance", (
         {"wedge": [k + 1 for k in wb.elements[w]]}
         for w in range(len(wb))
-        if r.nu * r.rho[w] != r.matrix_of(aw[w]) * r.nu
+        if _first_failing_column([(1, r.nu_columns, r.columns[w]), (-1, aw[w], r.nu_columns)]) is not None
     ))
     return report
 
 
 def _rep_jacobi_witnesses(r: Representation, wb, cx, aw):
+    """Basis wedges (x, y) where rho(alpha x) rho(y) = (-1)^{|x||y|}
+    rho(alpha y) rho(x) + rho([x, y]_alpha) nu fails."""
     for w1 in range(len(wb)):
-        m1 = r.matrix_of(aw[w1])
         for w2 in range(len(wb)):
-            lhs = m1 * r.rho[w2]
             sgn = -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1
-            rhs = (r.matrix_of(aw[w2]) * r.rho[w1]).scale(sgn) + r.matrix_of(cx.fb(w1, w2)) * r.nu
-            if lhs != rhs:
+            terms = [
+                (1, aw[w1], r.columns[w2]),
+                (-sgn, aw[w2], r.columns[w1]),
+                (-1, r.action(cx.fb(w1, w2)), r.nu_columns),
+            ]
+            if _first_failing_column(terms) is not None:
                 yield {"x": [k + 1 for k in wb.elements[w1]], "y": [k + 1 for k in wb.elements[w2]]}
 
 
@@ -298,19 +298,18 @@ def _rep_nary_witnesses(r: Representation, a: HomSuperAlgebra, canonical: bool):
     n = a.arity
     p = a.parity
     wb = _wedge(a)
-    alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
+    alpha = [col.items() for col in a.alpha_columns()]
     if canonical:
         y_tuples = list(_canonical_tuples(a.space, n))
     else:
         y_tuples = list(itertools.product(range(a.dim), repeat=n))
     for xs in _canonical_tuples(a.space, n - 2):
         px = a.space.parity_of_indices(xs)
-        x_alpha = [alpha_cols[i] for i in xs]
+        x_alpha = [alpha[i] for i in xs]
         for ys in y_tuples:
             py_total = sum(p[i] for i in ys) % 2
-            inner = a.bracket_basis(ys)
-            lhs = r.matrix_of(wedge_of_vectors(wb, x_alpha + [inner])) * r.nu
-            rhs = Matrix.zeros(r.target.dim, r.target.dim)
+            inner = a.bracket.sparse_value(ys)
+            terms = [(1, r.action(wedge_of_vectors(wb, x_alpha + [inner])), r.nu_columns)]
             for i in range(n):
                 sgn = (-1) ** (n - 1 - i)
                 if px == 1 and (py_total + p[ys[i]]) % 2 == 1:
@@ -318,13 +317,12 @@ def _rep_nary_witnesses(r: Representation, a: HomSuperAlgebra, canonical: bool):
                 suffix = sum(p[ys[k]] for k in range(i + 1, n)) % 2
                 if p[ys[i]] == 1 and suffix == 1:
                     sgn = -sgn
-                hat = [alpha_cols[ys[k]] for k in range(n) if k != i]
                 sign_w, w_small = wb.lookup(xs + (ys[i],))
                 if sign_w == 0:
                     continue
-                term = r.matrix_of(wedge_of_vectors(wb, hat)) * r.rho[w_small]
-                rhs = rhs + term.scale(sgn * sign_w)
-            if lhs != rhs:
+                hat = [alpha[ys[k]] for k in range(n) if k != i]
+                terms.append((-sgn * sign_w, r.action(wedge_of_vectors(wb, hat)), r.columns[w_small]))
+            if _first_failing_column(terms) is not None:
                 yield {"x": [k + 1 for k in xs], "y": [k + 1 for k in ys]}
 
 
@@ -335,20 +333,15 @@ def verify_prop_2_2(a: HomSuperAlgebra) -> Report:
     wb = _wedge(a)
     cx = _complex_tables(a)
     r = adjoint_rep(a)
+    alpha = a.alpha_columns()
     aw = cx.alpha_wedge()
-    alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
-    units = [a.basis_vector(z) for z in range(a.dim)]
+    rho_aw = [r.action(coords) for coords in aw]
     pairs = [
         (w1, w2, -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1)
         for w1 in range(len(wb))
         for w2 in range(len(wb))
     ]
-
-    def action_identity(w1, w2, sgn, z):
-        lhs = r.act(aw[w1], r.act({w2: 1}, units[z]))
-        rhs1 = r.act(aw[w2], r.act({w1: 1}, units[z]))
-        rhs2 = r.act(cx.fb(w1, w2), alpha_cols[z])
-        return lhs == [sgn * x + y for x, y in zip(rhs1, rhs2)]
+    rho_fb = {(w1, w2): r.action(cx.fb(w1, w2)) for w1, w2, _ in pairs}
 
     def wedge_jacobi(w1, w2, sgn, w3):
         rhs = dict(fundamental_bracket(a, cx.fb(w1, w2), aw[w3]))
@@ -356,14 +349,15 @@ def verify_prop_2_2(a: HomSuperAlgebra) -> Report:
             rhs[k] = rhs.get(k, 0) + sgn * v
         return fundamental_bracket(a, aw[w1], cx.fb(w2, w3)) == {k: v for k, v in rhs.items() if v != 0}
 
-    def bracket_skew(w1, w2, sgn, z):
-        return r.act(cx.fb(w1, w2), alpha_cols[z]) == [-sgn * c for c in r.act(cx.fb(w2, w1), alpha_cols[z])]
-
+    # the first failing column of an identity of maps on g is its z
     report.add_first("action-identity", (
         {"x": w1, "y": w2, "z": z + 1}
         for w1, w2, sgn in pairs
-        for z in range(a.dim)
-        if not action_identity(w1, w2, sgn, z)
+        if (z := _first_failing_column([
+            (1, rho_aw[w1], r.columns[w2]),
+            (-sgn, rho_aw[w2], r.columns[w1]),
+            (-1, rho_fb[w1, w2], alpha),
+        ])) is not None
     ))
     report.add_first("wedge-jacobi", (
         {"x": w1, "y": w2, "z": w3}
@@ -374,8 +368,7 @@ def verify_prop_2_2(a: HomSuperAlgebra) -> Report:
     report.add_first("bracket-skew", (
         {"x": w1, "y": w2, "z": z + 1}
         for w1, w2, sgn in pairs
-        for z in range(a.dim)
-        if not bracket_skew(w1, w2, sgn, z)
+        if (z := _first_failing_column([(1, rho_fb[w1, w2], alpha), (sgn, rho_fb[w2, w1], alpha)])) is not None
     ))
     return report
 
@@ -421,10 +414,6 @@ class CochainModel:
         return itertools.product(
             itertools.product(range(self.W), repeat=self.m), range(self.D)
         )
-
-    def input_parity(self, ws, j):
-        p = sum(self.wb.parity(w) for w in ws) + self.a.parity[j]
-        return p % 2
 
     @cached_property
     def parities(self) -> list:
@@ -742,18 +731,17 @@ def _assemble_delta(a, r, m) -> dict:
     cx = _complex_tables(a)
     wb = cx.wb
     aw = cx.alpha_wedge()
-    apm = cx.alpha_pow(m)
-    rho_apw = [sparse_columns(r.matrix_of(coords)) for coords in cx.alpha_pow_wedge(m)]
+    rho_apw = [r.action(coords) for coords in cx.alpha_pow_wedge(m)]
     DV = model_out.DV
-    pv = r.target.parity
+    parities = model_in.parities
     # term 4 depends on f only through one V-block: the module action on it,
     # as sparse columns, keyed by (x_{m+1}, z, slot of the V-vector)
-    apm_cols = [apm.col(x) for x in range(a.dim)]
+    apm_cols = [col.items() for col in sparse_columns(cx.alpha_pow(m))]
     actions = {}
     for w, t in enumerate(wb.elements):
         for j, i in itertools.product(range(a.dim), range(len(t))):
-            g_vecs = [apm_cols[x] for k, x in enumerate(t) if k != i] + [apm_cols[j]]
-            actions[w, j, i] = sparse_columns(module_action(a, r, g_vecs, i))
+            g_args = [apm_cols[x] for k, x in enumerate(t) if k != i] + [apm_cols[j]]
+            actions[w, j, i] = module_action(a, r, g_args, i)
 
     rows = {}
     for ws, j in model_out.input_tuples():
@@ -792,10 +780,9 @@ def _assemble_delta(a, r, m) -> dict:
             prefix = (prefix + a.parity[t]) % 2
         for rest, t, i, before, odd, columns in acting:
             base = model_in.flat(rest, t)
-            lead = model_in.input_parity(rest, t) + before
             for u, column in enumerate(columns):
                 sgn = (-1) ** i
-                if odd == 1 and (lead + pv[u]) % 2 == 1:
+                if odd == 1 and (parities[base + u] + before) % 2 == 1:
                     sgn = -sgn
                 for v, c in column.items():
                     block[v][base + u] = block[v].get(base + u, 0) + sgn * c

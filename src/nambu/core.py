@@ -13,13 +13,15 @@ twist and homogeneous entries; when either check fails it sweeps every
 basis tuple.  Super skew-symmetry itself, which tests ``straighten``,
 always sees every tuple.
 
-Every bracket of vectors is one multilinear kernel,
-``StructureTensor.sparse_bracket``, on sparse (index, coeff) arguments;
-``bracket_eval`` is its dense wrapper.  The axiom and ideal checks run on
-it and on sparse columns, with no dense vector until a witness is
-reported: super skew-symmetry, the fundamental identity, multiplicativity
-and the bracket check of ``verify_morphism``, invariance of a form,
-``is_hom_ideal`` and both kinds of ``series``.
+One loop, ``multilinear``, expands sparse (index, coeff) arguments over
+basis tuples.  Every bracket of vectors is one call of it, the kernel
+``StructureTensor.sparse_bracket`` (``bracket_eval`` is its dense wrapper),
+and so are the wedges and the fundamental bracket of ``nambu.cohomology``.
+The axiom and ideal checks run on the kernel and on sparse columns, with no
+dense vector until a witness is reported: super skew-symmetry, the
+fundamental identity, multiplicativity and the bracket check of
+``verify_morphism``, invariance of a form, ``is_hom_ideal`` and both kinds
+of ``series``.
 """
 
 from __future__ import annotations
@@ -101,6 +103,22 @@ def is_canonical(indices, parity):
     return sign == 1 and canon == tuple(indices)
 
 
+def multilinear(args, value) -> dict:
+    """The one expansion loop: a multilinear map on arguments given by their
+    nonzero (index, coeff) pairs, from ``value``, which maps a tuple of basis
+    indices to its signed (coordinate, value) pairs.  Returns {coordinate:
+    value}, zeros dropped; an argument with no pairs gives {} at no cost."""
+    out = {}
+    for combo in itertools.product(*args):
+        indices, coeffs = zip(*combo)
+        val = value(indices)
+        if val:
+            coeff = math.prod(coeffs)
+            for k, c in val:
+                out[k] = out.get(k, 0) + coeff * c
+    return _nonzero(out)
+
+
 class StructureTensor:
     """Sparse n-ary structure constants on canonical index tuples.
 
@@ -151,19 +169,8 @@ class StructureTensor:
 
     def sparse_bracket(self, args) -> dict:
         """The bracket of n vectors, each given by its nonzero (index, coeff)
-        pairs, expanded multilinearly over the basis brackets: the one
-        expansion loop.  Returns {coordinate: value}, zeros dropped; an
-        argument with no pairs gives {} at no cost."""
-        out = {}
-        value = self.sparse_value
-        for combo in itertools.product(*args):
-            indices, coeffs = zip(*combo)
-            val = value(indices)
-            if val:
-                coeff = math.prod(coeffs)
-                for k, c in val:
-                    out[k] = out.get(k, 0) + coeff * c
-        return _nonzero(out)
+        pairs: multilinear over the basis brackets."""
+        return multilinear(args, self.sparse_value)
 
     def value(self, indices):
         """Bracket of basis vectors e_{i1},...,e_{in} as a coordinate vector."""
@@ -282,9 +289,6 @@ class HomSuperAlgebra:
             if len(v) != self.dim:
                 raise DimensionMismatch("argument has wrong dimension")
         return _dense(self.bracket.sparse_bracket([support(v) for v in vectors]).items(), self.dim)
-
-    def alpha_column(self, j):
-        return self.alpha.col(j)
 
     def alpha_columns(self) -> list:
         """The columns of alpha as sparse vectors {row: entry}, built once."""

@@ -111,8 +111,8 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
 
     On canonical tuples: two or more fiber slots give 0, no fiber slot
     gives the base bracket plus the signed cocycle value in the fiber, one
-    fiber slot gives a column of the module action, one matrix per base
-    tuple and slot.  The twist is block-diagonal.
+    fiber slot gives a column of the module action, built once per base
+    tuple and slot as sparse columns.  The twist is block-diagonal.
     """
     b = d.base
     da, db = d.fiber.dim, b.dim
@@ -126,7 +126,7 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
     space = GradedSpace(da + db, tuple(first.parity) + tuple(second.parity))
     wb = _wedge(b)
     entries = {}
-    actions = {}  # (base indices, fiber slot) -> module_action matrix
+    actions = {}  # (base indices, fiber slot) -> module_action columns
     for key in _canonical_tuples(space, n):
         fiber_slots = [t for t in key if fo <= t < fo + da]
         if len(fiber_slots) >= 2:
@@ -142,8 +142,9 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
             (t,) = fiber_slots
             base_key = (tuple(s - bo for s in key if s != t), key.index(t))
             if base_key not in actions:
-                actions[base_key] = module_action(b, d.module, [b.basis_vector(s) for s in base_key[0]], base_key[1])
-            vec[fo : fo + da] = actions[base_key].col(t - fo)
+                actions[base_key] = module_action(b, d.module, [((s, 1),) for s in base_key[0]], base_key[1])
+            for k, c in actions[base_key][t - fo].items():
+                vec[fo + k] = c
         if any(c != 0 for c in vec):
             entries[key] = vec
     return HomSuperAlgebra(

@@ -8,15 +8,19 @@ against it report for report.
 
 The bracket is the oracle's own: ``literal_value`` straightens a basis
 tuple, looks up the stored entry and applies the sign, and
-``literal_bracket`` expands it multilinearly over dense vectors.  Nothing
-here calls the production bracket (``bracket_eval``, ``bracket_basis``,
-``sparse_value`` or the kernel ``sparse_bracket``), so a slip in that
-kernel cannot pass on both sides; a test scans this file for those names.
+``literal_bracket`` expands it multilinearly over dense vectors.  Wedges
+are the oracle's own too: ``literal_wedge`` straightens every basis tuple
+of dense vectors, and ``dense_rho`` sums the dense matrices of rho.
+Nothing here calls the production bracket or its expansion loop
+(``bracket_eval``, ``bracket_basis``, ``sparse_value``, ``sparse_bracket``,
+``multilinear``), the production wedge (``wedge_of_vectors``) or the sparse
+action of rho (``action``, ``module_action``), so a slip in those cannot
+pass on both sides; a test scans this file for those names.
 
 ``verify_algebra``, ``verify_metric``, ``verify_morphism`` and
 ``verify_representation`` return the production report with every check
-that evaluates the bracket replaced by the oracle's verdict and witness,
-so comparing ``to_dict()`` compares every check at once.
+that evaluates the bracket or rho replaced by the oracle's verdict and
+witness, so comparing ``to_dict()`` compares every check at once.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 from fractions import Fraction
 
 from nambu import cohomology, core
-from nambu.cohomology import Representation, _wedge, wedge_of_vectors
+from nambu.cohomology import Representation, _wedge
 from nambu.core import (
     BilinearForm,
     Check,
@@ -81,7 +85,7 @@ def check_super_skew(a: HomSuperAlgebra):
 def check_fundamental_identity(a: HomSuperAlgebra):
     n = a.arity
     p = a.parity
-    alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
+    alpha_cols = [a.alpha.col(j) for j in range(a.dim)]
     for xs in itertools.product(range(a.dim), repeat=n - 1):
         px = sum(p[i] for i in xs) % 2
         for ys in itertools.product(range(a.dim), repeat=n):
@@ -123,19 +127,102 @@ def check_bracket_map(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra):
     return True, None
 
 
+def literal_wedge(wb, vectors) -> dict:
+    """v_1 ^ ... ^ v_k of dense vectors in wedge coordinates: the sum over
+    basis tuples of the product of the coordinates times the straightened
+    basis wedge."""
+    out = {}
+    nonzero = [[i for i, c in enumerate(v) if c != 0] for v in vectors]
+    for indices in itertools.product(*nonzero):
+        sign, canon = straighten(indices, wb.space.parity)
+        if sign == 0:
+            continue
+        coeff = sign
+        for v, i in zip(vectors, indices):
+            coeff *= v[i]
+        pos = wb.index[canon]
+        out[pos] = out.get(pos, 0) + coeff
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def dense_rho(r: Representation, coords: dict) -> Matrix:
+    """rho of wedge coordinates as the dense sum of the matrices of r."""
+    dv = r.target.dim
+    out = Matrix.zeros(dv, dv)
+    for w, c in coords.items():
+        if c != 0:
+            out = out + r.rho[w].scale(c)
+    return out
+
+
+def alpha_wedges(a: HomSuperAlgebra, wb) -> list:
+    """alpha^wedge of every basis wedge, by the literal wedge."""
+    alpha_cols = [a.alpha.col(j) for j in range(a.dim)]
+    return [literal_wedge(wb, [alpha_cols[i] for i in t]) for t in wb.elements]
+
+
+def literal_wedge_bracket(a: HomSuperAlgebra, wb, w1, w2) -> dict:
+    """[x, y]_alpha of basis wedges x and y: the sum over i of
+    (-1)^{|x|(|y_1| + ... + |y_{i-1}|)} alpha y_1 ^ ... ^ [x, y_i] ^ ... ^ alpha y_k."""
+    xt, yt = wb.elements[w1], wb.elements[w2]
+    px = sum(a.parity[i] for i in xt) % 2
+    alpha_cols = [a.alpha.col(j) for j in range(a.dim)]
+    out = {}
+    prefix = 0
+    for i, y in enumerate(yt):
+        sign = -1 if (px == 1 and prefix == 1) else 1
+        mid = literal_value(a.bracket, xt + (y,))
+        vecs = [alpha_cols[k] for k in yt[:i]] + [mid] + [alpha_cols[k] for k in yt[i + 1 :]]
+        for pos, c in literal_wedge(wb, vecs).items():
+            out[pos] = out.get(pos, 0) + sign * c
+        prefix = (prefix + a.parity[y]) % 2
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def check_rep_grading(r: Representation, a: HomSuperAlgebra):
+    """Every rho(w) of the parity of w, in (wedge, row, column) order, and
+    nu even."""
+    wb = _wedge(a)
+    pv = r.target.parity
+    dv = r.target.dim
+    for w, mat in enumerate(r.rho):
+        for i in range(dv):
+            for j in range(dv):
+                if mat[i, j] != 0 and pv[i] != (pv[j] + wb.parity(w)) % 2:
+                    return False, {"wedge": [k + 1 for k in wb.elements[w]], "i": i + 1, "j": j + 1}
+    return core.is_even_map(r.nu, pv, pv), None
+
+
+def check_rep_jacobi(r: Representation, a: HomSuperAlgebra):
+    """rho(alpha x) rho(y) = (-1)^{|x||y|} rho(alpha y) rho(x) + rho([x, y]_alpha) nu
+    as dense matrix products, over every pair of basis wedges."""
+    wb = _wedge(a)
+    aw = alpha_wedges(a, wb)
+    for w1 in range(len(wb)):
+        m1 = dense_rho(r, aw[w1])
+        for w2 in range(len(wb)):
+            lhs = m1 * r.rho[w2]
+            sgn = -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1
+            rhs = (dense_rho(r, aw[w2]) * r.rho[w1]).scale(sgn)
+            rhs = rhs + dense_rho(r, literal_wedge_bracket(a, wb, w1, w2)) * r.nu
+            if lhs != rhs:
+                return False, {"x": [k + 1 for k in wb.elements[w1]], "y": [k + 1 for k in wb.elements[w2]]}
+    return True, None
+
+
 def check_rep_nary(r: Representation, a: HomSuperAlgebra):
     """The n-ary action law over canonical x-tuples and all basis y-tuples."""
     n = a.arity
     p = a.parity
     wb = _wedge(a)
-    alpha_cols = [a.alpha_column(j) for j in range(a.dim)]
+    alpha_cols = [a.alpha.col(j) for j in range(a.dim)]
     for xs in core._canonical_tuples(a.space, n - 2):
         px = a.space.parity_of_indices(xs)
         x_alpha = [alpha_cols[i] for i in xs]
         for ys in itertools.product(range(a.dim), repeat=n):
             py_total = sum(p[i] for i in ys) % 2
             inner = literal_value(a.bracket, ys)
-            lhs = r.matrix_of(wedge_of_vectors(wb, x_alpha + [inner])) * r.nu
+            lhs = dense_rho(r, literal_wedge(wb, x_alpha + [inner])) * r.nu
             rhs = Matrix.zeros(r.target.dim, r.target.dim)
             for i in range(n):
                 sgn = (-1) ** (n - 1 - i)
@@ -145,16 +232,26 @@ def check_rep_nary(r: Representation, a: HomSuperAlgebra):
                 if p[ys[i]] == 1 and suffix == 1:
                     sgn = -sgn
                 hat = [alpha_cols[ys[k]] for k in range(n) if k != i]
-                sign_w, w_small = wb.lookup(xs + (ys[i],))
+                sign_w, canon = straighten(xs + (ys[i],), p)
                 if sign_w == 0:
                     continue
-                term = r.matrix_of(wedge_of_vectors(wb, hat)) * r.rho[w_small]
+                term = dense_rho(r, literal_wedge(wb, hat)) * r.rho[wb.index[canon]]
                 rhs = rhs + term.scale(sgn * sign_w)
             if lhs != rhs:
                 return False, {
                     "x": [k + 1 for k in xs],
                     "y": [k + 1 for k in ys],
                 }
+    return True, None
+
+
+def check_twist_equivariance(r: Representation, a: HomSuperAlgebra):
+    """nu rho(x) = rho(alpha x) nu as dense matrix products, per basis wedge."""
+    wb = _wedge(a)
+    aw = alpha_wedges(a, wb)
+    for w in range(len(wb)):
+        if r.nu * r.rho[w] != dense_rho(r, aw[w]) * r.nu:
+            return False, {"wedge": [k + 1 for k in wb.elements[w]]}
     return True, None
 
 
@@ -274,6 +371,9 @@ def verify_metric(a: HomSuperAlgebra, form: BilinearForm):
 
 
 def verify_representation(r: Representation, a: HomSuperAlgebra):
-    return _with_checks(
-        cohomology.verify_representation(r, a), {"n-ary-compatibility": check_rep_nary(r, a)}
-    )
+    return _with_checks(cohomology.verify_representation(r, a), {
+        "grading": check_rep_grading(r, a),
+        "hom-jacobi": check_rep_jacobi(r, a),
+        "n-ary-compatibility": check_rep_nary(r, a),
+        "twist-equivariance": check_twist_equivariance(r, a),
+    })

@@ -10,6 +10,7 @@ does report existence.
 
 from __future__ import annotations
 
+from axiom_oracle import dense_rho
 from nambu.cohomology import Representation, _complex_tables, _wedge
 from nambu.core import HomSuperAlgebra, _canonical_tuples
 
@@ -26,8 +27,8 @@ def coadjoint_conditions(a: HomSuperAlgebra, ad: Representation):
     for w1 in range(len(wb)):
         for w2 in range(len(wb)):
             sgn = -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1
-            lhs = ad.rho[w1] * ad.matrix_of(aw[w2]) - (ad.rho[w2] * ad.matrix_of(aw[w1])).scale(sgn)
-            rhs = a.alpha * ad.matrix_of(cx.fb(w1, w2))
+            lhs = ad.rho[w1] * dense_rho(ad, aw[w2]) - (ad.rho[w2] * dense_rho(ad, aw[w1])).scale(sgn)
+            rhs = a.alpha * dense_rho(ad, cx.fb(w1, w2))
             if lhs != rhs:
                 return False, {
                     "condition": "commutator",
@@ -41,7 +42,7 @@ def coadjoint_conditions(a: HomSuperAlgebra, ad: Representation):
         px = a.space.parity_of_indices(xs)
         for h in range(len(wb)):
             ph = wb.parity(h)
-            right = ad.matrix_of(aw[h])
+            right = dense_rho(ad, aw[h])
             for y in range(a.dim):
                 sign_w, w_small = wb.lookup(xs + (y,))
                 if sign_w == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 
+from axiom_oracle import dense_rho
 from nambu.cohomology import (
     Cochain,
     CochainModel,
@@ -189,9 +190,9 @@ def literal_coboundary(a, r, f: Cochain) -> Cochain:
     apw = cx.alpha_pow_wedge(m)
     apm = cx.alpha_pow(m)
     alpha_cols_sparse = [
-        {i: c for i, c in enumerate(a.alpha_column(j)) if c != 0} for j in range(a.dim)
+        {i: c for i, c in enumerate(a.alpha.col(j)) if c != 0} for j in range(a.dim)
     ]
-    rho_apw = [r.matrix_of(apw[w]) for w in range(len(wb))]
+    rho_apw = [dense_rho(r, apw[w]) for w in range(len(wb))]
     p = a.parity
     DV = model_out.DV
     unit_wedge = [{w: 1} for w in range(len(wb))]

@@ -13,6 +13,13 @@ request is answered a second time with `--dump`, and the dump gets a digest
 of its own.  The scratch directory's path is replaced by `<out>` before
 hashing, so digests do not depend on where it lies.  Stdlib only; perfbench
 is imported, never changed.
+
+No benchmark request prints a representation report, so the digest ends
+with one line per `to_dict()` of `verify_representation` (ad, ad* and a
+seeded random rho) and of `verify_prop_2_2`, on the catalog,
+`samples.no_coadjoint()` and the raw tensors of seeds 0-99, and one line
+for `cohomology --rep coadjoint` on `no_coadjoint`, which exits 2 with the
+witness on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +39,11 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(PERFBENCH))  # run.py imports workloads and checks by name
 
 import workloads  # noqa: E402
-from nambu import cli  # noqa: E402
+from nambu import cli, samples  # noqa: E402
+from nambu import fileformat as ff  # noqa: E402
+from nambu.cohomology import adjoint_rep, verify_prop_2_2, verify_representation  # noqa: E402
+from nambu.tstar import coadjoint_rep  # noqa: E402
+from seeded_inputs import random_representation, raw_algebra  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
 run = importlib.util.module_from_spec(_spec)
@@ -75,6 +86,30 @@ def digest_workload(name, seed, outdir, emit):
     return crashes
 
 
+def digest_representations(outdir, emit):
+    """Emit the digest lines of the representation reports and of the
+    coadjoint refusal; returns the number of requests that crashed."""
+    algebras = [(f"catalog{i}:{a.name}", a) for i, a in enumerate(samples.catalog())]
+    algebras.append(("no_coadjoint", samples.no_coadjoint()))
+    algebras += [(f"raw{seed}", raw_algebra(random.Random(seed))) for seed in range(100)]
+    for k, (label, a) in enumerate(algebras):
+        reps = [
+            ("ad", adjoint_rep(a)),
+            ("ad*", coadjoint_rep(a).rep),
+            ("random", random_representation(a, random.Random(k))),
+        ]
+        for name, r in reps:
+            emit(f"representation {label} {name} {digest(outdir, verify_representation(r, a).to_dict())}")
+        emit(f"prop-2.2 {label} {digest(outdir, verify_prop_2_2(a).to_dict())}")
+    path = os.path.join(outdir, "no_coadjoint.json")
+    with open(path, "w") as fh:
+        fh.write(ff.to_json_str(ff.algebra_to_json(samples.no_coadjoint())))
+    req = workloads.Request("no_coadjoint --rep coadjoint", ["cohomology", path, "--m", "1", "--rep", "coadjoint"])
+    code, value = answer(req, outdir)
+    emit(f"cohomology exit={code} {value} {req.label}")
+    return code == "crash"
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -87,6 +122,9 @@ def main(argv=None):
                 outdir = os.path.join(tmp, f"{name}-seed{seed}")
                 os.makedirs(outdir)
                 crashes += digest_workload(name, seed, outdir, print)
+        outdir = os.path.join(tmp, "representations")
+        os.makedirs(outdir)
+        crashes += digest_representations(outdir, print)
     if crashes:
         print(f"output_digest: {crashes} requests crashed", file=sys.stderr)
     return 1 if crashes else 0

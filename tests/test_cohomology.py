@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from axiom_oracle import literal_wedge
 from coboundary_oracle import literal_module_bracket
 from nambu import samples
 from nambu.cohomology import (
     Cochain,
     CochainModel,
     Representation,
+    _complex_tables,
     _wedge,
     adjoint_rep,
     alternating_subspace,
@@ -26,9 +28,10 @@ from nambu.cohomology import (
     verify_prop_2_2,
     verify_representation,
     wedge_basis,
+    wedge_of_vectors,
 )
 from nambu.core import GradedSpace, HomSuperAlgebra, StructureTensor, straighten
-from nambu.errors import ArityMismatch, NotACochain
+from nambu.errors import ArityMismatch, DimensionMismatch, NotACochain
 from nambu.linalg import Matrix, solve_affine
 from nambu.samples import abelian, h3, n4, odd_square, sh12
 from nambu.tstar import coadjoint_rep
@@ -146,6 +149,17 @@ class TestAdjoint:
         assert not verify_representation(adjoint_rep(bad), bad).ok
 
 
+def _sparse(vec) -> dict:
+    return {k: c for k, c in enumerate(vec) if c != 0}
+
+
+def _dense_of(arg, dim) -> list:
+    vec = [0] * dim
+    for i, c in arg:
+        vec[i] += c
+    return vec
+
+
 class TestModuleBracket:
     """The literal module bracket of the oracle, and module_action against it."""
 
@@ -167,9 +181,9 @@ class TestModuleBracket:
         a = n4()
         r = adjoint_rep(a)
         with pytest.raises(ArityMismatch):
-            module_action(a, r, [a.basis_vector(0)], 0)
+            module_action(a, r, [((0, 1),)], 0)
         with pytest.raises(ArityMismatch):
-            module_action(a, r, [a.basis_vector(0)] * 2, 3)
+            module_action(a, r, [((0, 1),)] * 2, 3)
 
     def test_single_slot_matches_bracket_for_adjoint(self):
         # with the adjoint action the module bracket is the algebra bracket
@@ -178,15 +192,15 @@ class TestModuleBracket:
         e1, e2 = a.basis_vector(0), a.basis_vector(1)
         assert literal_module_bracket(a, r, [("v", e1), ("g", e2)]) == a.bracket_eval([e1, e2])
         assert literal_module_bracket(a, r, [("g", e1), ("v", e2)]) == a.bracket_eval([e1, e2])
-        assert module_action(a, r, [e2], 0).apply(e1) == a.bracket_eval([e1, e2])
-        assert module_action(a, r, [e1], 1).apply(e2) == a.bracket_eval([e1, e2])
+        assert module_action(a, r, [((1, 1),)], 0)[0] == _sparse(a.bracket_eval([e1, e2]))
+        assert module_action(a, r, [((0, 1),)], 1)[1] == _sparse(a.bracket_eval([e1, e2]))
 
     def test_zero_rho_kills_everything(self):
         a = abelian(2)
         r = adjoint_rep(a)
         out = literal_module_bracket(a, r, [("v", [1, 1]), ("g", [1, 0])])
         assert out == [0, 0]
-        assert module_action(a, r, [[1, 0]], 0).is_zero()
+        assert module_action(a, r, [((0, 1),)], 0) == [{}, {}]
 
     def test_leading_module_slot_sign_n3(self):
         # all even: [v, x_1, x_2] picks up (-1)^{n-1} = +1 for n = 3
@@ -196,7 +210,7 @@ class TestModuleBracket:
         got = literal_module_bracket(a, r, [("v", e[2]), ("g", e[0]), ("g", e[1])])
         assert got == a.bracket_basis((2, 0, 1))
         assert got == [0, 0, 0, 1]
-        assert module_action(a, r, [e[0], e[1]], 0).apply(e[2]) == got
+        assert module_action(a, r, [((0, 1),), ((1, 1),)], 0)[2] == {3: 1}
 
 
 def _modules(a, rng):
@@ -213,16 +227,19 @@ def _modules(a, rng):
     ]
 
 
-def _g_vector(a, rng, kind):
+def _g_arg(a, rng, kind):
+    """A seeded vector of g as its nonzero (index, coeff) pairs."""
     d = a.dim
     if kind == "zero":
-        return [0] * d
+        return []
     if kind == "unit":
-        return a.basis_vector(rng.randrange(d))
+        return [(rng.randrange(d), 1)]
     if kind == "homogeneous":
         q = rng.choice(a.parity)
-        return [rng.choice((1, -1, 2, Fraction(-1, 3))) if a.parity[i] == q else 0 for i in range(d)]
-    return [rng.choice((0, 1, -1, 2, Fraction(3, 2))) for _ in range(d)]  # dense, mixes parities
+        return [(i, rng.choice((1, -1, 2, Fraction(-1, 3)))) for i in range(d) if a.parity[i] == q]
+    if kind == "sparse":
+        return [(i, rng.choice((1, -1, 3))) for i in sorted(rng.sample(range(d), rng.randint(1, d)))]
+    return [(i, rng.choice((1, -1, 2, Fraction(3, 2)))) for i in range(d)]  # dense, mixes parities
 
 
 _ACTION_CORPUS = samples.catalog() + [samples.random_twisted_algebra(random.Random(s)) for s in range(8)]
@@ -238,13 +255,54 @@ def test_module_action_equals_literal_module_bracket(a):
         dv = r.target.dim
         for pos in range(a.arity):
             for _ in range(4):
-                g_vecs = [_g_vector(a, rng, rng.choice(kinds)) for _ in range(a.arity - 1)]
-                mat = module_action(a, r, g_vecs, pos)
+                g_args = [_g_arg(a, rng, rng.choice(kinds)) for _ in range(a.arity - 1)]
+                columns = module_action(a, r, g_args, pos)
+                assert len(columns) == dv
                 for u in range(dv):
                     unit = [1 if v == u else 0 for v in range(dv)]
-                    slots = [("g", vec) for vec in g_vecs]
+                    slots = [("g", _dense_of(arg, a.dim)) for arg in g_args]
                     slots.insert(pos, ("v", unit))
-                    assert mat.col(u) == literal_module_bracket(a, r, slots), (a.name, name, pos, g_vecs, u)
+                    want = _sparse(literal_module_bracket(a, r, slots))
+                    assert columns[u] == want, (a.name, name, pos, g_args, u)
+
+
+@pytest.mark.parametrize("a", samples.catalog(), ids=lambda a: a.name)
+def test_wedge_of_vectors_equals_literal_wedge(a):
+    # sparse arguments against the oracle's wedge of the dense vectors, in
+    # every degree up to 3: sparse, dense, unit, zero and mixed-parity factors
+    rng = random.Random(a.dim * 7 + a.arity)
+    kinds = ("sparse", "dense", "unit", "zero", "homogeneous")
+    for degree in (1, 2, 3):
+        wb = wedge_basis(a.space, degree)
+        for _ in range(12):
+            args = [_g_arg(a, rng, rng.choice(kinds)) for _ in range(degree)]
+            want = literal_wedge(wb, [_dense_of(arg, a.dim) for arg in args])
+            assert wedge_of_vectors(wb, args) == want, (a.name, degree, args)
+
+
+def test_wedge_of_vectors_needs_degree_many_factors():
+    wb = wedge_basis(n4().space, 2)
+    for factors in ([((0, 1),)], [((0, 1),)] * 3, []):
+        with pytest.raises(DimensionMismatch):
+            wedge_of_vectors(wb, factors)
+
+
+@pytest.mark.parametrize("a", samples.catalog(), ids=lambda a: a.name)
+def test_fundamental_bracket_is_bilinear_over_basis_table(a):
+    rng = random.Random(a.dim * 13 + a.arity)
+    cx = _complex_tables(a)
+    positions = range(len(cx.wb))
+    for _ in range(6):
+        x, y = (
+            {w: rng.choice((1, -2, Fraction(1, 3))) for w in rng.sample(positions, rng.randint(1, len(positions)))}
+            for _ in range(2)
+        )
+        want = {}
+        for w1, c1 in x.items():
+            for w2, c2 in y.items():
+                for pos, c in cx.fb(w1, w2).items():
+                    want[pos] = want.get(pos, 0) + c1 * c2 * c
+        assert fundamental_bracket(a, x, y) == {k: c for k, c in want.items() if c != 0}, (a.name, x, y)
 
 
 class TestCochainSpaces:

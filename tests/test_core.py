@@ -111,9 +111,9 @@ class TestBracketEval:
 
 
 def _memo_corpus():
-    from test_axiom_oracle import _raw_algebra
+    from seeded_inputs import raw_algebra
 
-    return samples.catalog() + [_raw_algebra(random.Random(seed)) for seed in range(120)]
+    return samples.catalog() + [raw_algebra(random.Random(seed)) for seed in range(120)]
 
 
 def test_memoized_basis_values_equal_the_definition():
