@@ -10,6 +10,7 @@ Outputs are deterministic byte-for-byte for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -263,7 +264,10 @@ def _emit(text, out_path, out=None):
         out.write(text)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  It binds no handler:
+    main looks up cmd_<command> by name on every call."""
     parser = argparse.ArgumentParser(
         prog="nambu",
         description="Exact computer algebra for n-ary multiplicative Hom-Nambu-Lie superalgebras",
@@ -275,7 +279,6 @@ def build_parser():
     p.add_argument("--metric", action="store_true", help="require and check the form block")
     p.add_argument("--rep", action="store_true", help="check the representation block")
     p.add_argument("--json", help="write the full report as JSON")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cohomology", help="dimensions of Z^m, B^m, H^m")
     p.add_argument("file")
@@ -283,53 +286,44 @@ def build_parser():
     p.add_argument("--rep", choices=["adjoint", "coadjoint", "file"], default="adjoint")
     p.add_argument("--parity", choices=["even", "odd", "both"], default="both")
     p.add_argument("--dump", help="write the cocycle basis as JSON")
-    p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("series", help="derived and lower central series lengths")
     p.add_argument("file")
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("twist", help="twist an untwisted algebra by an endomorphism")
     p.add_argument("file")
     p.add_argument("--endo", required=True, help="JSON file with the endomorphism matrix")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("extend", help="build the extension of a datum file")
     p.add_argument("file")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("tstar", help="build the T*-extension")
     p.add_argument("file")
     p.add_argument("--theta", default="zero", help="'zero' or a theta JSON file")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_tstar)
 
     p = sub.add_parser("equiv", help="classify two T*-extensions of one algebra")
     p.add_argument("file")
     p.add_argument("theta1")
     p.add_argument("theta2")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("decompose", help="nilpotent metric decomposition certificate")
     p.add_argument("file")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("fuzz", help="randomized invariant sweep over twisted algebras")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10)
-    p.set_defaults(func=cmd_fuzz)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4

@@ -486,6 +486,13 @@ class _Equations(NamedTuple):
 
 
 def _compat_equations(a, r, k) -> _Equations:
+    """The equations of C^k(g, V) (_build_compat_equations), kept in a._cache
+    under ("compat", k) by the rule of delta_operator: served again only for
+    the same representation object r."""
+    return _per_representation(a, ("compat", k), r, lambda: _build_compat_equations(a, r, k))
+
+
+def _build_compat_equations(a, r, k) -> _Equations:
     """The defining equations of C^k(g, V), nu o F = F o (alpha^wedge x ... x
     alpha^wedge x alpha) for a raw vector F, and their only encoding.
 
@@ -706,92 +713,143 @@ def delta_operator(a, r, m) -> dict:
     even an equal one, is assembled afresh).  The result is shared: callers
     must not mutate it.
     """
-    cached = a._cache.get(("delta", m))
+    return _per_representation(a, ("delta", m), r, lambda: _assemble_delta(a, r, m))
+
+
+def _per_representation(a, key, r, build):
+    """a._cache[key] if it was built for the representation object r, else
+    build() kept there for r."""
+    cached = a._cache.get(key)
     if cached is not None and cached[0] is r:
         return cached[1]
-    op = _assemble_delta(a, r, m)
-    a._cache[("delta", m)] = (r, op)
-    return op
+    value = build()
+    a._cache[key] = (r, value)
+    return value
 
 
 def _assemble_delta(a, r, m) -> dict:
-    """delta^m of (a, r) as for delta_operator, assembled.
+    """delta^m of (a, r) as for delta_operator, assembled from the nonzero
+    entries of its tables.
 
-    One sweep over the output inputs (x_1..x_{m+1}, z) emits, per output
-    coordinate, the linear form in f of the four terms: (1) insert a wedge
-    bracket [x_i, x_j]_alpha at slot j and drop slot i; (2) replace z by
-    x_i . z and drop slot i; (3) act by rho(alpha^m(x_i)) on f without
+    For an output input (x_1..x_{m+1}, z) the four terms are: (1) insert a
+    wedge bracket [x_i, x_j]_alpha at slot j and drop slot i; (2) replace z
+    by x_i . z and drop slot i; (3) act by rho(alpha^m(x_i)) on f without
     slot i; (4) the module action on f(x_1..x_m, -) of the components of
-    x_{m+1} and alpha^m(z).  Terms 3 and 4 carry the parity
-    of f, taken per input coordinate, so every parity-homogeneous cochain
-    is mapped with its own sign.
+    x_{m+1} and alpha^m(z).  Each term is emitted only where it is nonzero:
+    term 2 from the nonzero ad(x_i, z), term 1 from the nonzero
+    fb(x_i, x_j), term 3 from the entries of rho(alpha^m x_i) and term 4
+    from those of the module action per (x_{m+1}, z, slot).  Terms 1 and 2
+    do not depend on the parity of f and act on a V-block of f as the
+    identity: one linear form per (x, z) block, written once for each v.
+    Terms 3 and 4 carry the parity of f, taken per input coordinate, so
+    every parity-homogeneous cochain is mapped with its own sign; an entry
+    or row that cancels to zero is deleted where it arises.
     """
     model_in = CochainModel(a, r, m)
     model_out = CochainModel(a, r, m + 1)
     cx = _complex_tables(a)
     wb = cx.wb
     aw = cx.alpha_wedge()
-    rho_apw = [r.action(coords) for coords in cx.alpha_pow_wedge(m)]
-    DV = model_out.DV
-    parities = model_in.parities
-    # term 4 depends on f only through one V-block: the module action on it,
-    # as sparse columns, keyed by (x_{m+1}, z, slot of the V-vector)
-    apm_cols = [col.items() for col in sparse_columns(cx.alpha_pow(m))]
-    actions = {}
-    for w, t in enumerate(wb.elements):
-        for j, i in itertools.product(range(a.dim), range(len(t))):
-            g_args = [apm_cols[x] for k, x in enumerate(t) if k != i] + [apm_cols[j]]
-            actions[w, j, i] = module_action(a, r, g_args, i)
+    W, D, DV = model_in.W, model_in.D, model_in.DV
+    wpar, p, pv = wb.parities, a.parity, r.target.parity
+    # the wedge slots of f's inputs in flat order: the V-block of
+    # (rests[k], t) starts at (k * D + t) * DV
+    rests = list(itertools.product(range(W), repeat=m))
+
+    # terms 1 and 2: one linear form per output block (x_1..x_{m+1}, z),
+    # keyed by the block's flat offset
+    forms = {}
+
+    def add_form(ws, j, sgn, args, z):
+        form = forms.setdefault(model_out.flat(ws, j), {})
+        for off, c in _linear_expansion(model_in, args, z):
+            form[off] = form.get(off, 0) + sgn * c
+
+    ads = [(w, j, ad) for w in range(W) for j in range(D) if (ad := cx.ad(w, j))]
+    for i in range(m + 1):
+        for w, j, ad in ads:
+            for others in rests:
+                sgn = 1 if i % 2 else -1  # (-1)^(i+1)
+                if wpar[w] == 1 and sum(wpar[x] for x in others[i:]) % 2 == 1:
+                    sgn = -sgn
+                add_form(others[:i] + (w,) + others[i:], j, sgn, [aw[x] for x in others], ad)
+    fbs = [(w1, w2, fb) for w1 in range(W) for w2 in range(W) if (fb := cx.fb(w1, w2))] if m else []
+    for i, jj in itertools.combinations(range(m + 1), 2):
+        for w1, w2, fb in fbs:
+            for others in itertools.product(range(W), repeat=m - 1):
+                ws = others[:i] + (w1,) + others[i : jj - 1] + (w2,) + others[jj - 1 :]
+                sgn = 1 if i % 2 else -1  # (-1)^(i+1)
+                if wpar[w1] == 1 and sum(wpar[x] for x in others[i : jj - 1]) % 2 == 1:
+                    sgn = -sgn
+                args = [(fb if k == jj else aw[ws[k]]) for k in range(m + 1) if k != i]
+                for j in range(D):
+                    add_form(ws, j, sgn, args, cx.alpha_cols[j])
 
     rows = {}
-    for ws, j in model_out.input_tuples():
-        wpar = [wb.parity(w) for w in ws]
-        # terms 1 and 2 do not depend on the parity of f: one linear form on
-        # V-blocks of f, shared by every output coordinate v
-        form = {}
-        for i in range(m + 1):
-            terms = []
-            ad = cx.ad(ws[i], j)
-            if ad:
-                sgn = -1 if wpar[i] == 1 and sum(wpar[i + 1 :]) % 2 == 1 else 1
-                terms.append((sgn, [aw[ws[k]] for k in range(m + 1) if k != i], ad))
-            for jj in range(i + 1, m + 1):
-                fb = cx.fb(ws[i], ws[jj])
-                if fb:
-                    sgn = -1 if wpar[i] == 1 and sum(wpar[i + 1 : jj]) % 2 == 1 else 1
-                    args = [(fb if k == jj else aw[ws[k]]) for k in range(m + 1) if k != i]
-                    terms.append((sgn, args, cx.alpha_cols[j]))
-            for sgn, args, z in terms:
-                for off, c in _linear_expansion(model_in, args, z):
-                    form[off] = form.get(off, 0) + (-1) ** (i + 1) * sgn * c
-        block = [{off + v: c for off, c in form.items()} for v in range(DV)]
+    for out in list(forms):
+        form = [(off, c) for off, c in forms.pop(out).items() if c != 0]
+        if form:
+            for v in range(DV):
+                rows[out + v] = {off + v: c for off, c in form}
 
-        # terms 3 and 4 each act on one V-block of f, the one at (rest, t):
-        # the sign is (-1)^i, flipped when the acting slot is odd and so is
-        # f's coordinate plus the wedge parity before it; columns[u] is the
-        # image of the unit V-vector u
-        acting = []
+    def add(out, inp, c):
+        row = rows.get(out)
+        if row is None:
+            rows[out] = {inp: c}
+        elif (x := row.get(inp, 0) + c) != 0:
+            row[inp] = x
+        else:
+            del row[inp]
+            if not row:
+                del rows[out]
+
+    # terms 3 and 4 act on one V-block of f, the one at (rest, t): the sign
+    # is (-1)^i, flipped when the acting slot is odd and so is f's
+    # coordinate plus the wedge parity before it
+    if not any(col for cols in r.columns for col in cols):
+        return rows  # rho = 0: no term 3 or 4
+    for w, columns in enumerate(r.action(coords) for coords in cx.alpha_pow_wedge(m)):
+        entries = [(u, v, c) for u, col in enumerate(columns) for v, c in col.items()]
+        if not entries:
+            continue
         for i in range(m + 1):
-            rest = tuple(ws[k] for k in range(m + 1) if k != i)
-            acting.append((rest, j, i, sum(wpar[:i]), wpar[i], rho_apw[ws[i]]))
+            # signed[q]: q is the parity of f's coordinate without its V-part
+            # plus the wedges before slot i
+            s = -1 if i % 2 else 1
+            signed = [
+                [(u, v, -s * c if wpar[w] == 1 and (q + pv[u]) % 2 == 1 else s * c) for u, v, c in entries]
+                for q in (0, 1)
+            ]
+            for k, rest in enumerate(rests):
+                out_base = model_out.flat(rest[:i] + (w,) + rest[i:], 0)
+                tail = sum(wpar[x] for x in rest[i:])
+                for j in range(D):
+                    o, f = out_base + j * DV, (k * D + j) * DV
+                    for u, v, c in signed[(tail + p[j]) % 2]:
+                        add(o + v, f + u, c)
+    apm_cols = [col.items() for col in sparse_columns(cx.alpha_pow(m))]
+    # term 4: slot i of x_{m+1} = w feeds f at (x_1..x_m, t_i); the module
+    # action depends on w only through the other factors of its wedge
+    actions = {}  # (x_{m+1} without slot i, z, i) -> module action
+    s = -1 if m % 2 else 1
+    for w, t in enumerate(wb.elements):
         prefix = 0
-        for i, t in enumerate(wb.elements[ws[m]]):
-            acting.append((ws[:m], t, m, sum(wpar[:m]), prefix, actions[ws[m], j, i]))
-            prefix = (prefix + a.parity[t]) % 2
-        for rest, t, i, before, odd, columns in acting:
-            base = model_in.flat(rest, t)
-            for u, column in enumerate(columns):
-                sgn = (-1) ** i
-                if odd == 1 and (parities[base + u] + before) % 2 == 1:
-                    sgn = -sgn
-                for v, c in column.items():
-                    block[v][base + u] = block[v].get(base + u, 0) + sgn * c
-
-        out_base = model_out.flat(ws, j)
-        for v, row in enumerate(block):
-            row = {k: c for k, c in row.items() if c != 0}
-            if row:
-                rows[out_base + v] = row
+        for i, x in enumerate(t):
+            others = t[:i] + t[i + 1 :]
+            for j in range(D):
+                key = (others, j, i)
+                if key not in actions:
+                    actions[key] = module_action(a, r, [apm_cols[y] for y in others] + [apm_cols[j]], i)
+                entries = [
+                    (u, v, -s * c if prefix == 1 and (p[x] + pv[u]) % 2 == 1 else s * c)
+                    for u, col in enumerate(actions[key])
+                    for v, c in col.items()
+                ]
+                for k in range(len(rests) if entries else 0):
+                    o, f = ((k * W + w) * D + j) * DV, (k * D + x) * DV
+                    for u, v, c in entries:
+                        add(o + v, f + u, c)
+            prefix = (prefix + p[x]) % 2
     return rows
 
 

@@ -214,14 +214,6 @@ class Matrix:
     def is_diagonal(self):
         return all(self.data[i * self.cols + j] == 0 for i in range(self.rows) for j in range(self.cols) if i != j)
 
-    def power(self, k):
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of a non-square matrix")
-        result = Matrix.identity(self.rows)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {[ [format_scalar(x) for x in self.row(i)] for i in range(self.rows)]})"
 

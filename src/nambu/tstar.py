@@ -33,6 +33,7 @@ from .core import (
     HomSuperAlgebra,
     Report,
     StructureTensor,
+    _accumulate,
     _canonical_tuples,
     _unit_arguments,
     direct_sum,
@@ -43,6 +44,7 @@ from .core import (
     quotient,
     series,
     solvable_length,
+    sparse_columns,
     split_graded,
     vector_parity,
     verify_algebra,
@@ -564,7 +566,10 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
     # quotient step: recurse on W^perp / W
     wperp = w.orthogonal_complement(gram)
     ensure(wperp.contains(w), "W is not inside W-perp")
-    ensure(_maps_into(ops, wperp, wperp), "W-perp is not stable under the bracket operators")
+    ensure(
+        _maps_into([sparse_columns(op) for op in ops], wperp, wperp),
+        "W-perp is not stable under the bracket operators",
+    )
     space = GradedSpace(dim, tuple(parity))
     w_even, w_odd = split_graded(w, space)
     perp_even, perp_odd = split_graded(wperp, space)
@@ -620,27 +625,37 @@ def extend_to_maximal_isotropic(m: MetricAlgebra, w: Subspace) -> Subspace:
     if not is_isotropic(m, w):
         raise AlgebraError("subspace is not isotropic")
     ad = adjoint_rep(a)
-    ops = list(ad.rho)
-    if not _maps_into(ops, w, w):
+    if not _maps_into(ad.columns, w, w):
         raise AlgebraError("subspace is not stable under the bracket operators")
-    if not _maps_into([a.alpha], w, w):
+    if not _maps_into([a.alpha_columns()], w, w):
         raise AlgebraError("subspace is not stable under the twist")
 
-    result = _extend_recursive(tuple(a.parity), m.gram, ops, a.alpha, w)
+    result = _extend_recursive(tuple(a.parity), m.gram, ad.rho, a.alpha, w)
     ensure(result.dim == a.dim // 2, "maximal isotropic subspace has the wrong dimension")
     ensure(result.contains(w), "maximal isotropic subspace lost W")
     ensure(is_isotropic(m, result), "maximal isotropic subspace is not isotropic")
     split_graded(result, a.space)
-    ensure(_maps_into(ops + [a.alpha], result, result), "maximal isotropic subspace is not stable")
+    ensure(
+        _maps_into(ad.columns + [a.alpha_columns()], result, result),
+        "maximal isotropic subspace is not stable",
+    )
     if a.dim % 2 == 1:
         rperp = result.orthogonal_complement(m.gram)
-        ensure(_maps_into(ops, rperp, result), "the bracket operators map the complement outside")
+        ensure(_maps_into(ad.columns, rperp, result), "the bracket operators map the complement outside")
     return result
 
 
 def _maps_into(ops, source: Subspace, target: Subspace) -> bool:
-    """Every operator sends every basis vector of source into target."""
-    return all(target.contains_vector(op.apply(row)) for op in ops for row in source.basis_vectors())
+    """Every operator, given by its sparse columns {row: entry}, sends every
+    basis vector of source into target."""
+    for cols in ops:
+        for row in source.sparse_rows:
+            image = {}
+            for k, x in row.items():
+                _accumulate(image, cols[k].items(), x)
+            if not target.contains_sparse(image):
+                return False
+    return True
 
 
 def isotropic_half_ideal_abelian_check(m: MetricAlgebra, i: Subspace) -> bool:

@@ -14,12 +14,17 @@ of its own.  The scratch directory's path is replaced by `<out>` before
 hashing, so digests do not depend on where it lies.  Stdlib only; perfbench
 is imported, never changed.
 
-No benchmark request prints a representation report, so the digest ends
+No benchmark request prints a representation report, so the digest goes on
 with one line per `to_dict()` of `verify_representation` (ad, ad* and a
 seeded random rho) and of `verify_prop_2_2`, on the catalog,
 `samples.no_coadjoint()` and the raw tensors of seeds 0-99, and one line
 for `cohomology --rep coadjoint` on `no_coadjoint`, which exits 2 with the
 witness on stderr.
+
+It ends with the parser's own output, at a fixed terminal width (COLUMNS):
+`nambu --help`, each subcommand's `--help`, no subcommand, an unknown
+subcommand and `cohomology` without its required `--m`, each with its exit
+code, stdout and stderr.
 """
 
 from __future__ import annotations
@@ -110,6 +115,25 @@ def digest_representations(outdir, emit):
     return code == "crash"
 
 
+SUBCOMMANDS = ("verify", "cohomology", "series", "twist", "extend", "tstar", "equiv", "decompose", "fuzz")
+PARSER_COLUMNS = "100"
+
+
+def digest_parser(outdir, emit):
+    """Emit the digest lines of the parser's help and usage errors; returns
+    the number of requests that crashed."""
+    os.environ["COLUMNS"] = PARSER_COLUMNS  # argparse wraps help to the terminal width
+    argvs = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+    argvs += [[], ["frobnicate"], ["cohomology", "algebra.json"]]
+    crashes = 0
+    for argv in argvs:
+        req = workloads.Request(" ".join(argv) or "<no arguments>", argv)
+        code, value = answer(req, outdir)
+        crashes += code == "crash"
+        emit(f"parser exit={code} {value} {req.label}")
+    return crashes
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -125,6 +149,7 @@ def main(argv=None):
         outdir = os.path.join(tmp, "representations")
         os.makedirs(outdir)
         crashes += digest_representations(outdir, print)
+        crashes += digest_parser(outdir, print)
     if crashes:
         print(f"output_digest: {crashes} requests crashed", file=sys.stderr)
     return 1 if crashes else 0

@@ -438,3 +438,38 @@ class TestFuzzCommand:
         code2, out2 = run(["fuzz", "--seed", "3", "--count", "4"])
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestParserOncePerProcess:
+    def test_parser_is_built_once_across_calls(self, tmpfiles, monkeypatch, capsys):
+        import argparse
+
+        from nambu import cli
+
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        path = tmpfiles("h3.json", ff.algebra_to_json(samples.h3()))
+        assert main(["cohomology", path, "--m", "1"]) == 0
+        first = capsys.readouterr()
+        assert first.out == "C=27 Z=11 B=3 H=8\n"
+        parsers = len(built)
+        assert parsers > 0
+        # a usage error between two good requests leaves the parser usable
+        with pytest.raises(SystemExit) as raised:
+            main(["cohomology", path])
+        assert raised.value.code == 2
+        assert "the following arguments are required: --m" in capsys.readouterr().err
+        assert main(["cohomology", path, "--m", "1"]) == 0
+        assert capsys.readouterr() == first
+        # handlers are looked up per call, so a replaced one is the one run
+        monkeypatch.setattr(cli, "cmd_series", lambda args: print("replaced") or 0)
+        assert main(["series", path]) == 0
+        assert capsys.readouterr().out == "replaced\n"
+        assert len(built) == parsers

@@ -29,6 +29,7 @@ from nambu.core import (
     verify_morphism,
 )
 from nambu.errors import (
+    AlgebraError,
     InternalError,
     NeedsFieldExtension,
     NotNilpotent,
@@ -499,6 +500,24 @@ class TestMaximalIsotropic:
         w = extend_to_maximal_isotropic(m, Subspace.zero(3))
         assert w.dim == 1
         assert is_isotropic(m, w)
+
+    def test_refuses_a_start_that_the_bracket_operators_move(self):
+        # span(e1) in T*(H3) is isotropic, but [e1, e2] = e3 leaves it
+        ext = tstar_extend(h3())
+        line = Subspace.from_vectors(6, [[1, 0, 0, 0, 0, 0]])
+        assert is_isotropic(ext.result, line)
+        with pytest.raises(AlgebraError, match="^subspace is not stable under the bracket operators$"):
+            extend_to_maximal_isotropic(ext.result, line)
+
+    def test_refuses_a_start_that_the_twist_moves(self):
+        # abelian, so every subspace is stable under the bracket operators;
+        # the shear sends e2 to e1 + e2
+        shear = twist_by_endomorphism(abelian(2), Matrix.from_rows([[1, 1], [0, 1]]))
+        m = MetricAlgebra(shear, BilinearForm(Matrix.from_rows([[0, 1], [1, 0]])))
+        line = Subspace.from_vectors(2, [[0, 1]])
+        assert is_isotropic(m, line)
+        with pytest.raises(AlgebraError, match="^subspace is not stable under the twist$"):
+            extend_to_maximal_isotropic(m, line)
 
 
 class TestReconstruction:
