@@ -882,6 +882,11 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
     return result
 
 
+def is_closed(a, r, f: Cochain) -> bool:
+    """delta f = 0, from f's nonzero coefficients: no (m+1)-cochain is built."""
+    return not _images(delta_operator(a, r, f.degree), [{k: x for k, x in enumerate(f.coeffs) if x}])[0]
+
+
 def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
     """Exact matrix of delta^m from the basis cm of C^m to the basis cm1 of
     C^{m+1}.  An image outside C^{m+1} raises NotACochain."""

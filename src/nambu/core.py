@@ -231,6 +231,21 @@ def sparse_columns(m: Matrix) -> list:
     return [{i: c for i, c in enumerate(m.col(j)) if c != 0} for j in range(m.cols)]
 
 
+def apply_columns(cols, vec: dict) -> dict:
+    """A map given by its sparse columns {row: entry}, applied to a sparse
+    vector {index: value}; zeros dropped."""
+    out = {}
+    for k, x in vec.items():
+        _accumulate(out, cols[k].items(), x)
+    return _nonzero(out)
+
+
+def maps_into(maps, source: Subspace, target: Subspace) -> bool:
+    """Every map, given by its sparse columns, sends every basis vector of
+    source into target."""
+    return all(target.contains_sparse(apply_columns(cols, row)) for cols in maps for row in source.sparse_rows)
+
+
 def _dense(pairs, dim):
     """The coordinate vector of a sparse vector given by its (index, value) pairs."""
     out = vzero(dim)
@@ -468,13 +483,10 @@ def _fundamental_identity_witnesses(a: HomSuperAlgebra, canonical: bool):
 
 def _bracket_map_witnesses(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra):
     """Canonical tuples where f[x1,...,xn] != [f(x1),...,f(xn)]' for f: a -> b."""
-    f_cols = [col.items() for col in sparse_columns(f)]
+    f_cols = sparse_columns(f)
     for key in _canonical_tuples(a.space, a.arity):
-        lhs = {}
-        for k, c in a.bracket.sparse_value(key):
-            _accumulate(lhs, f_cols[k], c)
-        lhs = _nonzero(lhs)
-        rhs = b.bracket.sparse_bracket([f_cols[i] for i in key])
+        lhs = apply_columns(f_cols, dict(a.bracket.sparse_value(key)))
+        rhs = b.bracket.sparse_bracket([f_cols[i].items() for i in key])
         if lhs != rhs:
             yield {
                 "args": _one_based(key),
@@ -581,20 +593,9 @@ def _unit(n, i):
     return v
 
 
-def _alpha_stable(h: Subspace, a: HomSuperAlgebra):
-    alpha_cols = a.alpha_columns()
-    for row in h.sparse_rows:
-        image = {}
-        for j, c in row.items():
-            _accumulate(image, alpha_cols[j].items(), c)
-        if not h.contains_sparse(image):
-            return False
-    return True
-
-
 def is_hom_subalgebra(h: Subspace, a: HomSuperAlgebra) -> bool:
     split_graded(h, a.space)  # raises NonGradedSubspace
-    if not _alpha_stable(h, a):
+    if not maps_into([a.alpha_columns()], h, h):
         return False
     rows = h.basis_vectors()
     for combo in itertools.product(rows, repeat=a.arity):
@@ -611,7 +612,7 @@ def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
     slots run over canonical tuples only.
     """
     split_graded(h, a.space)
-    if not _alpha_stable(h, a):
+    if not maps_into([a.alpha_columns()], h, h):
         return False
     expand = a.bracket.sparse_bracket
     rests = _unit_arguments(a.space, a.arity - 1)
@@ -806,17 +807,12 @@ def _invariance_witnesses(a: HomSuperAlgebra, g: Matrix):
     value = a.bracket.sparse_value
     for xs in _canonical_tuples(a.space, a.arity - 1):
         px = a.space.parity_of_indices(xs)
-        brackets = [value(xs + (y,)) for y in range(d)]
+        brackets = [dict(value(xs + (y,))) for y in range(d)]
         left = []  # left[y] = G^T b_y, by z
         right = [{} for _ in range(d)]  # right[y] = (G b_z)[y], by z
         for y, b in enumerate(brackets):
-            gtb = {}
-            gb = {}
-            for k, c in b:
-                _accumulate(gtb, g_rows[k].items(), c)
-                _accumulate(gb, g_cols[k].items(), c)
-            left.append(gtb)
-            for u, c in gb.items():
+            left.append(apply_columns(g_rows, b))
+            for u, c in apply_columns(g_cols, b).items():
                 right[u][y] = c
         for y in range(d):
             sgn = -1 if (px == 1 and a.parity[y] == 1) else 1

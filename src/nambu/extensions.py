@@ -18,8 +18,8 @@ from .cohomology import (
     Representation,
     alternating_subspace,
     cochain_basis,
-    coboundary,
     delta_matrix,
+    is_closed,
     module_action,
     satisfies_compat,
     verify_representation,
@@ -77,7 +77,7 @@ class ExtensionDatum:
         alt = alternating_subspace(self.base, self.module)
         if not alt.contains_vector(self.cocycle.coeffs):
             raise NotACochain("cocycle is not super-alternating across all slots")
-        if not coboundary(self.base, self.module, self.cocycle, check=False).is_zero():
+        if not is_closed(self.base, self.module, self.cocycle):
             raise CocycleNotClosed("delta^1 of the cocycle is nonzero")
 
 
@@ -263,7 +263,7 @@ def extract_cocycle(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Mat
     f = Cochain.from_entries(model, 0, entries)
     if not satisfies_compat(b, module, f):
         raise SectionInvalid("extracted cochain violates compatibility")
-    if not coboundary(b, module, f, check=False).is_zero():
+    if not is_closed(b, module, f):
         raise CocycleNotClosed("extracted cocycle is not closed (internal error)")
     return f, module
 

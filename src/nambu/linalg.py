@@ -457,7 +457,12 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length does not match ambient dimension")
-        rows = [{j: _check_entry(x) for j, x in enumerate(v) if x != 0} for v in vectors]
+        return cls.from_sparse(ambient_dim, [dict(enumerate(v)) for v in vectors])
+
+    @classmethod
+    def from_sparse(cls, ambient_dim, vectors):
+        """The span of sparse vectors {index: value} of Q^ambient_dim."""
+        rows = [{j: _check_entry(x) for j, x in v.items() if x != 0} for v in vectors]
         return cls._from_rref(ambient_dim, _rref(rows))
 
     @classmethod

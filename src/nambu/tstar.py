@@ -20,8 +20,8 @@ from .cohomology import (
     adjoint_rep,
     alternating_subspace,
     cochain_basis,
-    coboundary,
     delta_operator,
+    is_closed,
     satisfies_compat,
     verify_representation,
     _images,
@@ -33,12 +33,13 @@ from .core import (
     HomSuperAlgebra,
     Report,
     StructureTensor,
-    _accumulate,
     _canonical_tuples,
     _unit_arguments,
+    apply_columns,
     direct_sum,
     intertwiner_rows,
     is_hom_ideal,
+    maps_into,
     nilpotent_length,
     pairing,
     quotient,
@@ -69,7 +70,7 @@ from .errors import (
     ensure,
 )
 from .extensions import ExtensionDatum, _twisted_algebra
-from .linalg import Matrix, Subspace, block_diagonal, left_inverse, nullspace, particular_solution, rank, sparse_kernel
+from .linalg import Matrix, Subspace, block_diagonal, left_inverse, particular_solution, rank, sparse_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +103,13 @@ def _coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
     d = a.dim
     p = a.parity
     mats = []
-    for w, admat in enumerate(adjoint_rep(a).rho):
+    for w, cols in enumerate(adjoint_rep(a).columns):
         pw = wb.parity(w)
         data = [0] * (d * d)
-        for i in range(d):  # image of e_i*
-            # -(-1)^{|x||e_i*|}: +1 only when both the wedge and e_i* are odd
-            sgn = 1 if (pw == 1 and p[i] == 1) else -1
-            for k in range(d):
-                c = admat[i, k]
-                if c != 0:
-                    data[k * d + i] = sgn * c
+        for k, col in enumerate(cols):
+            for i, c in col.items():  # entry (k, i) of ad*(x) is entry (i, k) of ad(x), signed
+                # -(-1)^{|x||e_i*|}: +1 only when both the wedge and e_i* are odd
+                data[k * d + i] = c if (pw == 1 and p[i] == 1) else -c
         mats.append(Matrix(d, d, data))
     rep = Representation(a.space, mats, a.alpha.transpose())
     report = verify_representation(rep, a)
@@ -193,7 +191,7 @@ def tstar_extend(g: HomSuperAlgebra, theta: Cochain | None = None, validated=Tru
             raise NotACochain("theta violates the twist compatibility or has odd coordinates")
         if not alternating_subspace(g, coad.rep).contains_vector(theta.coeffs):
             raise NotACochain("theta is not super-alternating across all slots")
-        if not coboundary(g, coad.rep, theta, check=False).is_zero():
+        if not is_closed(g, coad.rep, theta):
             raise ThetaNotClosed("delta theta != 0")
         if not is_cyclic_cocycle(g, theta):
             raise ThetaNotCyclic("theta violates the cyclic condition")
@@ -218,8 +216,13 @@ def embedded_dual(ext: TStarExtension) -> Subspace:
 
 
 def is_isotropic(m: MetricAlgebra, sub: Subspace) -> bool:
-    rows = sub.basis_vectors()
-    return all(pairing(m.gram, u, v) == 0 for u in rows for v in rows)
+    return _isotropic(m.gram, sub)
+
+
+def _isotropic(gram: Matrix, sub: Subspace) -> bool:
+    """<u, v> = 0 on every pair of basis vectors, the gram applied once per vector."""
+    images = [gram.apply(v) for v in sub.basis_vectors()]
+    return all(sum(x * g[k] for k, x in u.items()) == 0 for u in sub.sparse_rows for g in images)
 
 
 def is_cyclic_cocycle(g: HomSuperAlgebra, theta: Cochain) -> bool:
@@ -454,26 +457,32 @@ def canonical_isotropic_ideal(m: MetricAlgebra) -> Subspace:
 # maximal isotropic enlargement, by induction on the quotient W-perp/W
 
 
-def _largest_invariant(sub: Subspace, alpha: Matrix) -> Subspace:
-    """Largest alpha-invariant subspace of sub: iterate sub intersect alpha^{-1}(sub)."""
+def _largest_invariant(sub: Subspace, alpha) -> Subspace:
+    """Largest alpha-invariant subspace of sub, alpha given by its sparse
+    columns: iterate sub intersect alpha^{-1}(sub), the kernel of the
+    annihilator rows u of sub and of the rows u alpha."""
     current = sub
     while True:
-        nxt = current.intersect(nullspace(current.annihilator().basis * alpha))
+        ann = current.annihilator().sparse_rows
+        pulled = [
+            {j: x for j, col in enumerate(alpha) if (x := sum(u.get(k, 0) * c for k, c in col.items()))}
+            for u in ann
+        ]
+        nxt = sparse_kernel(ann + pulled, len(alpha))
         if nxt == current:
             return current
         current = nxt
 
 
-def _orbit_span(v, alpha: Matrix, ambient) -> Subspace:
-    span = Subspace.from_vectors(ambient, [v])
-    vec = list(v)
-    for _ in range(ambient):
-        vec = alpha.apply(vec)
-        nxt = span.sum(Subspace.from_vectors(ambient, [vec]))
-        if nxt == span:
+def _orbit_span(v: dict, alpha) -> Subspace:
+    """The span of v, alpha v, alpha^2 v, ..., alpha given by its sparse
+    columns: grown until the next image lies in it."""
+    span = Subspace.from_sparse(len(alpha), [v])
+    while True:
+        v = apply_columns(alpha, v)
+        if span.contains_sparse(v):
             return span
-        span = nxt
-    return span
+        span = span.sum(Subspace.from_sparse(len(alpha), [v]))
 
 
 def _homogeneous_basis(sub: Subspace, parity):
@@ -496,10 +505,15 @@ def _sqrt_fraction(q):
     return None
 
 
-def _find_isotropic_stable_vector(parity, gram, ops, alpha, dim):
-    """An Engel-style isotropic vector whose alpha-orbit span is isotropic."""
-    kernel = nullspace(Matrix.from_rows([row for op in ops for row in op.row_list()], cols=dim))
-    stable = _largest_invariant(kernel, alpha)
+def _find_isotropic_stable_vector(parity, gram, ops, alpha):
+    """An Engel-style isotropic vector whose alpha-orbit span is isotropic;
+    ops and alpha are given by their sparse columns."""
+    rows = {}  # (operator, row) -> the row, so the kernel is one elimination
+    for n, op in enumerate(ops):
+        for j, col in enumerate(op):
+            for i, c in col.items():
+                rows.setdefault((n, i), {})[j] = c
+    stable = _largest_invariant(sparse_kernel(rows.values(), len(parity)), alpha)
     if stable.dim == 0:
         raise NoStableIsotropicVector("the alpha-stable joint kernel is zero")
     even_vecs, odd_vecs = _homogeneous_basis(stable, parity)
@@ -507,11 +521,8 @@ def _find_isotropic_stable_vector(parity, gram, ops, alpha, dim):
     def try_vector(v):
         if pairing(gram, v, v) != 0:
             return None
-        orbit = _orbit_span(v, alpha, dim)
-        rows = orbit.basis_vectors()
-        if all(pairing(gram, x, y) == 0 for x in rows for y in rows):
-            return orbit
-        return None
+        orbit = _orbit_span({k: x for k, x in enumerate(v) if x}, alpha)
+        return orbit if _isotropic(gram, orbit) else None
 
     for v in odd_vecs + even_vecs:
         got = try_vector(list(v))
@@ -555,64 +566,59 @@ def _pair_candidates(gram, vecs, target, discs):
 
 
 def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
+    """W enlarged to a maximal isotropic subspace stable under ops and alpha,
+    each given by its sparse columns; the gram is a dense Matrix."""
     dim = len(parity)
     target = dim // 2
     if w.dim >= target:
         return w
     if w.dim == 0:
-        orbit = _find_isotropic_stable_vector(parity, gram, ops, alpha, dim)
+        orbit = _find_isotropic_stable_vector(parity, gram, ops, alpha)
         return _extend_recursive(parity, gram, ops, alpha, orbit)
 
     # quotient step: recurse on W^perp / W
     wperp = w.orthogonal_complement(gram)
     ensure(wperp.contains(w), "W is not inside W-perp")
-    ensure(
-        _maps_into([sparse_columns(op) for op in ops], wperp, wperp),
-        "W-perp is not stable under the bracket operators",
-    )
+    ensure(maps_into(ops, wperp, wperp), "W-perp is not stable under the bracket operators")
     space = GradedSpace(dim, tuple(parity))
-    w_even, w_odd = split_graded(w, space)
+    split_graded(w, space)  # graded or raises
     perp_even, perp_odd = split_graded(wperp, space)
 
     reps = []
     rep_parity = []
     current = w
     for part, par in ((perp_even, 0), (perp_odd, 1)):
-        for row in part.basis_vectors():
-            if not current.contains_vector(row):
-                reps.append(list(row))
+        for row in part.sparse_rows:
+            if not current.contains_sparse(row):
+                reps.append(row)
                 rep_parity.append(par)
-                current = current.sum(Subspace.from_vectors(dim, [row]))
+                current = current.sum(Subspace.from_sparse(dim, [row]))
     qdim = len(reps)
     ensure(qdim == wperp.dim - w.dim, "quotient representatives have the wrong count")
 
-    # coordinates in W^perp: columns = [w basis | reps]
-    basis_cols = [list(r) for r in w.basis_vectors()] + reps
-    basis_matrix = Matrix.from_rows(basis_cols, cols=dim).transpose()
-    coords = left_inverse(basis_matrix)
+    # coordinates in W^perp in the basis [w basis | reps], as sparse columns
+    basis = w.sparse_rows + reps
+    coords = left_inverse(Matrix(dim, len(basis), [v.get(i, 0) for i in range(dim) for v in basis]))
     ensure(coords is not None, "W and the quotient representatives are dependent")
+    coords = sparse_columns(coords)
 
-    def quotient_coords(vec):
-        sol = coords.apply(list(vec))
-        ensure(basis_matrix.apply(sol) == list(vec), "vector leaves W-perp")
-        return sol[w.dim :]
+    def quotient_columns(op):
+        cols = []
+        for r in reps:
+            image = apply_columns(op, r)
+            sol = apply_columns(coords, image)
+            ensure(apply_columns(basis, sol) == image, "vector leaves W-perp")
+            cols.append({i - w.dim: c for i, c in sol.items() if i >= w.dim})
+        return cols
 
-    q_gram = Matrix(
-        qdim, qdim, [pairing(gram, reps[i], reps[j]) for i in range(qdim) for j in range(qdim)]
-    )
-    q_ops = []
-    for op in ops:
-        cols = [quotient_coords(op.apply(r)) for r in reps]
-        q_ops.append(Matrix.from_rows(cols, cols=qdim).transpose())
-    q_alpha_cols = [quotient_coords(alpha.apply(r)) for r in reps]
-    q_alpha = Matrix.from_rows(q_alpha_cols, cols=qdim).transpose() if qdim else Matrix(0, 0, [])
+    g_reps = [gram.apply([r.get(i, 0) for i in range(dim)]) for r in reps]
+    q_gram = Matrix(qdim, qdim, [sum(x * g[k] for k, x in r.items()) for r in reps for g in g_reps])
+    # an operator that vanishes on the quotient constrains nothing there
+    q_ops = [cols for cols in map(quotient_columns, ops) if any(cols)]
+    q_alpha = quotient_columns(alpha)
 
     inner = _extend_recursive(tuple(rep_parity), q_gram, q_ops, q_alpha, Subspace.zero(qdim))
-    lifted = [
-        [sum(c * reps[k][i] for k, c in enumerate(row) if c != 0) for i in range(dim)]
-        for row in inner.basis_vectors()
-    ]
-    return w.sum(Subspace.from_vectors(dim, lifted))
+    return w.sum(Subspace.from_sparse(dim, [apply_columns(reps, row) for row in inner.sparse_rows]))
 
 
 def extend_to_maximal_isotropic(m: MetricAlgebra, w: Subspace) -> Subspace:
@@ -625,37 +631,24 @@ def extend_to_maximal_isotropic(m: MetricAlgebra, w: Subspace) -> Subspace:
     if not is_isotropic(m, w):
         raise AlgebraError("subspace is not isotropic")
     ad = adjoint_rep(a)
-    if not _maps_into(ad.columns, w, w):
+    if not maps_into(ad.columns, w, w):
         raise AlgebraError("subspace is not stable under the bracket operators")
-    if not _maps_into([a.alpha_columns()], w, w):
+    if not maps_into([a.alpha_columns()], w, w):
         raise AlgebraError("subspace is not stable under the twist")
 
-    result = _extend_recursive(tuple(a.parity), m.gram, ad.rho, a.alpha, w)
+    result = _extend_recursive(tuple(a.parity), m.gram, ad.columns, a.alpha_columns(), w)
     ensure(result.dim == a.dim // 2, "maximal isotropic subspace has the wrong dimension")
     ensure(result.contains(w), "maximal isotropic subspace lost W")
     ensure(is_isotropic(m, result), "maximal isotropic subspace is not isotropic")
     split_graded(result, a.space)
     ensure(
-        _maps_into(ad.columns + [a.alpha_columns()], result, result),
+        maps_into(ad.columns + [a.alpha_columns()], result, result),
         "maximal isotropic subspace is not stable",
     )
     if a.dim % 2 == 1:
         rperp = result.orthogonal_complement(m.gram)
-        ensure(_maps_into(ad.columns, rperp, result), "the bracket operators map the complement outside")
+        ensure(maps_into(ad.columns, rperp, result), "the bracket operators map the complement outside")
     return result
-
-
-def _maps_into(ops, source: Subspace, target: Subspace) -> bool:
-    """Every operator, given by its sparse columns {row: entry}, sends every
-    basis vector of source into target."""
-    for cols in ops:
-        for row in source.sparse_rows:
-            image = {}
-            for k, x in row.items():
-                _accumulate(image, cols[k].items(), x)
-            if not target.contains_sparse(image):
-                return False
-    return True
 
 
 def isotropic_half_ideal_abelian_check(m: MetricAlgebra, i: Subspace) -> bool:
@@ -936,7 +929,7 @@ def decompose(m: MetricAlgebra) -> Certificate:
     checks = {
         "phi_morphism": verify_morphism(rec.phi, target.algebra, ext.algebra).ok,
         "phi_isometry": rec.phi.transpose() * ext.form.gram * rec.phi == target.gram,
-        "theta_closed": coboundary(rec.g1, coadjoint_rep(rec.g1).rep, rec.theta, check=False).is_zero(),
+        "theta_closed": is_closed(rec.g1, coadjoint_rep(rec.g1).rep, rec.theta),
         "theta_cyclic": is_cyclic_cocycle(rec.g1, rec.theta),
         "nilpotent_length": k0,
         "quotient_length": k1,

@@ -21,6 +21,11 @@ seeded random rho) and of `verify_prop_2_2`, on the catalog,
 for `cohomology --rep coadjoint` on `no_coadjoint`, which exits 2 with the
 witness on stderr.
 
+No workload decomposes a T*-extension deep enough to need many levels of
+the maximal isotropic enlargement, or one with an odd part, so the digest
+goes on with `tstar` and `decompose` of T*(N4 (+) K^2), T*(N4 (+) K^4) and
+T*(SH(1|2) (+) K^{1|1}).
+
 It ends with the parser's own output, at a fixed terminal width (COLUMNS):
 `nambu --help`, each subcommand's `--help`, no subcommand, an unknown
 subcommand and `cohomology` without its required `--m`, each with its exit
@@ -46,6 +51,7 @@ sys.path.insert(0, str(PERFBENCH))  # run.py imports workloads and checks by nam
 import workloads  # noqa: E402
 from nambu import cli, samples  # noqa: E402
 from nambu import fileformat as ff  # noqa: E402
+from nambu.core import direct_sum  # noqa: E402
 from nambu.cohomology import adjoint_rep, verify_prop_2_2, verify_representation  # noqa: E402
 from nambu.tstar import coadjoint_rep  # noqa: E402
 from seeded_inputs import random_representation, raw_algebra  # noqa: E402
@@ -115,6 +121,29 @@ def digest_representations(outdir, emit):
     return code == "crash"
 
 
+def digest_decompositions(outdir, emit):
+    """Emit the digest lines of tstar and decompose on three direct sums;
+    returns the number of requests that crashed."""
+    bases = [
+        direct_sum(samples.n4(), samples.abelian(2, n=3)),
+        direct_sum(samples.n4(), samples.abelian(4, n=3)),
+        direct_sum(samples.sh12(), samples.abelian(1, 1)),
+    ]
+    crashes = 0
+    for k, g in enumerate(bases):
+        g_path, t_path, d_path = (os.path.join(outdir, f"{stem}{k}.json") for stem in ("g", "t", "d"))
+        with open(g_path, "w") as fh:
+            fh.write(ff.to_json_str(ff.algebra_to_json(g)))
+        for req in (
+            workloads.Request(f"tstar {g.name}", ["tstar", g_path, "--out", t_path], out=t_path),
+            workloads.Request(f"decompose T*({g.name})", ["decompose", t_path, "--out", d_path], out=d_path),
+        ):
+            code, value = answer(req, outdir)
+            crashes += code == "crash"
+            emit(f"decomposition exit={code} {value} {req.label}")
+    return crashes
+
+
 SUBCOMMANDS = ("verify", "cohomology", "series", "twist", "extend", "tstar", "equiv", "decompose", "fuzz")
 PARSER_COLUMNS = "100"
 
@@ -149,6 +178,7 @@ def main(argv=None):
         outdir = os.path.join(tmp, "representations")
         os.makedirs(outdir)
         crashes += digest_representations(outdir, print)
+        crashes += digest_decompositions(outdir, print)
         crashes += digest_parser(outdir, print)
     if crashes:
         print(f"output_digest: {crashes} requests crashed", file=sys.stderr)

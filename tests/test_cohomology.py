@@ -23,6 +23,7 @@ from nambu.cohomology import (
     cohomology_dims,
     delta_square_is_zero,
     fundamental_bracket,
+    is_closed,
     module_action,
     satisfies_compat,
     verify_prop_2_2,
@@ -106,6 +107,23 @@ class TestProp22:
         for _ in range(8):
             a = samples.random_twisted_algebra(rng)
             assert verify_prop_2_2(a).ok, a.name
+
+
+def test_only_cohomology_reads_dense_rho():
+    # Representation keeps rho's dense matrices as its construction format;
+    # every other module reads its sparse columns
+    import ast
+    import pathlib
+
+    import nambu
+
+    readers = []
+    for path in sorted(pathlib.Path(nambu.__file__).parent.glob("*.py")):
+        if path.name != "cohomology.py":
+            tree = ast.parse(path.read_text())
+            if any(isinstance(node, ast.Attribute) and node.attr == "rho" for node in ast.walk(tree)):
+                readers.append(path.name)
+    assert readers == []
 
 
 class TestAdjoint:
@@ -434,6 +452,20 @@ class TestCoboundary:
         coeffs[model.flat((), 1) + 0] = 1
         with pytest.raises(NotACochain):
             coboundary(a, r, Cochain(model, 0, coeffs))
+
+    @pytest.mark.parametrize("make", [h3, sh12, n4, odd_square, samples.filiform4])
+    def test_is_closed_agrees_with_the_coboundary(self, make):
+        # on every basis cochain of C^0 and C^1 and on their all-ones sum,
+        # which mixes closed and non-closed parts
+        a = make()
+        for r in (adjoint_rep(a), coadjoint_rep(a).rep):
+            for m in (0, 1):
+                model = CochainModel(a, r, m)
+                fs = list(cochain_basis(a, r, m, "both").cochains())
+                fs.append(Cochain(model, 0, [sum(c) for c in zip(*(f.coeffs for f in fs))]))
+                verdicts = [is_closed(a, r, f) for f in fs]
+                assert verdicts == [coboundary(a, r, f, check=False).is_zero() for f in fs]
+                assert m == 1 or not all(verdicts)
 
 
 class TestDeltaSquared:

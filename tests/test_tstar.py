@@ -4,6 +4,8 @@ import random
 import pytest
 
 from coadjoint_conditions import coadjoint_conditions
+import dense_enlargement
+from dense_enlargement import dense_extend_to_maximal_isotropic
 from nambu import samples
 from nambu.cohomology import (
     Cochain,
@@ -23,6 +25,7 @@ from nambu.core import (
     nilpotent_length,
     series,
     solvable_length,
+    sparse_columns,
     twist_by_endomorphism,
     verify_algebra,
     verify_metric,
@@ -502,12 +505,44 @@ class TestMaximalIsotropic:
         assert is_isotropic(m, w)
 
     def test_refuses_a_start_that_the_bracket_operators_move(self):
-        # span(e1) in T*(H3) is isotropic, but [e1, e2] = e3 leaves it
+        # span(e1) in T*(H3) is isotropic, but [e1, e2] = e3 leaves it; in
+        # span(e1*, e3*) the first basis vector is central and the second is
+        # moved, [e1, e3*] = -e2*
         ext = tstar_extend(h3())
-        line = Subspace.from_vectors(6, [[1, 0, 0, 0, 0, 0]])
-        assert is_isotropic(ext.result, line)
-        with pytest.raises(AlgebraError, match="^subspace is not stable under the bracket operators$"):
-            extend_to_maximal_isotropic(ext.result, line)
+        for rows in ([[1, 0, 0, 0, 0, 0]], [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]):
+            start = Subspace.from_vectors(6, rows)
+            assert is_isotropic(ext.result, start)
+            with pytest.raises(AlgebraError, match="^subspace is not stable under the bracket operators$"):
+                extend_to_maximal_isotropic(ext.result, start)
+
+    def test_refuses_a_start_that_is_not_isotropic(self):
+        # both basis vectors of the hyperbolic plane are isotropic, the plane is not
+        m = MetricAlgebra(abelian(2), BilinearForm(Matrix.from_rows([[0, 1], [1, 0]])))
+        assert is_isotropic(m, Subspace.from_vectors(2, [[1, 0]]))
+        assert is_isotropic(m, Subspace.from_vectors(2, [[0, 1]]))
+        with pytest.raises(AlgebraError, match="^subspace is not isotropic$"):
+            extend_to_maximal_isotropic(m, Subspace.full(2))
+
+    def test_invariant_and_orbit_helpers_equal_dense_oracle(self):
+        # seeded random twists and subspaces: the largest invariant subspace
+        # is zero, proper or the whole subspace, each several times
+        from nambu import tstar
+
+        rng = random.Random(7)
+        kinds = set()
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            a = Matrix(n, n, [rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(n * n)])
+            vectors = [[rng.choice([0, 0, 1, -1]) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            sub = Subspace.from_vectors(n, vectors)
+            got = tstar._largest_invariant(sub, sparse_columns(a))
+            assert got == dense_enlargement._largest_invariant(sub, a)
+            kinds.add("zero" if got.dim == 0 else "whole" if got == sub else "proper")
+            v = vectors[0]
+            if any(v):
+                orbit = tstar._orbit_span({k: x for k, x in enumerate(v) if x}, sparse_columns(a))
+                assert orbit == dense_enlargement._orbit_span(v, a, n)
+        assert kinds == {"zero", "proper", "whole"}
 
     def test_refuses_a_start_that_the_twist_moves(self):
         # abelian, so every subspace is stable under the bracket operators;
@@ -518,6 +553,46 @@ class TestMaximalIsotropic:
         assert is_isotropic(m, line)
         with pytest.raises(AlgebraError, match="^subspace is not stable under the twist$"):
             extend_to_maximal_isotropic(m, line)
+
+    @pytest.mark.parametrize("case", ["N4+K2", "N4+K4", "catalog", "twisted-catalog", "forms"])
+    def test_equals_dense_oracle(self, case):
+        # the same subspace as the dense induction, or the same error
+        def outcome(enlarge, m, w):
+            try:
+                return enlarge(m, w)
+            except AlgebraError as exc:
+                return type(exc), exc.args, getattr(exc, "discriminant", None)
+
+        def tstar_starts(g):
+            m = tstar_extend(g).result
+            return [(m, Subspace.zero(m.dim)), (m, canonical_isotropic_ideal(m))]
+
+        if case.startswith("N4+K"):
+            inputs = tstar_starts(direct_sum(n4(), abelian(int(case[-1]), n=3)))
+        elif case == "catalog":
+            inputs = [pair for g in samples.catalog() for pair in tstar_starts(g)]
+        elif case == "twisted-catalog":
+            inputs = []
+            for i, g in enumerate(samples.catalog()):
+                twist = samples.random_twist(g, random.Random(i), diagonal_only=True)
+                twisted = twist_by_endomorphism(g, twist) if twist is not None else None
+                if twisted is not None and not twisted.alpha.is_identity() and coadjoint_rep(twisted).exists:
+                    inputs += tstar_starts(twisted)
+            assert len(inputs) >= 16
+        else:
+            indefinite = Matrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+            inputs = [
+                (MetricAlgebra(abelian(3), BilinearForm(indefinite)), Subspace.zero(3)),
+                (MetricAlgebra(abelian(3), BilinearForm(Matrix.identity(3))), Subspace.zero(3)),
+            ]
+        outcomes = []
+        for m, w in inputs:
+            got = outcome(extend_to_maximal_isotropic, m, w)
+            assert got == outcome(dense_extend_to_maximal_isotropic, m, w)
+            outcomes.append(got)
+        if case == "forms":
+            assert outcomes[0].dim == 1
+            assert outcomes[1][0] is NeedsFieldExtension
 
 
 class TestReconstruction:
