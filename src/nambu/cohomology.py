@@ -25,13 +25,14 @@ from .core import (
     _accumulate,
     _canonical_tuples,
     _nonzero,
+    apply_columns,
     is_even_map,
     multilinear,
     sparse_columns,
     straighten,
 )
-from .errors import ArityMismatch, DimensionMismatch, NotACochain
-from .linalg import Matrix, Subspace, _primitive, sparse_kernel, sparse_rank
+from .errors import ArityMismatch, DimensionMismatch, InternalError, NotACochain
+from .linalg import Matrix, Subspace, _monic, _primitive, sparse_kernel, sparse_rank
 
 
 class WedgeBasis:
@@ -83,7 +84,7 @@ class Representation:
     """rho on the wedge power plus the module twist nu on V.  The dense
     fields are the construction and file format; algorithms read the sparse
     columns {row: entry} built once per object (``columns``, ``nu_columns``,
-    ``action``), so the fields are never mutated."""
+    ``integer_columns``, ``action``), so the fields are never mutated."""
 
     target: GradedSpace
     rho: list  # Matrix per canonical wedge element
@@ -97,21 +98,59 @@ class Representation:
     def nu_columns(self) -> list:
         return sparse_columns(self.nu)
 
+    @cached_property
+    def integer_columns(self) -> tuple:
+        """(columns, c): the sparse columns of rho times c, the lcm of the
+        denominators of its entries, as ints."""
+        flat, c = _over_z([col for cols in self.columns for col in cols])
+        dim = self.target.dim
+        return [flat[w * dim : (w + 1) * dim] for w in range(len(self.columns))], c
+
     def action(self, coords: dict) -> list:
         """rho of wedge coordinates {position: coeff} as sparse columns."""
-        out = [{} for _ in range(self.target.dim)]
-        for w, c in coords.items():
-            for col, piece in zip(out, self.columns[w]):
-                _accumulate(col, piece.items(), c)
-        return [_nonzero(col) for col in out]
+        return _act(self.columns, coords, self.target.dim)
+
+
+def _act(rho, coords: dict, dim) -> list:
+    """rho, given by its sparse columns per basis wedge, of wedge coordinates
+    {position: coeff}, as sparse columns."""
+    out = [{} for _ in range(dim)]
+    for w, c in coords.items():
+        for col, piece in zip(out, rho[w]):
+            _accumulate(col, piece.items(), c)
+    return [_nonzero(col) for col in out]
+
+
+def _over_z(columns) -> tuple:
+    """(columns times d, d) for sparse columns {row: entry}, d the lcm of the
+    denominators of their entries, as ints; the columns themselves when
+    every entry is an int already."""
+    entries = [x for col in columns for x in col.values()]
+    if all(type(x) is int for x in entries):
+        return columns, 1
+    d = math.lcm(*(x.denominator for x in entries))
+    return [{i: _times(x, d) for i, x in col.items()} for col in columns], d
+
+
+def _times(x, scale) -> int:
+    """x * scale as an int; InternalError unless it is an integer."""
+    y = x * scale
+    if y.denominator != 1:
+        raise InternalError(f"{x} * {scale} is not an integer")
+    return y.numerator
 
 
 def adjoint_rep(a: HomSuperAlgebra) -> Representation:
-    wb = _wedge(a)
+    """ad: entry (i, j) of rho(x) is coordinate i of [x, e_j], read off the
+    nonzero basis brackets."""
+    d = a.dim
     mats = []
-    for t in wb.elements:
-        cols = [a.bracket_basis(t + (j,)) for j in range(a.dim)]
-        mats.append(Matrix.from_rows(cols, cols=a.dim).transpose())
+    for t in _wedge(a).elements:
+        data = [0] * (d * d)
+        for j in range(d):
+            for i, c in a.bracket.sparse_value(t + (j,)):
+                data[i * d + j] = c
+        mats.append(Matrix(d, d, data))
     return Representation(a.space, mats, a.alpha)
 
 
@@ -129,29 +168,44 @@ def fundamental_bracket(a: HomSuperAlgebra, x_coords: dict, y_coords: dict) -> d
 
 
 class _Tables:
-    """Per-algebra caches for the wedge calculus (independent of any rep)."""
+    """Per-algebra tables of the wedge calculus, independent of any rep:
+    alpha's columns and powers, the alpha^k-wedges, ad and the fundamental
+    bracket.
 
-    def __init__(self, a: HomSuperAlgebra):
+    _complex_tables keeps them in the algebra's own scalars.  Over Z
+    (_integer_tables) they are built from the bracket times b and alpha
+    times d, b and d the lcms of their denominators, each entry checked to
+    be an int; every table is then the rational one times powers of b and
+    d: ad by b, alpha^k by d^k, the alpha^k-wedge by d^(k(n-1)) and fb by
+    b d^(n-2).
+    """
+
+    def __init__(self, a: HomSuperAlgebra, over_z=False):
         self.a = a
         self.wb = _wedge(a)
         self._fb = {}
         self._ad = {}
         self._alpha_pow_wedge = {}
-        self._alpha_pow_mat = {0: Matrix.identity(a.dim)}
-        self.alpha_cols = a.alpha_columns()
+        self.bracket, self.bracket_scale = a.bracket.sparse_value, 1
+        self.alpha_cols, self.alpha_scale = a.alpha_columns(), 1
+        if over_z:
+            self.alpha_cols, self.alpha_scale = _over_z(self.alpha_cols)
+            b = self.bracket_scale = math.lcm(*(x.denominator for vec in a.bracket.entries.values() for x in vec))
+            self.bracket = lambda indices: [(k, _times(c, b)) for k, c in a.bracket.sparse_value(indices)]
+        self._alpha_pow = [[{j: 1} for j in range(a.dim)]]
 
-    def alpha_pow(self, m) -> Matrix:
-        while m not in self._alpha_pow_mat:
-            k = max(self._alpha_pow_mat)
-            self._alpha_pow_mat[k + 1] = self.a.alpha * self._alpha_pow_mat[k]
-        return self._alpha_pow_mat[m]
+    def alpha_pow(self, m) -> list:
+        """The columns of alpha^m as sparse vectors {row: entry}."""
+        while len(self._alpha_pow) <= m:
+            self._alpha_pow.append([apply_columns(self.alpha_cols, col) for col in self._alpha_pow[-1]])
+        return self._alpha_pow[m]
 
     def alpha_wedge(self):
         return self.alpha_pow_wedge(1)
 
     def alpha_pow_wedge(self, m):
         if m not in self._alpha_pow_wedge:
-            cols = [col.items() for col in sparse_columns(self.alpha_pow(m))]
+            cols = [col.items() for col in self.alpha_pow(m)]
             self._alpha_pow_wedge[m] = [
                 wedge_of_vectors(self.wb, [cols[i] for i in t]) for t in self.wb.elements
             ]
@@ -161,15 +215,14 @@ class _Tables:
         """x_w . e_j as a sparse g-vector."""
         key = (w, j)
         if key not in self._ad:
-            self._ad[key] = dict(self.a.bracket.sparse_value(self.wb.elements[w] + (j,)))
+            self._ad[key] = dict(self.bracket(self.wb.elements[w] + (j,)))
         return self._ad[key]
 
     def fb(self, w1, w2) -> dict:
         """Fundamental bracket of two basis wedges, in wedge coordinates."""
         key = (w1, w2)
         if key not in self._fb:
-            a, wb = self.a, self.wb
-            xt = wb.elements[w1]
+            wb = self.wb
             yt = wb.elements[w2]
             px = wb.parity(w1)
             alpha = [col.items() for col in self.alpha_cols]
@@ -177,10 +230,9 @@ class _Tables:
             prefix = 0
             for i, y in enumerate(yt):
                 sign = -1 if (px == 1 and prefix == 1) else 1
-                mid = a.bracket.sparse_value(xt + (y,))
-                factors = [alpha[k] for k in yt[:i]] + [mid] + [alpha[k] for k in yt[i + 1 :]]
+                factors = [alpha[k] for k in yt[:i]] + [self.ad(w1, y).items()] + [alpha[k] for k in yt[i + 1 :]]
                 _accumulate(out, wedge_of_vectors(wb, factors).items(), sign)
-                prefix = (prefix + a.parity[y]) % 2
+                prefix = (prefix + self.a.parity[y]) % 2
             self._fb[key] = _nonzero(out)
         return self._fb[key]
 
@@ -189,6 +241,17 @@ def _complex_tables(a: HomSuperAlgebra) -> _Tables:
     if "tables" not in a._cache:
         a._cache["tables"] = _Tables(a)
     return a._cache["tables"]
+
+
+def _integer_tables(a: HomSuperAlgebra) -> _Tables:
+    """The tables over Z, kept in a._cache: those of _complex_tables when the
+    bracket and alpha hold only ints, else built from the bracket and alpha
+    scaled to ints (_Tables)."""
+    if "integer tables" not in a._cache:
+        values = itertools.chain(a.alpha.data, *a.bracket.entries.values())
+        integral = all(type(x) is int for x in values)
+        a._cache["integer tables"] = _complex_tables(a) if integral else _Tables(a, over_z=True)
+    return a._cache["integer tables"]
 
 
 def module_action(a: HomSuperAlgebra, r: Representation, g_args, pos) -> list:
@@ -204,6 +267,12 @@ def module_action(a: HomSuperAlgebra, r: Representation, g_args, pos) -> list:
     later g-vectors into parity parts keeps the sign exact for arguments
     that are not homogeneous.
     """
+    return _module_action(a, r.columns, r.target.parity, g_args, pos)
+
+
+def _module_action(a, rho, pv, g_args, pos) -> list:
+    """module_action for rho given by its sparse columns per basis wedge, on
+    a module with parities pv."""
     if len(g_args) != a.arity - 1 or not 0 <= pos < a.arity:
         raise ArityMismatch(f"expected {a.arity - 1} algebra slots around one module slot")
     wb = _wedge(a)
@@ -213,12 +282,11 @@ def module_action(a: HomSuperAlgebra, r: Representation, g_args, pos) -> list:
         parts = [(q, [(i, c) for i, c in arg if p[i] == q]) for q in (0, 1)]
         later.append([(q, part) for q, part in parts if part])
     sign = (-1) ** (len(g_args) - pos)
-    pv = r.target.parity
-    cols = [{} for _ in range(r.target.dim)]
+    cols = [{} for _ in pv]
     for choice in itertools.product(*later):
         odd = sum(q for q, _ in choice) % 2
         coords = wedge_of_vectors(wb, list(g_args[:pos]) + [part for _, part in choice])
-        for u, (col, piece) in enumerate(zip(cols, r.action(coords))):
+        for u, (col, piece) in enumerate(zip(cols, _act(rho, coords, len(pv)))):
             _accumulate(col, piece.items(), -sign if odd and pv[u] else sign)
     return [_nonzero(col) for col in cols]
 
@@ -499,21 +567,28 @@ def _build_compat_equations(a, r, k) -> _Equations:
     A map L on one slot is given by its rows: row u lists (x, L[u][x]), so the
     entry of F at digit u feeds digit x of F o L.  nu_rows is nu o F on the V
     slot, twisted(F) is F o (alpha^wedge, ..., alpha), applied one slot at a
-    time, and defect(F) is their difference with zeros dropped.  alpha^wedge,
-    alpha and nu are scaled to integers so that both sides carry the same
-    factor d_wedge^k * d_alpha * d_nu.  The model's parities give the parity
-    of each raw coordinate.
+    time, and defect(F) is their difference with zeros dropped.  alpha^wedge
+    and alpha come over Z from _integer_tables and nu is scaled to ints, so
+    that both sides carry the same factor d_wedge^k * d_alpha * d_nu.  A slot
+    whose integer rows are the identity is not applied, and nu o F is F
+    itself when nu's rows are: for alpha = I and nu = I the defect is 0
+    without a pass over F.  The model's parities give the parity of each
+    raw coordinate.
     """
     model = CochainModel(a, r, k)
     W, D, DV = model.W, model.D, model.DV
-    cx = _complex_tables(a)
-    wedge_rows, d_wedge = _integral_rows(cx.alpha_wedge(), W)
-    alpha_rows, d_alpha = _integral_rows(cx.alpha_cols, D)
-    # nu o F acts on the V slot as F o nu^T would
-    nu_rows, d_nu = _integral_rows(sparse_columns(r.nu.transpose()), DV)
-    nu_rows = [[(u, c * d_wedge**k * d_alpha) for u, c in row] for row in nu_rows]
-    slots = [(W ** (k - 1 - s) * D * DV, W, wedge_rows) for s in range(k)]
-    slots.append((DV, D, [[(j, c * d_nu) for j, c in row] for row in alpha_rows]))
+    cx = _integer_tables(a)
+    d_alpha = cx.alpha_scale
+    d_wedge = d_alpha ** (a.arity - 1)
+    nu_cols, d_nu = _over_z(r.nu_columns)
+    # nu o F acts on the V slot as F o nu^T would: row u of nu^T is column u of nu
+    nu_rows = [[(u, c * d_wedge**k * d_alpha) for u, c in col.items()] for col in nu_cols]
+    wedge_rows = _rows(cx.alpha_wedge(), W)
+    alpha_rows = [[(j, c * d_nu) for j, c in row] for row in _rows(cx.alpha_cols, D)]
+    slots = [] if _is_identity(wedge_rows) else [(W ** (k - 1 - s) * D * DV, W, wedge_rows) for s in range(k)]
+    if not _is_identity(alpha_rows):
+        slots.append((DV, D, alpha_rows))
+    nu_identity = _is_identity(nu_rows)
 
     def twisted(vec):
         for slot in slots:
@@ -521,7 +596,9 @@ def _build_compat_equations(a, r, k) -> _Equations:
         return vec
 
     def defect(vec):
-        lhs = _apply_slot(vec, 1, DV, nu_rows)
+        if nu_identity and not slots:
+            return {}  # nu o F = F = F o (alpha^wedge, ..., alpha)
+        lhs = dict(vec) if nu_identity else _apply_slot(vec, 1, DV, nu_rows)
         for flat, x in twisted(vec).items():
             lhs[flat] = lhs.get(flat, 0) - x
         return {flat: x for flat, x in lhs.items() if x != 0}
@@ -563,15 +640,18 @@ def compat_test(a, r, k, parity="both"):
     return lambda vec: not offenders(vec)
 
 
-def _integral_rows(cols, size):
-    """The rows of a map given by sparse columns {row: entry}, as lists of
-    (column, entry), scaled by the common denominator d; returns (rows, d)."""
-    d = math.lcm(*(x.denominator for col in cols for x in col.values()))
+def _rows(cols, size) -> list:
+    """The rows of a map given by its sparse columns {row: entry}, as lists
+    of (column, entry)."""
     rows = [[] for _ in range(size)]
     for x, col in enumerate(cols):
         for u, c in col.items():
-            rows[u].append((x, c.numerator * (d // c.denominator)))
-    return rows, d
+            rows[u].append((x, c))
+    return rows
+
+
+def _is_identity(rows) -> bool:
+    return all(row == [(u, 1)] for u, row in enumerate(rows))
 
 
 def _apply_slot(vec, stride, size, rows):
@@ -705,8 +785,18 @@ def _linear_expansion(model, wedge_args, z_arg):
 # the coboundary as one sparse operator
 
 
-def delta_operator(a, r, m) -> dict:
-    """delta^m on raw coefficients: {out_flat: {in_flat: coeff}}, nonzero rows only.
+class Delta(NamedTuple):
+    """delta^m over Z: rows {out_flat: {in_flat: int}}, nonzero rows only,
+    equal to scale * delta^m for the positive int scale."""
+
+    rows: dict
+    scale: int
+
+
+def delta_operator(a, r, m) -> Delta:
+    """delta^m on raw coefficients, assembled over Z with its scale s_m
+    (_assemble_delta).  A zero test, a rank or a kernel reads the rows as they
+    are; the map delta^m itself is rows / scale.
 
     Kept in a._cache under ("delta", m) with the representation it was built
     for, and served again only for that same object r (a new representation,
@@ -727,9 +817,9 @@ def _per_representation(a, key, r, build):
     return value
 
 
-def _assemble_delta(a, r, m) -> dict:
-    """delta^m of (a, r) as for delta_operator, assembled from the nonzero
-    entries of its tables.
+def _assemble_delta(a, r, m) -> Delta:
+    """delta^m of (a, r) as for delta_operator, assembled over Z from the
+    nonzero entries of its tables.
 
     For an output input (x_1..x_{m+1}, z) the four terms are: (1) insert a
     wedge bracket [x_i, x_j]_alpha at slot j and drop slot i; (2) replace z
@@ -744,10 +834,21 @@ def _assemble_delta(a, r, m) -> dict:
     Terms 3 and 4 carry the parity of f, taken per input coordinate, so
     every parity-homogeneous cochain is mapped with its own sign; an entry
     or row that cancels to zero is deleted where it arises.
+
+    Every table is an int table: those of _integer_tables (the bracket
+    times b, alpha times d) and rho's columns times c.  Each term has degree
+    1 in the bracket and rho entries and degree m(n-1) in alpha's, so with
+    L = lcm(b, c), terms 1-2 taken L/b times and terms 3-4 L/c times, the
+    rows are exactly s_m delta^m, s_m = L d^(m(n-1)).  For integral input
+    b = c = d = 1 and no entry is rescaled.
     """
     model_in = CochainModel(a, r, m)
     model_out = CochainModel(a, r, m + 1)
-    cx = _complex_tables(a)
+    cx = _integer_tables(a)
+    rho, rho_scale = r.integer_columns
+    lcm = math.lcm(cx.bracket_scale, rho_scale)
+    scale = lcm * cx.alpha_scale ** (m * (a.arity - 1))
+    k12, k34 = lcm // cx.bracket_scale, lcm // rho_scale
     wb = cx.wb
     aw = cx.alpha_wedge()
     W, D, DV = model_in.W, model_in.D, model_in.DV
@@ -762,6 +863,7 @@ def _assemble_delta(a, r, m) -> dict:
 
     def add_form(ws, j, sgn, args, z):
         form = forms.setdefault(model_out.flat(ws, j), {})
+        sgn *= k12
         for off, c in _linear_expansion(model_in, args, z):
             form[off] = form.get(off, 0) + sgn * c
 
@@ -806,16 +908,16 @@ def _assemble_delta(a, r, m) -> dict:
     # terms 3 and 4 act on one V-block of f, the one at (rest, t): the sign
     # is (-1)^i, flipped when the acting slot is odd and so is f's
     # coordinate plus the wedge parity before it
-    if not any(col for cols in r.columns for col in cols):
-        return rows  # rho = 0: no term 3 or 4
-    for w, columns in enumerate(r.action(coords) for coords in cx.alpha_pow_wedge(m)):
+    if not any(col for cols in rho for col in cols):
+        return Delta(rows, scale)  # rho = 0: no term 3 or 4
+    for w, columns in enumerate(_act(rho, coords, DV) for coords in cx.alpha_pow_wedge(m)):
         entries = [(u, v, c) for u, col in enumerate(columns) for v, c in col.items()]
         if not entries:
             continue
         for i in range(m + 1):
             # signed[q]: q is the parity of f's coordinate without its V-part
             # plus the wedges before slot i
-            s = -1 if i % 2 else 1
+            s = -k34 if i % 2 else k34
             signed = [
                 [(u, v, -s * c if wpar[w] == 1 and (q + pv[u]) % 2 == 1 else s * c) for u, v, c in entries]
                 for q in (0, 1)
@@ -827,11 +929,11 @@ def _assemble_delta(a, r, m) -> dict:
                     o, f = out_base + j * DV, (k * D + j) * DV
                     for u, v, c in signed[(tail + p[j]) % 2]:
                         add(o + v, f + u, c)
-    apm_cols = [col.items() for col in sparse_columns(cx.alpha_pow(m))]
+    apm_cols = [col.items() for col in cx.alpha_pow(m)]
     # term 4: slot i of x_{m+1} = w feeds f at (x_1..x_m, t_i); the module
     # action depends on w only through the other factors of its wedge
     actions = {}  # (x_{m+1} without slot i, z, i) -> module action
-    s = -1 if m % 2 else 1
+    s = -k34 if m % 2 else k34
     for w, t in enumerate(wb.elements):
         prefix = 0
         for i, x in enumerate(t):
@@ -839,7 +941,7 @@ def _assemble_delta(a, r, m) -> dict:
             for j in range(D):
                 key = (others, j, i)
                 if key not in actions:
-                    actions[key] = module_action(a, r, [apm_cols[y] for y in others] + [apm_cols[j]], i)
+                    actions[key] = _module_action(a, rho, pv, [apm_cols[y] for y in others] + [apm_cols[j]], i)
                 entries = [
                     (u, v, -s * c if prefix == 1 and (p[x] + pv[u]) % 2 == 1 else s * c)
                     for u, col in enumerate(actions[key])
@@ -850,7 +952,7 @@ def _assemble_delta(a, r, m) -> dict:
                     for u, v, c in entries:
                         add(o + v, f + u, c)
             prefix = (prefix + p[x]) % 2
-    return rows
+    return Delta(rows, scale)
 
 
 def _images(rows: dict, vectors) -> list:
@@ -868,14 +970,17 @@ def _images(rows: dict, vectors) -> list:
 
 
 def coboundary(a, r, f: Cochain, check=True) -> Cochain:
-    """The degree-(m+1) coboundary of f: delta_operator applied to f.
+    """The degree-(m+1) coboundary of f: the rows of delta_operator applied to
+    f, divided once by their scale.
 
     With check, f and the result must lie in the cochain spaces of f's parity.
     """
     if check and not satisfies_compat(a, r, f):
         raise NotACochain("input violates the twist compatibility or its declared parity")
     model_out = CochainModel(a, r, f.degree + 1)
-    (image,) = _images(delta_operator(a, r, f.degree), [dict(enumerate(f.coeffs))])
+    delta = delta_operator(a, r, f.degree)
+    (image,) = _images(delta.rows, [dict(enumerate(f.coeffs))])
+    image = _monic(image, delta.scale)
     result = Cochain(model_out, f.parity, [image.get(k, 0) for k in range(model_out.raw_dim)])
     if check and not satisfies_compat(a, r, result):
         raise NotACochain("coboundary output violates compatibility (internal error)")
@@ -884,16 +989,19 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
 
 def is_closed(a, r, f: Cochain) -> bool:
     """delta f = 0, from f's nonzero coefficients: no (m+1)-cochain is built."""
-    return not _images(delta_operator(a, r, f.degree), [{k: x for k, x in enumerate(f.coeffs) if x}])[0]
+    return not _images(delta_operator(a, r, f.degree).rows, [{k: x for k, x in enumerate(f.coeffs) if x}])[0]
 
 
 def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
     """Exact matrix of delta^m from the basis cm of C^m to the basis cm1 of
-    C^{m+1}.  An image outside C^{m+1} raises NotACochain."""
-    images = _images(delta_operator(a, r, cm.model.m), cm.vectors())
+    C^{m+1}: coordinates of the images under the rows of delta_operator,
+    divided once by their scale.  An image outside C^{m+1} raises
+    NotACochain."""
+    delta = delta_operator(a, r, cm.model.m)
+    images = _images(delta.rows, cm.vectors())
     data = [0] * (cm1.dim * cm.dim)
     for j, image in enumerate(images):
-        for i, x in cm1.coordinates(image).items():
+        for i, x in _monic(cm1.coordinates(image), delta.scale).items():
             data[i * cm.dim + j] = x
     return Matrix(cm1.dim, cm.dim, data)
 
@@ -906,13 +1014,14 @@ def coboundary_matrix(a, r, m, parity="both") -> Matrix:
 def delta_square_is_zero(a, r, m, parity="both") -> bool:
     """delta^{m+1} o delta^m = 0 on C^m, as a sparse product of the two operators.
 
-    delta^m is applied to the basis of C^m and delta^{m+1} to those images,
-    all on sparse raw coefficients; the same statement as
-    coboundary_matrix(m+1) * coboundary_matrix(m) being the exact zero
-    matrix, without building either dense matrix.
+    The rows of delta^m are applied to the basis of C^m and those of
+    delta^{m+1} to the images, all on sparse raw coefficients; their scales
+    change no zero test.  The same statement as coboundary_matrix(m+1) *
+    coboundary_matrix(m) being the exact zero matrix, without building
+    either dense matrix.
     """
-    images = _images(delta_operator(a, r, m), cochain_basis(a, r, m, parity).vectors())
-    return not any(_images(delta_operator(a, r, m + 1), images))
+    images = _images(delta_operator(a, r, m).rows, cochain_basis(a, r, m, parity).vectors())
+    return not any(_images(delta_operator(a, r, m + 1).rows, images))
 
 
 class CohomologyDims(tuple):
@@ -929,23 +1038,23 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
 
     Builds C^m and, for m > 0, C^{m-1}, once each; C^{m+1} is never built.
     delta^m is applied to the basis of C^m and delta^{m-1} to that of
-    C^{m-1}, in integers: each operator is scaled by one common denominator
-    and each basis vector made primitive, which changes no rank, no zero
-    test and no membership.  Every image must satisfy the equations of the
-    next cochain space (compat_test), else NotACochain.  dim Z^m = dim C^m -
-    rank delta^m and dim B^m = rank delta^{m-1}, both by the sparse
-    fraction-free rank of the raw images; delta^m o delta^{m-1} = 0 is
-    checked on the images.
+    C^{m-1}, in integers: each operator is taken as delta_operator's rows
+    over Z, s_m delta^m, and each basis vector made primitive, which changes
+    no rank, no zero test and no membership.  Every image must satisfy the
+    equations of the next cochain space (compat_test), else NotACochain.
+    dim Z^m = dim C^m - rank delta^m and dim B^m = rank delta^{m-1}, both by
+    the sparse fraction-free rank of the raw images; delta^m o delta^{m-1} =
+    0 is checked on the images.
     """
     cm = cochain_basis(a, r, m, parity)
-    op = _integral(delta_operator(a, r, m))
+    op = delta_operator(a, r, m).rows
     images = _images(op, [_primitive(vec) for vec in cm.vectors()])
     _check_images(a, r, m, parity, images)
     z_dim = cm.dim - sparse_rank(images)
     b_dim = 0
     if m > 0:
         prev = cochain_basis(a, r, m - 1, parity)
-        prev_images = _images(_integral(delta_operator(a, r, m - 1)), [_primitive(vec) for vec in prev.vectors()])
+        prev_images = _images(delta_operator(a, r, m - 1).rows, [_primitive(vec) for vec in prev.vectors()])
         _check_images(a, r, m - 1, parity, prev_images)
         b_dim = sparse_rank(prev_images)
         # B^m must sit inside Z^m: delta^m kills every image of delta^{m-1}
@@ -954,15 +1063,6 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
                 where = _witness(CochainModel(a, r, m + 1), m - 1, i, min(image))
                 raise NotACochain(f"delta^2 != 0 (internal error): {where}")
     return CohomologyDims(cm, z_dim, b_dim)
-
-
-def _integral(op: dict) -> dict:
-    """A sparse operator scaled by the common denominator of its entries
-    (op itself when every entry is an int)."""
-    d = math.lcm(*(x.denominator for row in op.values() for x in row.values()))
-    if d == 1:
-        return op
-    return {o: {k: x.numerator * (d // x.denominator) for k, x in row.items()} for o, row in op.items()}
 
 
 def _check_images(a, r, m, parity, images):

@@ -244,7 +244,10 @@ def rank(m: Matrix) -> int:
 
 
 def _primitive(row: dict) -> dict:
-    """A sparse rational row scaled to coprime integers, zeros dropped."""
+    """A sparse rational row scaled to coprime integers, zeros dropped.  A row
+    of nonzero ints only needs its gcd, and may come back as itself."""
+    if all(type(x) is int and x for x in row.values()):
+        return _content_free(row)
     row = {c: x for c, x in row.items() if x != 0}
     den = math.lcm(*(x.denominator for x in row.values()))
     return _content_free({c: x.numerator * (den // x.denominator) for c, x in row.items()})

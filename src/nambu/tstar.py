@@ -270,7 +270,7 @@ def theta_spaces(g: HomSuperAlgebra) -> dict:
             return space
         # the combinations of the basis that delta kills, one equation per
         # coordinate some image reaches
-        images = _images(delta_operator(g, r, 1), space.sparse_rows)
+        images = _images(delta_operator(g, r, 1).rows, space.sparse_rows)
         rows = [{i: img.get(k, 0) for i, img in enumerate(images)} for k in set().union(*images)]
         return Subspace(model.raw_dim, sparse_kernel(rows, space.dim).basis * space.basis)
 
@@ -310,7 +310,7 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
         raise CoadjointMissing("equivalence needs the coadjoint representation")
     rep = coad.rep
     thetas = (theta1, theta2)
-    images = _images(delta_operator(g, rep, 1), [dict(enumerate(t.coeffs)) for t in thetas])
+    images = _images(delta_operator(g, rep, 1).rows, [dict(enumerate(t.coeffs)) for t in thetas])
     for theta, image in zip(thetas, images):
         if image:
             raise ThetaNotClosed("theta must be closed")
@@ -326,13 +326,14 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
     rhs = []
     diff = [x - y for x, y in zip(theta1.coeffs, theta2.coeffs)]
     for out in range(model1.raw_dim):
-        # delta^0 on the unknowns T[k][j] = theta'(e_j)(e_k), raw flat j*D+k
+        # s_0 delta^0 on the unknowns T[k][j] = theta'(e_j)(e_k), raw flat
+        # j*D+k, against s_0 (theta1 - theta2): the same equations
         row = [0] * nvars
-        for flat, c in delta0.get(out, {}).items():
+        for flat, c in delta0.rows.get(out, {}).items():
             j, k = divmod(flat, d)
             row[k * d + j] = c
         rows.append(row)
-        rhs.append(diff[out])
+        rhs.append(delta0.scale * diff[out])
     # theta'(alpha x) = theta'(x) o alpha: A^T T = T A on the matrix T, T even
     twist_rows = intertwiner_rows(g.alpha.transpose(), g.alpha, p, p)
     rows += twist_rows

@@ -188,7 +188,9 @@ def literal_coboundary(a, r, f: Cochain) -> Cochain:
     wb = cx.wb
     aw = cx.alpha_wedge()
     apw = cx.alpha_pow_wedge(m)
-    apm = cx.alpha_pow(m)
+    apm = Matrix.identity(a.dim)
+    for _ in range(m):
+        apm = a.alpha * apm
     alpha_cols_sparse = [
         {i: c for i, c in enumerate(a.alpha.col(j)) if c != 0} for j in range(a.dim)
     ]

@@ -3,9 +3,10 @@ nambu.cohomology._assemble_delta.
 
 One sweep over every output input (x_1..x_{m+1}, z) emits, per output
 coordinate, the linear form in f of the four terms, whether or not any
-bracket or rho entry behind it is nonzero.  The production assembly emits
-each term only from the nonzero entries of its tables; the tests require the
-two operators to be equal as dicts.
+bracket or rho entry behind it is nonzero, in the algebra's own rational
+scalars.  The production assembly emits each term only from the nonzero
+entries of its integer tables; the tests require its rows to equal s_m times
+this operator as dicts, s_m being the scale it returns.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 
 from nambu.cohomology import CochainModel, _complex_tables, _linear_expansion, module_action
-from nambu.core import sparse_columns
 
 
 def swept_delta_operator(a, r, m) -> dict:
@@ -31,7 +31,7 @@ def swept_delta_operator(a, r, m) -> dict:
     rho_apw = [r.action(coords) for coords in cx.alpha_pow_wedge(m)]
     DV = model_out.DV
     parities = model_in.parities
-    apm_cols = [col.items() for col in sparse_columns(cx.alpha_pow(m))]
+    apm_cols = [col.items() for col in cx.alpha_pow(m)]
     actions = {}
     for w, t in enumerate(wb.elements):
         for j, i in itertools.product(range(a.dim), range(len(t))):

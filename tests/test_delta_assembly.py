@@ -1,38 +1,66 @@
-"""delta^m assembled from the nonzero entries of its tables, pinned to the
-swept assembly of tests/swept_delta.py, and the memo of the compatibility
-equations of C^k."""
+"""delta^m assembled over Z from the nonzero entries of its tables, pinned
+to s_m times the rational swept assembly of tests/swept_delta.py, and the
+memo of the compatibility equations of C^k."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from coboundary_oracle import literal_coboundary
 from nambu import cohomology, samples
-from nambu.cohomology import Representation, _assemble_delta, adjoint_rep, cohomology_dims
+from nambu.cohomology import Representation, _assemble_delta, adjoint_rep, coboundary, cohomology_dims
 from nambu.core import twist_by_endomorphism
+from nambu.errors import InternalError
 from seeded_inputs import random_representation
 from swept_delta import swept_delta_operator
-from test_delta_operator import _dense_basis, _non_even_twists, _reps, _shear_twisted
+from test_delta_operator import (
+    _dense_basis,
+    _diagonal_twisted,
+    _non_even_twists,
+    _rational_shear,
+    _reps,
+    _seeded_cochains,
+    _shear_twisted,
+)
+
+
+def _denominator(values) -> int:
+    return math.lcm(*(x.denominator for x in values))
 
 
 def _algebras():
     """The catalog, a seeded diagonal twist of each catalog algebra that has
-    one, shear twists and fil4 in a dense basis."""
+    one, shear twists, fil4 and H3 with a shear in dense rational bases, and
+    twists with rational entries."""
     rng = random.Random(13)
     out = samples.catalog()
     for base in samples.catalog():
         rho = samples.random_twist(base, rng, diagonal_only=True)
         if rho is not None and not rho.is_identity():
             out.append(twist_by_endomorphism(base, rho))
-    return out + _shear_twisted(rng) + [_dense_basis(samples.filiform4(), rng)]
+    shears = _shear_twisted(rng)
+    halves = (Fraction(1, 2), Fraction(-1, 2), 2)
+    dense = [_dense_basis(samples.filiform4(), rng, halves), _dense_basis(shears[0], rng, halves)]
+    return out + shears + dense + [_rational_shear(), _diagonal_twisted()[2]]
+
+
+def _modules(k, a):
+    """ad, ad* where it exists and a seeded random rho; on rational structure
+    constants also that rho doubled, whose halves then cancel: an integral
+    rho, so that the scales of rho and of the bracket differ."""
+    rho = random_representation(a, random.Random(k))
+    out = _reps(a) + [("random", rho)]
+    if _denominator(x for vec in a.bracket.entries.values() for x in vec) > 1:
+        out.append(("integral", Representation(rho.target, [m.scale(2) for m in rho.rho], rho.nu)))
+    return out
 
 
 def _corpus():
-    """(a, [(name, r), ...]): ad, ad* where it exists and a seeded random rho
-    per algebra, and the twists that join the parities with their module."""
-    out = [
-        (a, _reps(a) + [("random", random_representation(a, random.Random(k)))])
-        for k, a in enumerate(_algebras())
-    ]
+    """(a, [(name, r), ...]): the modules of each algebra, and the twists that
+    join the parities with their module."""
+    out = [(a, _modules(k, a)) for k, a in enumerate(_algebras())]
     return out + [(a, [("mixed", r)]) for a, r in _non_even_twists()]
 
 
@@ -43,21 +71,50 @@ def test_corpus_has_every_kind_of_twist():
     alphas = [a.alpha for a, _ in CORPUS]
     assert sum(m.is_diagonal() and not m.is_identity() for m in alphas) >= 5
     assert sum(not m.is_diagonal() for m in alphas) >= 4
-    assert any(a.name.endswith("@dense") for a, _ in CORPUS)
+    assert {a.name for a, _ in CORPUS} >= {"fil4@dense", "H3~twisted@dense"}
+    assert sum(_denominator(a.alpha.data) > 1 for a, _ in CORPUS) >= 2
+    assert any(name == "integral" for _, reps in CORPUS for name, _ in reps)
     assert sum(name == "coadjoint" for _, reps in CORPUS for name, _ in reps) >= 10
+
+
+def _expected_scale(a, r, m) -> int:
+    """s_m = L d^(m(n-1)): L the lcm of the denominators of the structure
+    constants and of rho, d that of alpha's entries."""
+    values = [x for vec in a.bracket.entries.values() for x in vec]
+    values += [x for mat in r.rho for x in mat.data]
+    return _denominator(values) * _denominator(a.alpha.data) ** (m * (a.arity - 1))
+
+
+def _scaled(op: dict, s) -> dict:
+    return {o: {k: s * c for k, c in row.items()} for o, row in op.items()}
 
 
 @pytest.mark.parametrize("a, reps", CORPUS, ids=[a.name for a, _ in CORPUS])
 def test_assembly_equals_the_swept_oracle(a, reps):
-    # m = 3 everywhere but for the full random rho on dim-4 algebras, whose
+    # m = 3 everywhere but for the full random rhos on dim-4 algebras, whose
     # sweep alone takes about a second per module
     for name, r in reps:
-        for m in (0, 1, 2, 3) if name != "random" or a.dim <= 3 else (0, 1, 2):
-            assert _assemble_delta(a, r, m) == swept_delta_operator(a, r, m), (name, m)
+        for m in (0, 1, 2, 3) if name not in ("random", "integral") or a.dim <= 3 else (0, 1, 2):
+            rows, scale = _assemble_delta(a, r, m)
+            assert scale == _expected_scale(a, r, m), (name, m)
+            assert all(type(c) is int for row in rows.values() for c in row.values()), (name, m)
+            assert rows == _scaled(swept_delta_operator(a, r, m), scale), (name, m)
+
+
+def test_the_corpus_scales_are_not_all_one():
+    # the rational bases and twists exercise a scale above 1; the rational
+    # delta^1 of H3 with a shear in a dense rational basis is integral but
+    # holds its integers in Fraction form, which the integer rows hold as ints
+    scales = [_assemble_delta(a, r, m).scale for a, reps in CORPUS for _, r in reps for m in (0, 1)]
+    assert sum(s > 1 for s in scales) >= 6
+    dense = next(a for a, _ in CORPUS if a.name == "H3~twisted@dense")
+    entries = [c for row in swept_delta_operator(dense, adjoint_rep(dense), 1).values() for c in row.values()]
+    assert _denominator(entries) == 1
+    assert any(isinstance(c, Fraction) for c in entries)
 
 
 def test_assembly_is_not_vacuous():
-    nonzero = sum(bool(_assemble_delta(a, r, 1)) for a, reps in CORPUS for _, r in reps)
+    nonzero = sum(bool(_assemble_delta(a, r, 1).rows) for a, reps in CORPUS for _, r in reps)
     assert nonzero >= 40
 
 
@@ -65,7 +122,17 @@ def test_abelian_delta_is_empty():
     a = samples.abelian(2, 1)
     for name, r in _reps(a):
         for m in (0, 1, 2, 3):
-            assert _assemble_delta(a, r, m) == {} == swept_delta_operator(a, r, m), (name, m)
+            assert _assemble_delta(a, r, m) == ({}, 1) and swept_delta_operator(a, r, m) == {}, (name, m)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_coboundary_in_a_dense_basis_equals_the_literal_oracle(m):
+    # coboundary divides the integer rows by their scale once
+    a = next(a for a, _ in CORPUS if a.name == "fil4@dense")
+    for name, rep in _reps(a):
+        assert cohomology.delta_operator(a, rep, m).scale > 1, name
+        for f in _seeded_cochains(a, rep, m, random.Random(m), 3):
+            assert coboundary(a, rep, f).coeffs == literal_coboundary(a, rep, f).coeffs, (name, m)
 
 
 def _counting_equations(monkeypatch):
@@ -97,3 +164,11 @@ def test_cohomology_dims_writes_each_compat_system_once(monkeypatch, m):
     equal = Representation(rep.target, list(rep.rho), rep.nu)
     cohomology_dims(a, equal, m)
     assert len(calls) == 2 * count and calls[-1][0] is equal
+
+
+def test_a_table_entry_that_does_not_scale_to_an_int_raises():
+    # the integrality of every scaled table entry is a check that raises,
+    # kept under python -O
+    assert cohomology._times(Fraction(3, 4), 8) == 6 and type(cohomology._times(Fraction(3, 4), 8)) is int
+    with pytest.raises(InternalError, match="is not an integer"):
+        cohomology._times(Fraction(1, 3), 2)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from coboundary_oracle import (
+    evaluate,
     literal_coboundary,
     literal_coboundary_matrix,
     literal_cochain_space,
@@ -79,15 +80,16 @@ def _inverse(p: Matrix) -> Matrix:
     return Matrix.from_rows(cols).transpose()
 
 
-def _dense_basis(a: HomSuperAlgebra, rng) -> HomSuperAlgebra:
+def _dense_basis(a: HomSuperAlgebra, rng, pool=(-2, -1, 1, 2)) -> HomSuperAlgebra:
     """a in the basis of the columns of a unit lower triangular matrix whose
-    entries below the diagonal are seeded and nonzero within each parity block."""
+    entries below the diagonal are seeded from pool and nonzero within each
+    parity block."""
     d, p = a.dim, a.parity
     data = [1 if i == j else 0 for i in range(d) for j in range(d)]
     for i in range(d):
         for j in range(i):
             if p[i] == p[j]:
-                data[i * d + j] = rng.choice([-2, -1, 1, 2])
+                data[i * d + j] = rng.choice(pool)
     basis = Matrix(d, d, data)
     inv = _inverse(basis)
     cols = [basis.col(j) for j in range(d)]
@@ -331,8 +333,8 @@ def test_perturbed_delta_operator_raises(monkeypatch, m, degree):
     def perturbed(a, r, k):
         op = real(a, r, k)
         if k == degree:
-            op.setdefault(row, {})
-            op[row][column] = op[row].get(column, 0) + 1
+            op.rows.setdefault(row, {})
+            op.rows[row][column] = op.rows[row].get(column, 0) + 1
         return op
 
     cohomology_dims(a, rep, m)
@@ -345,6 +347,95 @@ def test_perturbed_delta_operator_raises(monkeypatch, m, degree):
     assert str(raised.value).endswith(
         f": basis cochain 1 of C^{degree}, coordinate {_one_based_coordinate(target.model, offending)}"
     )
+
+
+@pytest.mark.parametrize("degree, parity", [(0, "even"), (1, "even"), (1, "odd")])
+def test_wrong_parity_image_raises_on_an_untwisted_algebra(monkeypatch, degree, parity):
+    # alpha = I and nu = I: the equations apply no slot map, and only the
+    # parity filter can catch an entry that moves a basis cochain's image
+    # onto a coordinate of the other parity
+    a = samples.sh12()
+    rep = adjoint_rep(a)
+    assert a.alpha.is_identity() and rep.nu.is_identity()
+    eq = cohomology._compat_equations(a, rep, degree + 1)
+    probe = {0: 1}
+    assert eq.twisted(probe) is probe and eq.defect(probe) == {}
+    basis = cochain_basis(a, rep, degree, parity)
+    column = basis.space.pivots()[0]
+    target = CochainModel(a, rep, degree + 1)
+    wanted = 0 if parity == "even" else 1
+    row = next(o for o, p in enumerate(target.parities) if p != wanted)
+    real = cohomology.delta_operator
+
+    def perturbed(a, r, k):
+        op = real(a, r, k)
+        if k == degree:
+            op.rows.setdefault(row, {})
+            op.rows[row][column] = op.rows[row].get(column, 0) + 1
+        return op
+
+    cohomology_dims(a, rep, degree + 1, parity)
+    monkeypatch.setattr(cohomology, "delta_operator", perturbed)
+    with pytest.raises(NotACochain, match=f"delta\\^{degree} image violates") as raised:
+        cohomology_dims(a, rep, degree + 1, parity)
+    assert str(raised.value).endswith(
+        f": basis cochain 1 of C^{degree}, coordinate {_one_based_coordinate(target, row)}"
+    )
+
+
+def _every_slot_offenders(a, rep, k, parity):
+    """compat_offenders with every slot map applied, identities included: nu
+    o F against F(alpha x_1, ..., alpha x_k, alpha z) in the algebra's own
+    scalars, one input at a time, on each parity part of F."""
+    model = CochainModel(a, rep, k)
+    parities = model.parities
+    parts = {"both": (0, 1), "even": (0,), "odd": (1,)}[parity]
+    aw = cohomology._complex_tables(a).alpha_wedge()
+    alpha = a.alpha_columns()
+
+    def offenders(vec):
+        bad = {flat for flat in vec if parities[flat] not in parts}
+        for p in parts:
+            f = Cochain(model, p, [vec.get(i, 0) if q == p else 0 for i, q in enumerate(parities)])
+            for ws, j in model.input_tuples():
+                base = model.flat(ws, j)
+                lhs = rep.nu.apply(f.value(ws, j))
+                rhs = evaluate(f, [aw[w] for w in ws], alpha[j])
+                bad.update(base + v for v in range(model.DV) if lhs[v] != rhs[v] and parities[base + v] == p)
+        return bad
+
+    return offenders
+
+
+def _slot_twists():
+    """alpha = I with nu = I, alpha = I with nu != I, a diagonal twist and a
+    shear, each with its module."""
+    sh = samples.sh12()
+    h3 = samples.h3()
+    ad = adjoint_rep(h3)
+    nu = Representation(ad.target, ad.rho, Matrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 2]))
+    diagonal = _diagonal_twisted()[0]
+    shear = _shear_twisted(random.Random(3))[0]
+    return [(sh, adjoint_rep(sh)), (h3, nu), (diagonal, adjoint_rep(diagonal)), (shear, adjoint_rep(shear))]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["identity", "nu-only", "diagonal", "shear"])
+def test_compat_offenders_equal_every_slot_applied(case):
+    a, rep = _slot_twists()[case]
+    rng = random.Random(17 + case)
+    verdicts = []
+    for k in (0, 1, 2):
+        both = cochain_basis(a, rep, k)
+        raw_dim = both.model.raw_dim
+        for parity in ("even", "odd", "both"):
+            got = compat_offenders(a, rep, k, parity)
+            want = _every_slot_offenders(a, rep, k, parity)
+            vectors = list(_probes(rng, both.vectors(), raw_dim))
+            vectors += [{rng.randrange(raw_dim): rng.choice([-2, 1, 3]) for _ in range(3)} for _ in range(4)]
+            for vec in vectors:
+                assert got(vec) == want(vec), (a.name, k, parity, vec)
+                verdicts.append(not want(vec))
+    assert verdicts.count(True) > 5 and verdicts.count(False) > 5
 
 
 def _one_based_coordinate(model, flat):
@@ -364,15 +455,15 @@ def test_delta_square_witness_names_cochain_and_coordinate(monkeypatch, m):
     u, image = next(
         (u, image)
         for u in cochain_basis(a, rep, m).vectors()
-        if (image := cohomology._images(real(a, rep, m), [u])[0])
+        if (image := cohomology._images(real(a, rep, m).rows, [u])[0])
     )
 
     def perturbed(a, r, k):
         op = real(a, r, k)
         if k == m - 1:
             for o, x in u.items():
-                op.setdefault(o, {})
-                op[o][column] = op[o].get(column, 0) + x
+                op.rows.setdefault(o, {})
+                op.rows[o][column] = op.rows[o].get(column, 0) + x
         return op
 
     cohomology_dims(a, rep, m)

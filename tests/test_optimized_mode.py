@@ -1,7 +1,8 @@
-"""The acceptance, T*, extension and linalg suites under ``python -O``: every
-acceptance claim, every postcondition of the extension builders and the
-float refusals of the unchecked Matrix paths must rest on checks that
-raise, not on ``assert`` statements that -O strips."""
+"""The acceptance, T*, extension, linalg and integer-delta suites under
+``python -O``: every acceptance claim, every postcondition of the extension
+builders, the float refusals of the unchecked Matrix paths and the integrality
+checks of the integer tables must rest on checks that raise, not on
+``assert`` statements that -O strips."""
 
 import os
 import pathlib
@@ -9,7 +10,13 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SUITES = ["tests/test_acceptance.py", "tests/test_tstar.py", "tests/test_extensions.py", "tests/test_linalg.py"]
+SUITES = [
+    "tests/test_acceptance.py",
+    "tests/test_tstar.py",
+    "tests/test_extensions.py",
+    "tests/test_linalg.py",
+    "tests/test_delta_assembly.py",
+]
 
 
 def test_acceptance_suite_passes_under_python_O():
