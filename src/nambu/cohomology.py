@@ -551,6 +551,7 @@ class _Equations(NamedTuple):
     nu_rows: list
     twisted: Callable
     defect: Callable
+    empty: bool  # nu = I and no slot applied: every F satisfies them
 
 
 def _compat_equations(a, r, k) -> _Equations:
@@ -571,9 +572,10 @@ def _build_compat_equations(a, r, k) -> _Equations:
     and alpha come over Z from _integer_tables and nu is scaled to ints, so
     that both sides carry the same factor d_wedge^k * d_alpha * d_nu.  A slot
     whose integer rows are the identity is not applied, and nu o F is F
-    itself when nu's rows are: for alpha = I and nu = I the defect is 0
-    without a pass over F.  The model's parities give the parity of each
-    raw coordinate.
+    itself when nu's rows are: for alpha = I and nu = I the equations are
+    empty, which their users read off ``empty`` instead of taking a defect
+    or writing a row.  The model's parities give the parity of each raw
+    coordinate.
     """
     model = CochainModel(a, r, k)
     W, D, DV = model.W, model.D, model.DV
@@ -596,14 +598,12 @@ def _build_compat_equations(a, r, k) -> _Equations:
         return vec
 
     def defect(vec):
-        if nu_identity and not slots:
-            return {}  # nu o F = F = F o (alpha^wedge, ..., alpha)
         lhs = dict(vec) if nu_identity else _apply_slot(vec, 1, DV, nu_rows)
         for flat, x in twisted(vec).items():
             lhs[flat] = lhs.get(flat, 0) - x
         return {flat: x for flat, x in lhs.items() if x != 0}
 
-    return _Equations(model, nu_rows, twisted, defect)
+    return _Equations(model, nu_rows, twisted, defect, nu_identity and not slots)
 
 
 def compat_offenders(a, r, k, parity="both"):
@@ -616,11 +616,17 @@ def compat_offenders(a, r, k, parity="both"):
     parity and each parity part of F satisfies the equations at the
     coordinates of its own parity, the rule cochain_basis uses; for an even
     twist the defect of a part has no other coordinates.  The offenders are
-    those coordinates of F and of the defects.
+    those coordinates of F and of the defects.  When the equations are
+    empty no defect is taken: for both parities nothing can fail, and for
+    one the offenders are F's coordinates of the other.
     """
     eq = _compat_equations(a, r, k)
     parities = eq.model.parities
     parts = _parity_filter(parity)
+    if eq.empty:
+        if len(parts) == 2:
+            return lambda vec: set()
+        return lambda vec: {flat for flat in vec if parities[flat] not in parts}
 
     def offenders(vec) -> set:
         bad = {flat for flat in vec if parities[flat] not in parts}
@@ -724,12 +730,16 @@ def cochain_basis(a, r, m, parity="both") -> CochainBasis:
     defect of the unit vector at u.  A parity-homogeneous f only has
     coordinates of its own parity, so each equation keeps the terms of its
     output's parity, as in compat_test.  For a diagonal twist every equation
-    has one term and the kernel is spanned by unit vectors.
+    has one term and the kernel is spanned by unit vectors.  Empty equations
+    write no row: C^m is then the kernel of the unwanted parity's unit rows.
     """
     eq = _compat_equations(a, r, m)
     model = eq.model
     parities = model.parities
     parts = _parity_filter(parity)
+    if eq.empty:
+        rows = [{o: 1} for o, p in enumerate(parities) if p not in parts]
+        return CochainBasis(model, sparse_kernel(rows, model.raw_dim))
     rows = [{o: 1} if p not in parts else {} for o, p in enumerate(parities)]
     for u, p in enumerate(parities):
         v = u % model.DV
@@ -786,22 +796,23 @@ def _linear_expansion(model, wedge_args, z_arg):
 
 
 class Delta(NamedTuple):
-    """delta^m over Z: rows {out_flat: {in_flat: int}}, nonzero rows only,
-    equal to scale * delta^m for the positive int scale."""
+    """delta^m over Z by columns: {in_flat: {out_flat: int}}, nonzero columns
+    only, equal to scale * delta^m for the positive int scale.  Column k is
+    the image of the unit cochain at k."""
 
-    rows: dict
+    columns: dict
     scale: int
 
 
 def delta_operator(a, r, m) -> Delta:
     """delta^m on raw coefficients, assembled over Z with its scale s_m
-    (_assemble_delta).  A zero test, a rank or a kernel reads the rows as they
-    are; the map delta^m itself is rows / scale.
+    (_assemble_delta).  A zero test, a rank or a kernel reads the columns as
+    they are; the map delta^m itself is columns / scale.
 
     Kept in a._cache under ("delta", m) with the representation it was built
     for, and served again only for that same object r (a new representation,
-    even an equal one, is assembled afresh).  The result is shared: callers
-    must not mutate it.
+    even an equal one, is assembled afresh).  The result is shared, and so
+    are the images _images reads off it: callers must not mutate either.
     """
     return _per_representation(a, ("delta", m), r, lambda: _assemble_delta(a, r, m))
 
@@ -832,14 +843,15 @@ def _assemble_delta(a, r, m) -> Delta:
     do not depend on the parity of f and act on a V-block of f as the
     identity: one linear form per (x, z) block, written once for each v.
     Terms 3 and 4 carry the parity of f, taken per input coordinate, so
-    every parity-homogeneous cochain is mapped with its own sign; an entry
-    or row that cancels to zero is deleted where it arises.
+    every parity-homogeneous cochain is mapped with its own sign.  Each
+    entry goes straight into its column; an entry or column that cancels
+    to zero is deleted where it arises.
 
     Every table is an int table: those of _integer_tables (the bracket
     times b, alpha times d) and rho's columns times c.  Each term has degree
     1 in the bracket and rho entries and degree m(n-1) in alpha's, so with
     L = lcm(b, c), terms 1-2 taken L/b times and terms 3-4 L/c times, the
-    rows are exactly s_m delta^m, s_m = L d^(m(n-1)).  For integral input
+    columns are exactly s_m delta^m, s_m = L d^(m(n-1)).  For integral input
     b = c = d = 1 and no entry is rescaled.
     """
     model_in = CochainModel(a, r, m)
@@ -858,14 +870,15 @@ def _assemble_delta(a, r, m) -> Delta:
     rests = list(itertools.product(range(W), repeat=m))
 
     # terms 1 and 2: one linear form per output block (x_1..x_{m+1}, z),
-    # keyed by the block's flat offset
+    # kept by input block: forms[in offset][out offset]
     forms = {}
 
     def add_form(ws, j, sgn, args, z):
-        form = forms.setdefault(model_out.flat(ws, j), {})
+        out = model_out.flat(ws, j)
         sgn *= k12
         for off, c in _linear_expansion(model_in, args, z):
-            form[off] = form.get(off, 0) + sgn * c
+            form = forms.setdefault(off, {})
+            form[out] = form.get(out, 0) + sgn * c
 
     ads = [(w, j, ad) for w in range(W) for j in range(D) if (ad := cx.ad(w, j))]
     for i in range(m + 1):
@@ -887,31 +900,31 @@ def _assemble_delta(a, r, m) -> Delta:
                 for j in range(D):
                     add_form(ws, j, sgn, args, cx.alpha_cols[j])
 
-    rows = {}
-    for out in list(forms):
-        form = [(off, c) for off, c in forms.pop(out).items() if c != 0]
+    columns = {}
+    for off in list(forms):
+        form = [(out, c) for out, c in forms.pop(off).items() if c != 0]
         if form:
             for v in range(DV):
-                rows[out + v] = {off + v: c for off, c in form}
+                columns[off + v] = {out + v: c for out, c in form}
 
     def add(out, inp, c):
-        row = rows.get(out)
-        if row is None:
-            rows[out] = {inp: c}
-        elif (x := row.get(inp, 0) + c) != 0:
-            row[inp] = x
+        col = columns.get(inp)
+        if col is None:
+            columns[inp] = {out: c}
+        elif (x := col.get(out, 0) + c) != 0:
+            col[out] = x
         else:
-            del row[inp]
-            if not row:
-                del rows[out]
+            del col[out]
+            if not col:
+                del columns[inp]
 
     # terms 3 and 4 act on one V-block of f, the one at (rest, t): the sign
     # is (-1)^i, flipped when the acting slot is odd and so is f's
     # coordinate plus the wedge parity before it
     if not any(col for cols in rho for col in cols):
-        return Delta(rows, scale)  # rho = 0: no term 3 or 4
-    for w, columns in enumerate(_act(rho, coords, DV) for coords in cx.alpha_pow_wedge(m)):
-        entries = [(u, v, c) for u, col in enumerate(columns) for v, c in col.items()]
+        return Delta(columns, scale)  # rho = 0: no term 3 or 4
+    for w, acted in enumerate(_act(rho, coords, DV) for coords in cx.alpha_pow_wedge(m)):
+        entries = [(u, v, c) for u, col in enumerate(acted) for v, c in col.items()]
         if not entries:
             continue
         for i in range(m + 1):
@@ -952,26 +965,32 @@ def _assemble_delta(a, r, m) -> Delta:
                     for u, v, c in entries:
                         add(o + v, f + u, c)
             prefix = (prefix + p[x]) % 2
-    return Delta(rows, scale)
+    return Delta(columns, scale)
 
 
-def _images(rows: dict, vectors) -> list:
-    """The operator applied to each sparse raw vector, in one pass over its rows."""
-    holders = {}
-    for i, vec in enumerate(vectors):
+def _images(columns: dict, vectors) -> list:
+    """The operator given by its columns applied to each sparse raw vector:
+    the sum of the columns of its nonzero entries, each times the entry.
+    The image of a unit vector {k: 1} is column k itself, not a copy, so
+    no caller may mutate an image."""
+    out = []
+    for vec in vectors:
+        if len(vec) == 1 and 1 in vec.values():
+            (k,) = vec
+            out.append(columns.get(k, {}))
+            continue
+        image = {}
         for k, x in vec.items():
-            holders.setdefault(k, []).append((i, x))
-    out = [{} for _ in vectors]
-    for o, row in rows.items():
-        for k, c in row.items():
-            for i, x in holders.get(k, ()):
-                out[i][o] = out[i].get(o, 0) + c * x
-    return [{k: x for k, x in img.items() if x != 0} for img in out]
+            if x:
+                for o, c in columns.get(k, {}).items():
+                    image[o] = image.get(o, 0) + c * x
+        out.append({o: y for o, y in image.items() if y != 0})
+    return out
 
 
 def coboundary(a, r, f: Cochain, check=True) -> Cochain:
-    """The degree-(m+1) coboundary of f: the rows of delta_operator applied to
-    f, divided once by their scale.
+    """The degree-(m+1) coboundary of f: the columns of delta_operator
+    applied to f, divided once by their scale.
 
     With check, f and the result must lie in the cochain spaces of f's parity.
     """
@@ -979,7 +998,7 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
         raise NotACochain("input violates the twist compatibility or its declared parity")
     model_out = CochainModel(a, r, f.degree + 1)
     delta = delta_operator(a, r, f.degree)
-    (image,) = _images(delta.rows, [dict(enumerate(f.coeffs))])
+    (image,) = _images(delta.columns, [dict(enumerate(f.coeffs))])
     image = _monic(image, delta.scale)
     result = Cochain(model_out, f.parity, [image.get(k, 0) for k in range(model_out.raw_dim)])
     if check and not satisfies_compat(a, r, result):
@@ -989,16 +1008,16 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
 
 def is_closed(a, r, f: Cochain) -> bool:
     """delta f = 0, from f's nonzero coefficients: no (m+1)-cochain is built."""
-    return not _images(delta_operator(a, r, f.degree).rows, [{k: x for k, x in enumerate(f.coeffs) if x}])[0]
+    return not _images(delta_operator(a, r, f.degree).columns, [{k: x for k, x in enumerate(f.coeffs) if x}])[0]
 
 
 def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
     """Exact matrix of delta^m from the basis cm of C^m to the basis cm1 of
-    C^{m+1}: coordinates of the images under the rows of delta_operator,
+    C^{m+1}: coordinates of the images under the columns of delta_operator,
     divided once by their scale.  An image outside C^{m+1} raises
     NotACochain."""
     delta = delta_operator(a, r, cm.model.m)
-    images = _images(delta.rows, cm.vectors())
+    images = _images(delta.columns, cm.vectors())
     data = [0] * (cm1.dim * cm.dim)
     for j, image in enumerate(images):
         for i, x in _monic(cm1.coordinates(image), delta.scale).items():
@@ -1014,14 +1033,14 @@ def coboundary_matrix(a, r, m, parity="both") -> Matrix:
 def delta_square_is_zero(a, r, m, parity="both") -> bool:
     """delta^{m+1} o delta^m = 0 on C^m, as a sparse product of the two operators.
 
-    The rows of delta^m are applied to the basis of C^m and those of
+    The columns of delta^m are applied to the basis of C^m and those of
     delta^{m+1} to the images, all on sparse raw coefficients; their scales
     change no zero test.  The same statement as coboundary_matrix(m+1) *
     coboundary_matrix(m) being the exact zero matrix, without building
     either dense matrix.
     """
-    images = _images(delta_operator(a, r, m).rows, cochain_basis(a, r, m, parity).vectors())
-    return not any(_images(delta_operator(a, r, m + 1).rows, images))
+    images = _images(delta_operator(a, r, m).columns, cochain_basis(a, r, m, parity).vectors())
+    return not any(_images(delta_operator(a, r, m + 1).columns, images))
 
 
 class CohomologyDims(tuple):
@@ -1038,23 +1057,25 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
 
     Builds C^m and, for m > 0, C^{m-1}, once each; C^{m+1} is never built.
     delta^m is applied to the basis of C^m and delta^{m-1} to that of
-    C^{m-1}, in integers: each operator is taken as delta_operator's rows
+    C^{m-1}, in integers: each operator is taken as delta_operator's columns
     over Z, s_m delta^m, and each basis vector made primitive, which changes
-    no rank, no zero test and no membership.  Every image must satisfy the
-    equations of the next cochain space (compat_test), else NotACochain.
+    no rank, no zero test and no membership.  A unit basis cochain's image
+    is its column of the operator, shared and never mutated.  Every image
+    must satisfy the equations of the next cochain space
+    (compat_offenders), else NotACochain; empty equations cost no pass.
     dim Z^m = dim C^m - rank delta^m and dim B^m = rank delta^{m-1}, both by
-    the sparse fraction-free rank of the raw images; delta^m o delta^{m-1} =
-    0 is checked on the images.
+    sparse_rank of the raw images; delta^m o delta^{m-1} = 0 is checked on
+    the images.
     """
     cm = cochain_basis(a, r, m, parity)
-    op = delta_operator(a, r, m).rows
+    op = delta_operator(a, r, m).columns
     images = _images(op, [_primitive(vec) for vec in cm.vectors()])
     _check_images(a, r, m, parity, images)
     z_dim = cm.dim - sparse_rank(images)
     b_dim = 0
     if m > 0:
         prev = cochain_basis(a, r, m - 1, parity)
-        prev_images = _images(delta_operator(a, r, m - 1).rows, [_primitive(vec) for vec in prev.vectors()])
+        prev_images = _images(delta_operator(a, r, m - 1).columns, [_primitive(vec) for vec in prev.vectors()])
         _check_images(a, r, m - 1, parity, prev_images)
         b_dim = sparse_rank(prev_images)
         # B^m must sit inside Z^m: delta^m kills every image of delta^{m-1}

@@ -1,6 +1,6 @@
 """Exact rational linear algebra: scalars, dense matrices, one canonical
 sparse rref (under rref, nullspace, particular_solution, left_inverse and
-Subspace) and a sparse fraction-free rank kernel.
+Subspace), whose forward phase alone gives sparse_rank.
 
 Everything is computed over Q.  A scalar is an exact rational of one of two
 types: a Python ``int`` or a ``fractions.Fraction``; the two compare, hash
@@ -15,9 +15,10 @@ operations on checked entries are exact by construction and not rechecked).
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotACochain, ParseError
@@ -274,67 +275,32 @@ def _cancel(row: dict, prow: dict, col) -> dict:
 
 
 def sparse_rank(rows) -> int:
-    """Rank over Q of a matrix given as sparse rows {col: value}.
+    """Rank over Q of a matrix given as sparse rows {col: value}: the number
+    of pivots of _echelon, the forward phase of _rref.
 
-    Fraction-free elimination in the manner of Bareiss (1968), with gcd
-    content removal in place of his exact division: each row is cleared of
-    denominators and divided by its gcd, then rows are eliminated by
-    integer cross-multiplication against the pivot row and made primitive
-    again.  The pivot row is the live row with the fewest
-    nonzeros (the lowest id among those), its pivot the column that the
-    fewest live rows share.  Each retired pivot row is independent of
-    everything eliminated against it, so their count is the rank.
-
-    Pivot rows come off a heap of (nonzeros, id) pushed whenever a row
-    changes; an entry whose row has since changed or retired is skipped.
+    The rank does not depend on the order of the columns, so they are first
+    renumbered by the number of rows holding them, fewest first (ties in
+    order of appearance): pivots then fall on sparse columns, which keeps
+    the fill-in of dense rows down.  The rows are only read.
     """
-    live = {}
-    holders = {}  # column -> ids of the live rows with a nonzero there
-    for rid, row in enumerate(rows):
-        row = _primitive(row)
-        if row:
-            live[rid] = row
-            for c in row:
-                holders.setdefault(c, set()).add(rid)
-    queue = [(len(row), rid) for rid, row in live.items()]
-    heapq.heapify(queue)
-    found = 0
-    while live:
-        size, rid = heapq.heappop(queue)
-        if rid not in live or len(live[rid]) != size:
-            continue
-        prow = live.pop(rid)
-        for c in prow:
-            holders[c].discard(rid)
-        col = min(prow, key=lambda c: (len(holders[c]), c))
-        for oid in sorted(holders[col]):
-            row = live[oid]
-            new = _cancel(row, prow, col)
-            for c in row.keys() - new.keys():
-                holders[c].discard(oid)
-            for c in new.keys() - row.keys():
-                holders.setdefault(c, set()).add(oid)
-            if new:
-                live[oid] = new
-                heapq.heappush(queue, (len(new), oid))
-            else:
-                del live[oid]
-        found += 1
-    return found
+    rows = list(rows)
+    count = Counter(itertools.chain.from_iterable(rows))
+    order = {c: i for i, c in enumerate(sorted(count, key=count.__getitem__))}
+    return len(_echelon({order[c]: x for c, x in row.items()} for row in rows))
 
 
-def _rref(rows):
-    """The canonical rref of sparse rows {col: rational}: its nonzero rows in
-    pivot order, each with a leading 1 at its pivot, its smallest column,
-    and no entry in another row's pivot column.
+def _echelon(rows) -> dict:
+    """A row echelon form of sparse rows {col: rational}, as {pivot column:
+    primitive integer row whose smallest column it is}.
 
-    Fraction-free like sparse_rank, but with the pivots a canonical form
-    needs: rows are taken fewest nonzeros first and cancelled against the
-    pivot row of their smallest column until they vanish or open a pivot.
-    Back-substitution runs from the last pivot down, so a row needs one
-    cancellation per pivot column it holds; only the end divides.
+    Fraction-free in the manner of Bareiss (1968), with gcd content removal
+    in place of his exact division: each row is cleared of denominators and
+    divided by its gcd, taken fewest nonzeros first and cancelled by integer
+    cross-multiplication against the pivot row of its smallest column,
+    made primitive again each time, until it vanishes or opens a pivot.
+    No row is changed in place.
     """
-    echelon = {}  # pivot column -> primitive integer row starting there
+    echelon = {}
     for row in sorted(map(_primitive, rows), key=len):
         while row:
             c = min(row)
@@ -342,6 +308,19 @@ def _rref(rows):
                 echelon[c] = row
                 break
             row = _cancel(row, echelon[c], c)
+    return echelon
+
+
+def _rref(rows):
+    """The canonical rref of sparse rows {col: rational}: its nonzero rows in
+    pivot order, each with a leading 1 at its pivot, its smallest column,
+    and no entry in another row's pivot column.
+
+    The forward phase is _echelon.  Back-substitution runs from the last
+    pivot down, so a row needs one cancellation per pivot column it holds;
+    only the end divides.
+    """
+    echelon = _echelon(rows)
     pivots = sorted(echelon)
     for p in reversed(pivots):
         for q in [k for k in echelon[p] if k != p and k in echelon]:

@@ -270,7 +270,7 @@ def theta_spaces(g: HomSuperAlgebra) -> dict:
             return space
         # the combinations of the basis that delta kills, one equation per
         # coordinate some image reaches
-        images = _images(delta_operator(g, r, 1).rows, space.sparse_rows)
+        images = _images(delta_operator(g, r, 1).columns, space.sparse_rows)
         rows = [{i: img.get(k, 0) for i, img in enumerate(images)} for k in set().union(*images)]
         return Subspace(model.raw_dim, sparse_kernel(rows, space.dim).basis * space.basis)
 
@@ -310,7 +310,7 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
         raise CoadjointMissing("equivalence needs the coadjoint representation")
     rep = coad.rep
     thetas = (theta1, theta2)
-    images = _images(delta_operator(g, rep, 1).rows, [dict(enumerate(t.coeffs)) for t in thetas])
+    images = _images(delta_operator(g, rep, 1).columns, [dict(enumerate(t.coeffs)) for t in thetas])
     for theta, image in zip(thetas, images):
         if image:
             raise ThetaNotClosed("theta must be closed")
@@ -322,18 +322,15 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
     delta0 = delta_operator(g, rep, 0)
     nvars = d * d
 
-    rows = []
-    rhs = []
-    diff = [x - y for x, y in zip(theta1.coeffs, theta2.coeffs)]
-    for out in range(model1.raw_dim):
-        # s_0 delta^0 on the unknowns T[k][j] = theta'(e_j)(e_k), raw flat
-        # j*D+k, against s_0 (theta1 - theta2): the same equations
-        row = [0] * nvars
-        for flat, c in delta0.rows.get(out, {}).items():
-            j, k = divmod(flat, d)
-            row[k * d + j] = c
-        rows.append(row)
-        rhs.append(delta0.scale * diff[out])
+    # s_0 delta^0 on the unknowns T[k][j] = theta'(e_j)(e_k), raw flat
+    # j*D+k, against s_0 (theta1 - theta2): the same equations, one row per
+    # raw coordinate of C^1, filled in one pass over delta^0's columns
+    rows = [[0] * nvars for _ in range(model1.raw_dim)]
+    for flat, col in delta0.columns.items():
+        j, k = divmod(flat, d)
+        for out, c in col.items():
+            rows[out][k * d + j] = c
+    rhs = [delta0.scale * (x - y) for x, y in zip(theta1.coeffs, theta2.coeffs)]
     # theta'(alpha x) = theta'(x) o alpha: A^T T = T A on the matrix T, T even
     twist_rows = intertwiner_rows(g.alpha.transpose(), g.alpha, p, p)
     rows += twist_rows

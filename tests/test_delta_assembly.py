@@ -1,6 +1,6 @@
-"""delta^m assembled over Z from the nonzero entries of its tables, pinned
-to s_m times the rational swept assembly of tests/swept_delta.py, and the
-memo of the compatibility equations of C^k."""
+"""delta^m assembled over Z by columns from the nonzero entries of its
+tables, pinned to s_m times the transposed rational swept assembly of
+tests/swept_delta.py, and the memo of the compatibility equations of C^k."""
 
 import math
 import random
@@ -9,15 +9,27 @@ from fractions import Fraction
 import pytest
 
 from coboundary_oracle import literal_coboundary
+from dense_rref_oracle import _rref_pivots
 from nambu import cohomology, samples
-from nambu.cohomology import Representation, _assemble_delta, adjoint_rep, coboundary, cohomology_dims
+from nambu.cohomology import (
+    Representation,
+    _assemble_delta,
+    _images,
+    adjoint_rep,
+    coboundary,
+    cochain_basis,
+    cohomology_dims,
+    compat_offenders,
+)
 from nambu.core import twist_by_endomorphism
 from nambu.errors import InternalError
+from nambu.linalg import Matrix, _primitive, sparse_rank
 from seeded_inputs import random_representation
 from swept_delta import swept_delta_operator
 from test_delta_operator import (
     _dense_basis,
     _diagonal_twisted,
+    _every_slot_offenders,
     _non_even_twists,
     _rational_shear,
     _reps,
@@ -85,8 +97,14 @@ def _expected_scale(a, r, m) -> int:
     return _denominator(values) * _denominator(a.alpha.data) ** (m * (a.arity - 1))
 
 
-def _scaled(op: dict, s) -> dict:
-    return {o: {k: s * c for k, c in row.items()} for o, row in op.items()}
+def _scaled_columns(rows: dict, s) -> dict:
+    """The columns {in_flat: {out_flat: s * entry}} of an operator given by
+    its rows {out_flat: {in_flat: entry}}."""
+    columns = {}
+    for o, row in rows.items():
+        for k, c in row.items():
+            columns.setdefault(k, {})[o] = s * c
+    return columns
 
 
 @pytest.mark.parametrize("a, reps", CORPUS, ids=[a.name for a, _ in CORPUS])
@@ -95,10 +113,10 @@ def test_assembly_equals_the_swept_oracle(a, reps):
     # sweep alone takes about a second per module
     for name, r in reps:
         for m in (0, 1, 2, 3) if name not in ("random", "integral") or a.dim <= 3 else (0, 1, 2):
-            rows, scale = _assemble_delta(a, r, m)
+            columns, scale = _assemble_delta(a, r, m)
             assert scale == _expected_scale(a, r, m), (name, m)
-            assert all(type(c) is int for row in rows.values() for c in row.values()), (name, m)
-            assert rows == _scaled(swept_delta_operator(a, r, m), scale), (name, m)
+            assert all(type(c) is int for col in columns.values() for c in col.values()), (name, m)
+            assert columns == _scaled_columns(swept_delta_operator(a, r, m), scale), (name, m)
 
 
 def test_the_corpus_scales_are_not_all_one():
@@ -114,7 +132,7 @@ def test_the_corpus_scales_are_not_all_one():
 
 
 def test_assembly_is_not_vacuous():
-    nonzero = sum(bool(_assemble_delta(a, r, 1).rows) for a, reps in CORPUS for _, r in reps)
+    nonzero = sum(bool(_assemble_delta(a, r, 1).columns) for a, reps in CORPUS for _, r in reps)
     assert nonzero >= 40
 
 
@@ -172,3 +190,74 @@ def test_a_table_entry_that_does_not_scale_to_an_int_raises():
     assert cohomology._times(Fraction(3, 4), 8) == 6 and type(cohomology._times(Fraction(3, 4), 8)) is int
     with pytest.raises(InternalError, match="is not an integer"):
         cohomology._times(Fraction(1, 3), 2)
+
+
+@pytest.mark.parametrize("a, reps", CORPUS, ids=[a.name for a, _ in CORPUS])
+def test_cohomology_dims_leaves_the_memoized_delta_as_assembled(a, reps):
+    # the image of a unit cochain is its column of the memoized operator, so
+    # a consumer that changed an image would change the memo; the seeded
+    # random rhos and the parity-joining twists are no Hom-Nambu-Lie data,
+    # and delta^2 != 0 on them
+    for _, r in [(name, r) for name, r in reps if name in ("adjoint", "coadjoint")]:
+        for m in (0, 1, 2):
+            cohomology_dims(a, r, m)
+            for k in range(max(m - 1, 0), m + 1):
+                assert cohomology.delta_operator(a, r, k) == _assemble_delta(a, r, k), (a.name, m, k)
+
+
+def test_a_unit_cochain_image_is_its_column():
+    a = samples.n4()
+    columns = cohomology.delta_operator(a, adjoint_rep(a), 1).columns
+    k = min(columns)
+    assert _images(columns, [{k: 1}])[0] is columns[k]
+    assert _images(columns, [{k: 2}, {k: 1, k + 1: 0}]) == [{o: 2 * c for o, c in columns[k].items()}, columns[k]]
+
+
+def _empty_equation_cases():
+    """Untwisted catalog algebras of dim <= 4 with ad and ad*, at every degree
+    whose equations are empty (alpha = I, nu = I)."""
+    out = []
+    for a in samples.catalog():
+        for name, rep in _reps(a):
+            for k in (0, 1, 2):
+                if a.dim <= 4 and cohomology._compat_equations(a, rep, k).empty:
+                    out.append((a, name, rep, k))
+    return out
+
+
+def test_empty_equations_offenders_equal_every_slot_applied():
+    # no defect pass: both parities accept every vector, and one parity
+    # flags exactly the coordinates of the other
+    cases = _empty_equation_cases()
+    assert len({a.name for a, *_ in cases}) >= 4 and any(name == "coadjoint" for _, name, _, _ in cases)
+    rng = random.Random(29)
+    verdicts = []
+    for a, name, rep, k in cases:
+        basis = cochain_basis(a, rep, k)
+        raw_dim = basis.model.raw_dim
+        vectors = rng.sample(basis.vectors(), min(3, basis.dim))
+        vectors += [{rng.randrange(raw_dim): rng.choice([-2, 1, 3]) for _ in range(3)} for _ in range(3)]
+        for parity in ("even", "odd", "both"):
+            got, want = compat_offenders(a, rep, k, parity), _every_slot_offenders(a, rep, k, parity)
+            for vec in vectors:
+                assert got(vec) == want(vec), (a.name, name, k, parity, vec)
+                verdicts.append(not want(vec))
+    assert verdicts.count(True) > 10 and verdicts.count(False) > 10
+
+
+def _dense_rank(rows) -> int:
+    """The rank of sparse rows by the dense Fraction oracle, on the columns
+    that hold an entry."""
+    cols = sorted(set().union(*rows))
+    if not cols:
+        return 0
+    return len(_rref_pivots(Matrix(len(rows), len(cols), [row.get(c, 0) for row in rows for c in cols]))[1])
+
+
+@pytest.mark.parametrize("a, reps", CORPUS, ids=[a.name for a, _ in CORPUS])
+def test_sparse_rank_of_the_delta_images_equals_the_dense_oracle(a, reps):
+    for name, r in reps:
+        for m in (0, 1):
+            basis = cochain_basis(a, r, m)
+            images = _images(cohomology.delta_operator(a, r, m).columns, [_primitive(v) for v in basis.vectors()])
+            assert sparse_rank(images) == _dense_rank(images), (name, m)

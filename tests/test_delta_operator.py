@@ -333,8 +333,8 @@ def test_perturbed_delta_operator_raises(monkeypatch, m, degree):
     def perturbed(a, r, k):
         op = real(a, r, k)
         if k == degree:
-            op.rows.setdefault(row, {})
-            op.rows[row][column] = op.rows[row].get(column, 0) + 1
+            op.columns.setdefault(column, {})
+            op.columns[column][row] = op.columns[column].get(row, 0) + 1
         return op
 
     cohomology_dims(a, rep, m)
@@ -370,8 +370,8 @@ def test_wrong_parity_image_raises_on_an_untwisted_algebra(monkeypatch, degree, 
     def perturbed(a, r, k):
         op = real(a, r, k)
         if k == degree:
-            op.rows.setdefault(row, {})
-            op.rows[row][column] = op.rows[row].get(column, 0) + 1
+            op.columns.setdefault(column, {})
+            op.columns[column][row] = op.columns[column].get(row, 0) + 1
         return op
 
     cohomology_dims(a, rep, degree + 1, parity)
@@ -455,15 +455,15 @@ def test_delta_square_witness_names_cochain_and_coordinate(monkeypatch, m):
     u, image = next(
         (u, image)
         for u in cochain_basis(a, rep, m).vectors()
-        if (image := cohomology._images(real(a, rep, m).rows, [u])[0])
+        if (image := cohomology._images(real(a, rep, m).columns, [u])[0])
     )
 
     def perturbed(a, r, k):
         op = real(a, r, k)
         if k == m - 1:
+            op.columns.setdefault(column, {})
             for o, x in u.items():
-                op.rows.setdefault(o, {})
-                op.rows[o][column] = op.rows[o].get(column, 0) + x
+                op.columns[column][o] = op.columns[column].get(o, 0) + x
         return op
 
     cohomology_dims(a, rep, m)
