@@ -32,7 +32,7 @@ from .core import (
     straighten,
 )
 from .errors import ArityMismatch, DimensionMismatch, InternalError, NotACochain
-from .linalg import Matrix, Subspace, _monic, _primitive, sparse_kernel, sparse_rank
+from .linalg import Matrix, Subspace, _monic, _primitive, first_nonzero_digit, kronecker_pack, sparse_kernel, sparse_rank
 
 
 class WedgeBasis:
@@ -552,6 +552,7 @@ class _Equations(NamedTuple):
     twisted: Callable
     defect: Callable
     empty: bool  # nu = I and no slot applied: every F satisfies them
+    gain: int  # at least 1, and no entry of defect(F) exceeds gain * max |F|
 
 
 def _compat_equations(a, r, k) -> _Equations:
@@ -574,8 +575,11 @@ def _build_compat_equations(a, r, k) -> _Equations:
     whose integer rows are the identity is not applied, and nu o F is F
     itself when nu's rows are: for alpha = I and nu = I the equations are
     empty, which their users read off ``empty`` instead of taking a defect
-    or writing a row.  The model's parities give the parity of each raw
-    coordinate.
+    or writing a row.  ``gain`` bounds the defect map read off the same
+    rows, N(nu) + prod_s N(slot_s) for the applied slots, where N(L) is the
+    largest sum of |entries| feeding one output digit (an identity counts
+    1); it is at least 1, so it bounds a wrong-parity entry too.  The
+    model's parities give the parity of each raw coordinate.
     """
     model = CochainModel(a, r, k)
     W, D, DV = model.W, model.D, model.DV
@@ -603,39 +607,50 @@ def _build_compat_equations(a, r, k) -> _Equations:
             lhs[flat] = lhs.get(flat, 0) - x
         return {flat: x for flat, x in lhs.items() if x != 0}
 
-    return _Equations(model, nu_rows, twisted, defect, nu_identity and not slots)
+    gain = _norm(nu_rows) + math.prod(_norm(rows) for _, _, rows in slots)
+    return _Equations(model, nu_rows, twisted, defect, nu_identity and not slots, max(1, gain))
 
 
 def compat_offenders(a, r, k, parity="both"):
     """The defining equations of C^k(g, V) of the given parity
     (_compat_equations) as a function from a sparse raw vector {flat: coeff}
-    to the set of raw coordinates where it breaks them; empty exactly for
-    the members.
+    to the set of raw coordinates where it breaks them, the coordinates of
+    its offenses (_compat_offenses); empty exactly for the members."""
+    offenses = _compat_offenses(a, r, k, parity)
+    return lambda vec: set(offenses(vec))
 
-    A vector F is a member if it is zero at every coordinate of an unwanted
-    parity and each parity part of F satisfies the equations at the
-    coordinates of its own parity, the rule cochain_basis uses; for an even
-    twist the defect of a part has no other coordinates.  The offenders are
-    those coordinates of F and of the defects.  When the equations are
-    empty no defect is taken: for both parities nothing can fail, and for
-    one the offenders are F's coordinates of the other.
+
+def _compat_offenses(a, r, k, parity):
+    """The defining equations of C^k(g, V) of the given parity as a map from
+    a sparse raw vector F {flat: coeff} to its offenses {flat: offense},
+    linear in F: the one form that compat_offenders and _check_images read.
+
+    F is a member if it is zero at every coordinate of an unwanted parity
+    and each parity part of F satisfies the equations at the coordinates of
+    its own parity, the rule cochain_basis uses; for an even twist the
+    defect of a part has no other coordinates.  The offenses are F's entries
+    at the unwanted coordinates and, for each wanted parity, the defect of
+    that part at its own coordinates: disjoint coordinates, and no entry
+    larger than gain * max |F| (_Equations.gain).  When the equations are empty
+    no defect is taken: for both parities nothing can fail, and not even the
+    parities of C^k are read; for one the offenses are F's entries of the
+    other.
     """
     eq = _compat_equations(a, r, k)
-    parities = eq.model.parities
     parts = _parity_filter(parity)
-    if eq.empty:
-        if len(parts) == 2:
-            return lambda vec: set()
-        return lambda vec: {flat for flat in vec if parities[flat] not in parts}
+    if eq.empty and len(parts) == 2:
+        return lambda vec: {}
+    parities = eq.model.parities
 
-    def offenders(vec) -> set:
-        bad = {flat for flat in vec if parities[flat] not in parts}
-        for p in parts:
-            part = {flat: x for flat, x in vec.items() if parities[flat] == p}
-            bad.update(flat for flat in eq.defect(part) if parities[flat] == p)
-        return bad
+    def offenses(vec) -> dict:
+        out = {flat: x for flat, x in vec.items() if parities[flat] not in parts}
+        if not eq.empty:
+            for p in parts:
+                part = {flat: x for flat, x in vec.items() if parities[flat] == p}
+                out.update((flat, x) for flat, x in eq.defect(part).items() if parities[flat] == p)
+        return out
 
-    return offenders
+    return offenses
 
 
 def compat_test(a, r, k, parity="both"):
@@ -658,6 +673,16 @@ def _rows(cols, size) -> list:
 
 def _is_identity(rows) -> bool:
     return all(row == [(u, 1)] for u, row in enumerate(rows))
+
+
+def _norm(rows) -> int:
+    """The largest sum of |entries| feeding one output digit of a map given
+    by its rows: no entry of F o L exceeds _norm(rows) * max |F|."""
+    feeding = [0] * len(rows)
+    for row in rows:
+        for x, c in row:
+            feeding[x] += abs(c)
+    return max(feeding, default=0)
 
 
 def _apply_slot(vec, stride, size, rows):
@@ -1061,8 +1086,9 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
     over Z, s_m delta^m, and each basis vector made primitive, which changes
     no rank, no zero test and no membership.  A unit basis cochain's image
     is its column of the operator, shared and never mutated.  Every image
-    must satisfy the equations of the next cochain space
-    (compat_offenders), else NotACochain; empty equations cost no pass.
+    must satisfy the equations of the next cochain space, else NotACochain
+    (_check_images: one offense pass per block of images packed into one
+    integer vector; empty equations cost no pass).
     dim Z^m = dim C^m - rank delta^m and dim B^m = rank delta^{m-1}, both by
     sparse_rank of the raw images; delta^m o delta^{m-1} = 0 is checked on
     the images.
@@ -1086,16 +1112,55 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
     return CohomologyDims(cm, z_dim, b_dim)
 
 
+# The width in bits of one packed block of images in _check_images: a block
+# holds max(1, PACK_BITS // X.bit_length()) images for the base X.  Packed
+# ints grow with the block, so one unbounded block makes the check quadratic;
+# CHANGES.md has the sweep (256 / 1 024 / 2 048 / 4 096 / unbounded) that
+# chose it.
+PACK_BITS = 2048
+
+
 def _check_images(a, r, m, parity, images):
     """Every image of a basis cochain of C^m under delta^m lies in C^{m+1},
-    else NotACochain naming the first failing cochain and its first
-    offending raw coordinate."""
-    offenders = compat_offenders(a, r, m + 1, parity)
-    for i, image in enumerate(images):
-        bad = offenders(image)
-        if bad:
-            where = _witness(CochainModel(a, r, m + 1), m, i, min(bad))
-            raise NotACochain(f"a delta^{m} image violates the compatibility equations of C^{m + 1}: {where}")
+    else NotACochain naming the first failing cochain and its least
+    offending raw coordinate (_compat_offenses).
+
+    The images are integer vectors, checked a block at a time with one
+    offense pass per block.  No offense of an image exceeds B, gain
+    (_Equations.gain) times the largest |entry| of the images, so for
+    X = 2B + 1 (_packing) the offenses of the packed block sum_i X^i v_i
+    (linalg.kronecker_pack) hold those of its images as exact balanced
+    base-X digits: the block passes if they are zero, and otherwise their
+    least X-adic valuation names its first failing image and the least
+    coordinate of that valuation the witness (linalg.first_nonzero_digit),
+    as image by image.  Empty equations apply no map and nothing is
+    packed: for both parities there is nothing to check, and for one each
+    image's parities are scanned.
+    """
+    eq = _compat_equations(a, r, m + 1)
+    offenses = _compat_offenses(a, r, m + 1, parity)
+    first = None
+    if eq.empty:
+        first = next(((i, min(bad)) for i, image in enumerate(images) if (bad := offenses(image))), None)
+    else:
+        base, size = _packing(images, eq.gain)
+        for start in range(0, len(images), size):
+            found = first_nonzero_digit(offenses(kronecker_pack(images[start : start + size], base)), base)
+            if found is not None:
+                first = (start + found[0], found[1])
+                break
+    if first is not None:
+        where = _witness(CochainModel(a, r, m + 1), m, *first)
+        raise NotACochain(f"a delta^{m} image violates the compatibility equations of C^{m + 1}: {where}")
+
+
+def _packing(images, gain) -> tuple:
+    """(X, K): the base X = 2B + 1 for the bound B = gain * the largest
+    |entry| of the images on all their offenses, and the number K of images
+    in one packed block of at most about PACK_BITS bits."""
+    bound = gain * max(1, max((abs(x) for image in images for x in image.values()), default=0))
+    base = 2 * bound + 1
+    return base, max(1, PACK_BITS // base.bit_length())
 
 
 def _witness(model: CochainModel, m, i, flat) -> str:

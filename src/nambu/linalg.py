@@ -1,6 +1,7 @@
 """Exact rational linear algebra: scalars, dense matrices, one canonical
 sparse rref (under rref, nullspace, particular_solution, left_inverse and
-Subspace), whose forward phase alone gives sparse_rank.
+Subspace), whose forward phase alone gives sparse_rank, and the exact
+Kronecker packing of integer vectors into one (kronecker_pack).
 
 Everything is computed over Q.  A scalar is an exact rational of one of two
 types: a Python ``int`` or a ``fractions.Fraction``; the two compare, hash
@@ -21,7 +22,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotACochain, ParseError
+from .errors import DimensionMismatch, NotACochain, ParseError, ensure
 
 
 class Scalar(Fraction):
@@ -330,6 +331,47 @@ def _rref(rows):
 
 def _monic(row: dict, lead) -> dict:
     return {c: x // lead if x % lead == 0 else Fraction(x, lead) for c, x in row.items()}
+
+
+def kronecker_pack(vectors, base) -> dict:
+    """Sparse integer vectors {key: int} packed into one, sum_i base^i
+    vectors[i] (Kronecker substitution): each packed entry holds the
+    vectors' entries at its key as the digits of one int.  An integer
+    linear map applied to the packed vector packs their images; where base
+    >= 2B + 1 for a bound B on every entry of the images, its balanced base
+    digits are exactly those entries (first_nonzero_digit).  Every entry
+    must be an int."""
+    out = {}
+    place = 1
+    for vec in vectors:
+        for k, x in vec.items():
+            out[k] = out.get(k, 0) + x * place
+        place *= base
+    # a Fraction entry, even an integral one, leaves a Fraction in its sum
+    ensure(all(type(y) is int for y in out.values()), "a packed entry is not an int")
+    return out
+
+
+def first_nonzero_digit(packed: dict, base):
+    """(i, key) for a packed vector (kronecker_pack) whose digits are exact:
+    i the first of its vectors that is nonzero, key the least key where it
+    is; None if every vector is zero.  Each digit is smaller than base in
+    absolute value, so the base-adic valuation of an entry is the index of
+    its first nonzero digit: i is the least valuation of the entries, and
+    key the least key of that valuation."""
+    first, keys = None, []
+    for k, y in packed.items():
+        if not y:
+            continue
+        i = 0
+        while y % base == 0 and (first is None or i <= first):
+            y //= base
+            i += 1
+        if first is None or i < first:
+            first, keys = i, [k]
+        elif i == first:
+            keys.append(k)
+    return None if first is None else (first, min(keys))
 
 
 def nullspace(m: Matrix) -> "Subspace":

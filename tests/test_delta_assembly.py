@@ -1,6 +1,8 @@
 """delta^m assembled over Z by columns from the nonzero entries of its
 tables, pinned to s_m times the transposed rational swept assembly of
-tests/swept_delta.py, and the memo of the compatibility equations of C^k."""
+tests/swept_delta.py, the memo of the compatibility equations of C^k, and
+the packed check of the delta images against them, pinned to the per-image
+loop it replaced."""
 
 import math
 import random
@@ -19,10 +21,11 @@ from nambu.cohomology import (
     coboundary,
     cochain_basis,
     cohomology_dims,
+    CochainModel,
     compat_offenders,
 )
 from nambu.core import twist_by_endomorphism
-from nambu.errors import InternalError
+from nambu.errors import InternalError, NotACochain
 from nambu.linalg import Matrix, _primitive, sparse_rank
 from seeded_inputs import random_representation
 from swept_delta import swept_delta_operator
@@ -261,3 +264,166 @@ def test_sparse_rank_of_the_delta_images_equals_the_dense_oracle(a, reps):
             basis = cochain_basis(a, r, m)
             images = _images(cohomology.delta_operator(a, r, m).columns, [_primitive(v) for v in basis.vectors()])
             assert sparse_rank(images) == _dense_rank(images), (name, m)
+
+
+def _per_image_check(a, r, m, parity, images):
+    """The image check one image at a time, as it was before the packed
+    blocks: the reference for _check_images's verdict and witness."""
+    offenders = compat_offenders(a, r, m + 1, parity)
+    for i, image in enumerate(images):
+        bad = offenders(image)
+        if bad:
+            where = cohomology._witness(CochainModel(a, r, m + 1), m, i, min(bad))
+            raise NotACochain(f"a delta^{m} image violates the compatibility equations of C^{m + 1}: {where}")
+
+
+def _verdict(check, a, r, m, parity, images):
+    try:
+        check(a, r, m, parity, images)
+    except NotACochain as e:
+        return str(e)
+    return None
+
+
+def _perturbed_images(a, r, m, parity, changes):
+    """The images of the primitive basis of C^m under delta^m with w added to
+    the column at the pivot of basis cochain j, for each (j, w) of changes.
+    No other basis cochain holds that pivot, so only image j moves, by its
+    pivot entry times w; the memoized operator is not touched."""
+    basis = cochain_basis(a, r, m, parity)
+    columns = dict(cohomology.delta_operator(a, r, m).columns)
+    pivots = basis.space.pivots()
+    for j, w in changes:
+        col = dict(columns.get(pivots[j], {}))
+        for o, c in w.items():
+            col[o] = col.get(o, 0) + c
+        columns[pivots[j]] = {o: c for o, c in col.items() if c}
+    return _images(columns, [_primitive(v) for v in basis.vectors()])
+
+
+def _witness_cases():
+    """{name: (a, r, m, parities)}: fil4, H3 and N4 with a shear in dense
+    bases under ad, oddsq with alpha = diag(1, -1), a diagonal twist whose
+    offenses reach their bound, under ad, the coadjoint module of fil4 with
+    a shear in a dense basis, and the untwisted SH(1|2) under ad, whose
+    equations are empty and whose images meet only the parity filter."""
+    rng = random.Random(41)
+    shears = {a.name.split("~")[0]: a for a in _shear_twisted(rng)}
+    fil4, h3, n4 = (_dense_basis(shears[name], rng) for name in ("fil4", "H3", "N4"))
+    oddsq = _diagonal_twisted()[3]
+    sh = samples.sh12()
+    assert oddsq.alpha.data == [1, 0, 0, -1] and sh.alpha.is_identity()
+    return {
+        "fil4~sh@dense": (fil4, adjoint_rep(fil4), 1, ("both",)),
+        "H3~sh@dense": (h3, adjoint_rep(h3), 1, ("both",)),
+        "N4~sh@dense": (n4, adjoint_rep(n4), 2, ("both",)),
+        "oddsq~diag": (oddsq, adjoint_rep(oddsq), 2, ("both", "even", "odd")),
+        "fil4~sh@dense coadjoint": (fil4, dict(_reps(fil4))["coadjoint"], 1, ("both",)),
+        "SH12": (sh, adjoint_rep(sh), 1, ("even", "odd")),
+    }
+
+
+WITNESS_CASES = _witness_cases()
+
+
+def _scenarios(a, r, m, parity, size):
+    """Named perturbations [(j, w), ...] of the delta^m images that break the
+    equations of C^{m+1}: an entry of the unwanted parity; one failing image
+    at the end, in the middle, and on both sides of the boundary of the
+    first block of size K (K-1, K, K+1); two failing images, the earlier
+    at the larger coordinate, and two at the same coordinate; negative
+    offenses; and offenses of exactly +B and -B where an equation reaches
+    the bound."""
+    eq = cohomology._compat_equations(a, r, m + 1)
+    basis = cochain_basis(a, r, m, parity)
+    images = _perturbed_images(a, r, m, parity, [])
+    n = len(images)
+    if not n:
+        return []
+    parities = eq.model.parities
+    wanted = cohomology._parity_filter(parity)
+    out = [("wrong parity", [(n // 2, {o: 1})]) for o, p in enumerate(parities) if p not in wanted][-1:]
+    # the least offending coordinate of each breaking unit vector of a wanted parity
+    offenders = compat_offenders(a, r, m + 1, parity)
+    first = {o: min(bad) for o, p in enumerate(parities) if p in wanted and (bad := offenders({o: 1}))}
+    if not first:
+        return out
+    lo, hi = min(first, key=first.get), max(first, key=first.get)
+    assert first[lo] < first[hi]
+    out += [
+        ("last", [(n - 1, {lo: 1})]),
+        ("middle", [(n // 2, {hi: 1})]),
+        ("earlier at a larger coordinate", [(n // 3, {hi: 1}), (n - 1, {lo: 1})]),
+        ("two at one coordinate", [(n // 3, {lo: 2}), (n - 1, {lo: 1})]),
+        ("negative", [(n // 2, {hi: -3}), (n - 1, {lo: -1})]),
+    ]
+    out += [(f"boundary {i - size:+d}", [(i, {lo: 1})]) for i in (size - 1, size, size + 1) if i < n]
+    # +-M at a coordinate where image j is zero and whose unit vector breaks
+    # an equation by gain, M the largest |entry| of the images: with a unit
+    # pivot entry the offense there is +-M * gain = +-B
+    j = n // 2
+    norm = max((abs(x) for image in images for x in image.values()), default=1)
+    offenses = cohomology._compat_offenses(a, r, m + 1, parity)
+    reach = [o for o in first if o not in images[j] and eq.gain in map(abs, offenses({o: 1}).values())]
+    if reach and _primitive(basis.vectors()[j])[basis.space.pivots()[j]] == 1:
+        out += [(f"{sign:+d} B", [(j, {reach[0]: sign * norm})]) for sign in (1, -1)]
+    return out
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_packed_check_names_the_per_image_witness(monkeypatch, case):
+    # each perturbed delta^m breaks the equations of C^{m+1}, and the packed
+    # blocks raise the text of the per-image loop at the working width, at
+    # one image per block and at about three
+    a, r, m, parities = WITNESS_CASES[case]
+    gain = cohomology._compat_equations(a, r, m + 1).gain
+    width = cohomology.PACK_BITS
+    seen = set()
+    for parity in parities:
+        images = _perturbed_images(a, r, m, parity, [])
+        assert _verdict(cohomology._check_images, a, r, m, parity, images) is None
+        for bits in (width, 1, 3 * cohomology._packing(images, gain)[0].bit_length()):
+            monkeypatch.setattr(cohomology, "PACK_BITS", bits)
+            for name, changes in _scenarios(a, r, m, parity, cohomology._packing(images, gain)[1]):
+                perturbed = _perturbed_images(a, r, m, parity, changes)
+                want = _verdict(_per_image_check, a, r, m, parity, perturbed)
+                assert want is not None, (name, parity)
+                assert _verdict(cohomology._check_images, a, r, m, parity, perturbed) == want, (name, parity, bits)
+                seen.add(name if bits == width or "boundary" not in name else f"{name}, narrow")
+    if case == "SH12":
+        assert seen == {"wrong parity"}
+        return
+    assert {"last", "middle", "earlier at a larger coordinate", "two at one coordinate", "negative"} <= seen
+    assert {"boundary -1, narrow", "boundary +0, narrow", "boundary +1, narrow"} <= seen
+    if case == "N4~sh@dense":
+        # 264 images of delta^2, more than one block at the working width
+        assert {"boundary -1", "boundary +0", "boundary +1"} <= seen
+    if case == "oddsq~diag":
+        assert {"+1 B", "-1 B", "wrong parity"} <= seen
+
+
+def _gain_reach(a, r, k) -> tuple:
+    """(the largest sum over an output coordinate of the |offenses| of the
+    unit vectors, gain): the first bounds |offense(v)| / |v| and is reached."""
+    eq = cohomology._compat_equations(a, r, k)
+    offenses = cohomology._compat_offenses(a, r, k, "both")
+    feeding = {}
+    for u in range(eq.model.raw_dim):
+        for o, x in offenses({u: 1}).items():
+            feeding[o] = feeding.get(o, 0) + abs(x)
+    return max(feeding.values(), default=0), eq.gain
+
+
+@pytest.mark.parametrize("a, reps", CORPUS, ids=[a.name for a, _ in CORPUS])
+def test_gain_bounds_every_offense(a, reps):
+    for name, r in reps:
+        for k in (1, 2):
+            reach, gain = _gain_reach(a, r, k)
+            assert reach <= gain, (name, k)
+
+
+def test_a_sign_flipping_twist_reaches_the_gain():
+    # alpha = diag(1, -1) on oddsq: nu = alpha, so an equation reads
+    # F = -F or -F = F at some coordinate, an offense of 2 |F| = gain |F|
+    a, r, m, _ = WITNESS_CASES["oddsq~diag"]
+    assert [_gain_reach(a, r, k) for k in (1, 2, 3)] == [(2, 2)] * 3

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nambu.linalg import (
     Matrix,
     Scalar,
     Subspace,
+    first_nonzero_digit,
     format_scalar,
     image,
+    kronecker_pack,
     left_inverse,
     nullspace,
     particular_solution,
@@ -19,7 +21,7 @@ from nambu.linalg import (
     sparse_rank,
 )
 from dense_rref_oracle import _rref_pivots, oracle_nullspace, oracle_solve_affine, rref_basis
-from nambu.errors import DimensionMismatch, NotACochain
+from nambu.errors import DimensionMismatch, InternalError, NotACochain
 
 
 def mat(rows):
@@ -417,3 +419,52 @@ def test_left_inverse_edge_shapes():
     assert left_inverse(mat([[2, 1], [1, 1]])) == mat([[1, -1], [-1, 2]])
     tall = mat([[2], [4]])
     assert (left_inverse(tall) * tall).is_identity()
+
+
+def _apply_rows(rows, vec) -> dict:
+    """The integer map whose output o is sum_u rows[o][u] * vec[u], on a
+    sparse vector; zeros dropped."""
+    out = {}
+    for o, row in enumerate(rows):
+        y = sum(c * vec.get(u, 0) for u, c in enumerate(row))
+        if y:
+            out[o] = y
+    return out
+
+
+@st.composite
+def packed_blocks(draw):
+    """Sparse integer vectors with entries in [-E, E], a square integer map,
+    and B = E * the largest sum of |entries| of a row of the map (at least
+    E): no entry of an image exceeds B."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    e = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    vector = st.dictionaries(st.integers(0, n - 1), st.integers(-e, e), max_size=n)
+    vectors = draw(st.lists(vector, min_size=1, max_size=7))
+    return vectors, rows, e * max(1, max(sum(map(abs, row)) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_blocks())
+@example(([{}], [[1]], 1))  # one zero vector
+@example(([{}, {0: 0}, {}], [[1, 0], [0, 1]], 1))  # all-zero vectors
+@example(([{0: 3, 1: -3}], [[1, -1], [1, 1]], 6))  # one vector, an image entry at +B
+@example(([{1: 3}, {0: -3, 1: 3}], [[1, -1], [0, 1]], 6))  # -B in the second image
+@example(([{0: 2}, {0: -1}], [[1]], 2))  # +B over -1 at one key: zero for a base of B
+def test_packed_images_decode_to_the_first_nonzero_image(case):
+    # an integer map applied to the packed vectors packs their images, whose
+    # digits decode exactly in base 2B + 1
+    vectors, rows, bound = case
+    base = 2 * bound + 1
+    images = [_apply_rows(rows, vec) for vec in vectors]
+    first = next(((i, min(image)) for i, image in enumerate(images) if image), None)
+    assert first_nonzero_digit(_apply_rows(rows, kronecker_pack(vectors, base)), base) == first
+
+
+def test_kronecker_pack_takes_only_ints():
+    # a check that raises, kept under python -O
+    assert kronecker_pack([{0: 1, 2: -1}, {}, {2: 2}], 3) == {0: 1, 2: -1 + 2 * 9}
+    for entry in (Fraction(1, 2), Fraction(2)):
+        with pytest.raises(InternalError, match="not an int"):
+            kronecker_pack([{0: 1}, {1: entry}], 3)
