@@ -3,9 +3,10 @@
 Wedge coordinates: a degree-(n-1) fundamental object is a vector over the
 canonical wedge basis (nondecreasing tuples, no repeated even index),
 stored sparsely as {position: coefficient}.  Wedges of vectors and the
-fundamental bracket are calls of ``core.multilinear``.  Dense rho is only
-the construction and file format of a Representation: the module action is
-sparse columns, and every law on rho is checked column by column.  Cochains
+fundamental bracket are calls of ``core.multilinear``.  A Representation
+holds rho and nu as sparse columns, and so does the module action; every
+law on rho is checked column by column.  Dense rho is derived only for the
+file format and outside callers.  Cochains
 of degree m are dense coefficient tensors over (wedge basis)^m x g x V with
 flat indexing; evaluation on arbitrary arguments is multilinear expansion.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -28,11 +28,10 @@ from .core import (
     apply_columns,
     is_even_map,
     multilinear,
-    sparse_columns,
     straighten,
 )
 from .errors import ArityMismatch, DimensionMismatch, InternalError, NotACochain
-from .linalg import Matrix, Subspace, _monic, _primitive, first_nonzero_digit, kronecker_pack, sparse_kernel, sparse_rank
+from .linalg import Matrix, Subspace, _monic, _primitive, first_nonzero_digit, kronecker_pack, sparse_columns, sparse_kernel, sparse_rank
 
 
 class WedgeBasis:
@@ -79,24 +78,40 @@ def wedge_of_vectors(wb: WedgeBasis, vectors) -> dict:
     return multilinear(vectors, wb.sparse_value)
 
 
-@dataclass
 class Representation:
-    """rho on the wedge power plus the module twist nu on V.  The dense
-    fields are the construction and file format; algorithms read the sparse
-    columns {row: entry} built once per object (``columns``, ``nu_columns``,
-    ``integer_columns``, ``action``), so the fields are never mutated."""
+    """rho on the wedge power plus the module twist nu on V, held as sparse
+    columns {row: entry} (``columns``, one list per canonical wedge element,
+    and ``nu_columns``), which are never mutated.  The constructor takes
+    dense matrices, as the file format gives them; from_columns adopts
+    sparse columns.  The dense ``rho`` and ``nu`` are derived on first read,
+    for the file format and outside callers."""
 
-    target: GradedSpace
-    rho: list  # Matrix per canonical wedge element
-    nu: Matrix
+    __hash__ = None
+
+    def __init__(self, target: GradedSpace, rho: list, nu: Matrix):
+        self.target = target
+        self.columns = [sparse_columns(m) for m in rho]
+        self.nu_columns = sparse_columns(nu)
+
+    @classmethod
+    def from_columns(cls, target: GradedSpace, columns: list, nu_columns: list) -> "Representation":
+        r = cls.__new__(cls)
+        r.target, r.columns, r.nu_columns = target, columns, nu_columns
+        return r
+
+    def __eq__(self, other):
+        if not isinstance(other, Representation):
+            return NotImplemented
+        return (self.target, self.columns, self.nu_columns) == (other.target, other.columns, other.nu_columns)
 
     @cached_property
-    def columns(self) -> list:
-        return [sparse_columns(m) for m in self.rho]
+    def rho(self) -> list:
+        """rho as one dense Matrix per canonical wedge element."""
+        return [Matrix.from_columns(cols, self.target.dim) for cols in self.columns]
 
     @cached_property
-    def nu_columns(self) -> list:
-        return sparse_columns(self.nu)
+    def nu(self) -> Matrix:
+        return Matrix.from_columns(self.nu_columns, self.target.dim)
 
     @cached_property
     def integer_columns(self) -> tuple:
@@ -141,17 +156,11 @@ def _times(x, scale) -> int:
 
 
 def adjoint_rep(a: HomSuperAlgebra) -> Representation:
-    """ad: entry (i, j) of rho(x) is coordinate i of [x, e_j], read off the
-    nonzero basis brackets."""
-    d = a.dim
-    mats = []
-    for t in _wedge(a).elements:
-        data = [0] * (d * d)
-        for j in range(d):
-            for i, c in a.bracket.sparse_value(t + (j,)):
-                data[i * d + j] = c
-        mats.append(Matrix(d, d, data))
-    return Representation(a.space, mats, a.alpha)
+    """ad: column j of rho(x) is [x, e_j], read off the nonzero basis
+    brackets; nu is alpha."""
+    value = a.bracket.sparse_value
+    columns = [[dict(value(t + (j,))) for j in range(a.dim)] for t in _wedge(a).elements]
+    return Representation.from_columns(a.space, columns, a.alpha_columns())
 
 
 def _wedge(a: HomSuperAlgebra) -> WedgeBasis:
@@ -309,7 +318,7 @@ def verify_representation(r: Representation, a: HomSuperAlgebra) -> Report:
     """The grading, the binary and n-ary action laws and twist-equivariance,
     the laws checked column by column on sparse columns."""
     wb = _wedge(a)
-    if len(r.rho) != len(wb):
+    if len(r.columns) != len(wb):
         raise DimensionMismatch("rho must assign a matrix to every wedge element")
     report = Report()
 
@@ -321,7 +330,7 @@ def verify_representation(r: Representation, a: HomSuperAlgebra) -> Report:
     witness = next((
         {"wedge": [k + 1 for k in wb.elements[w]], "i": i + 1, "j": j + 1} for w, i, j in ungraded
     ), None)
-    graded = witness is None and is_even_map(r.nu, pv, pv)
+    graded = witness is None and is_even_map(r.nu_columns, pv, pv)
     report.add("grading", graded, witness)
 
     cx = _complex_tables(a)
@@ -1038,16 +1047,17 @@ def is_closed(a, r, f: Cochain) -> bool:
 
 def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
     """Exact matrix of delta^m from the basis cm of C^m to the basis cm1 of
-    C^{m+1}: coordinates of the images under the columns of delta_operator,
+    C^{m+1} (delta_columns)."""
+    return Matrix.from_columns(delta_columns(a, r, cm, cm1), cm1.dim)
+
+
+def delta_columns(a, r, cm: CochainBasis, cm1: CochainBasis) -> list:
+    """delta^m from the basis cm of C^m to the basis cm1 of C^{m+1} as sparse
+    columns: coordinates of the images under the columns of delta_operator,
     divided once by their scale.  An image outside C^{m+1} raises
     NotACochain."""
     delta = delta_operator(a, r, cm.model.m)
-    images = _images(delta.columns, cm.vectors())
-    data = [0] * (cm1.dim * cm.dim)
-    for j, image in enumerate(images):
-        for i, x in _monic(cm1.coordinates(image), delta.scale).items():
-            data[i * cm.dim + j] = x
-    return Matrix(cm1.dim, cm.dim, data)
+    return [_monic(cm1.coordinates(image), delta.scale) for image in _images(delta.columns, cm.vectors())]
 
 
 def coboundary_matrix(a, r, m, parity="both") -> Matrix:

@@ -30,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ArityMismatch,
@@ -45,10 +46,9 @@ from .linalg import (
     Subspace,
     block_diagonal,
     format_scalar,
-    is_zero_vec,
-    left_inverse,
     rank,
-    vzero,
+    sparse_columns,
+    sparse_left_inverse,
 )
 
 
@@ -189,46 +189,41 @@ class StructureTensor:
         )
 
 
-def is_even_map(m: Matrix, p_out, p_in):
-    """No entry of m joins basis vectors of different parities."""
-    return all(m[i, j] == 0 for i in range(m.rows) for j in range(m.cols) if p_out[i] != p_in[j])
+def is_even_map(cols, p_out, p_in):
+    """No entry of a map, given by its sparse columns, joins basis vectors of
+    different parities."""
+    return all(p_out[i] == p_in[j] for j, col in enumerate(cols) for i in col)
 
 
-def intertwiner_rows(f: Matrix, g: Matrix, p_out, p_in) -> list:
+def intertwiner_rows(f, g, p_out, p_in) -> list:
     """The linear equations F X = X G and X even on an unknown matrix X with
-    rows of parities p_out and columns of parities p_in, its entries taken
-    row-major as the variables: one dense row per entry of F X - X G that is
-    not identically zero, then one per entry that is_even_map forces to 0.
-    Every right-hand side is 0."""
+    rows of parities p_out and columns of parities p_in, F and G given by
+    their sparse columns and X's entries taken row-major as the variables:
+    one sparse row per entry of F X - X G that is not identically zero, in
+    row-major order, then one per entry that is_even_map forces to 0.  Every
+    right-hand side is 0."""
     rows_x, cols_x = len(p_out), len(p_in)
-    rows = []
-    for r in range(rows_x):
-        for c in range(cols_x):
-            row = [0] * (rows_x * cols_x)
-            for i in range(rows_x):
-                if f[r, i] != 0:
-                    row[i * cols_x + c] += f[r, i]
-            for k in range(cols_x):
-                if g[k, c] != 0:
-                    row[r * cols_x + k] -= g[k, c]
-            if any(x != 0 for x in row):
-                rows.append(row)
-    for i in range(rows_x):
-        for j in range(cols_x):
-            if p_out[i] != p_in[j]:
-                row = [0] * (rows_x * cols_x)
-                row[i * cols_x + j] = 1
-                rows.append(row)
-    return rows
+    eqs = {}  # entry (r, c) of F X - X G, flat, -> its row
+    for i, col in enumerate(f):  # + F[r, i] X[i, c]
+        for r, x in col.items():
+            for c in range(cols_x):
+                _accumulate(eqs.setdefault(r * cols_x + c, {}), ((i * cols_x + c, x),), 1)
+    for c, col in enumerate(g):  # - X[r, k] G[k, c]
+        for k, x in col.items():
+            for r in range(rows_x):
+                _accumulate(eqs.setdefault(r * cols_x + c, {}), ((r * cols_x + k, x),), -1)
+    rows = [row for row in (_nonzero(eqs[e]) for e in sorted(eqs)) if row]
+    return rows + [{i * cols_x + j: 1} for i in range(rows_x) for j in range(cols_x) if p_out[i] != p_in[j]]
 
 
-def support(vec):
-    return [(i, c) for i, c in enumerate(vec) if c != 0]
-
-
-def sparse_columns(m: Matrix) -> list:
-    """Columns of a matrix as sparse vectors {row: entry}."""
-    return [{i: c for i, c in enumerate(m.col(j)) if c != 0} for j in range(m.cols)]
+def transposed(cols, rows) -> list:
+    """The sparse columns of the transpose of a map with the given number of
+    rows, the map given by its sparse columns: its sparse rows."""
+    out = [{} for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i][j] = c
+    return out
 
 
 def apply_columns(cols, vec: dict) -> dict:
@@ -248,7 +243,7 @@ def maps_into(maps, source: Subspace, target: Subspace) -> bool:
 
 def _dense(pairs, dim):
     """The coordinate vector of a sparse vector given by its (index, value) pairs."""
-    out = vzero(dim)
+    out = [0] * dim
     for k, c in pairs:
         out[k] = c
     return out
@@ -291,19 +286,21 @@ class HomSuperAlgebra:
         return self.space.parity
 
     def alpha_is_even(self):
-        return is_even_map(self.alpha, self.parity, self.parity)
+        return is_even_map(self.alpha_columns(), self.parity, self.parity)
 
     def bracket_basis(self, indices):
         return self.bracket.value(indices)
 
     def bracket_eval(self, vectors):
-        """Multilinear evaluation of the bracket on coordinate vectors."""
+        """Multilinear evaluation of the bracket on coordinate vectors: the
+        dense wrapper of ``sparse_bracket``, for outside callers."""
         if len(vectors) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments")
         for v in vectors:
             if len(v) != self.dim:
                 raise DimensionMismatch("argument has wrong dimension")
-        return _dense(self.bracket.sparse_bracket([support(v) for v in vectors]).items(), self.dim)
+        args = [[(i, c) for i, c in enumerate(v) if c != 0] for v in vectors]
+        return _dense(self.bracket.sparse_bracket(args).items(), self.dim)
 
     def alpha_columns(self) -> list:
         """The columns of alpha as sparse vectors {row: entry}, built once."""
@@ -315,9 +312,7 @@ class HomSuperAlgebra:
         return not self.bracket.entries
 
     def basis_vector(self, i):
-        v = vzero(self.dim)
-        v[i] = 1
-        return v
+        return _unit(self.dim, i)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +383,7 @@ def verify_algebra(a: HomSuperAlgebra) -> Report:
     canonical = report.ok
     report.add_first("super-skew-symmetry", _skew_witnesses(a))
     report.add_first("fundamental-identity", _fundamental_identity_witnesses(a, canonical))
-    report.add_first("multiplicativity", _bracket_map_witnesses(a.alpha, a, a))
+    report.add_first("multiplicativity", _bracket_map_witnesses(a.alpha_columns(), a, a))
     return report
 
 
@@ -481,9 +476,9 @@ def _fundamental_identity_witnesses(a: HomSuperAlgebra, canonical: bool):
                 }
 
 
-def _bracket_map_witnesses(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra):
-    """Canonical tuples where f[x1,...,xn] != [f(x1),...,f(xn)]' for f: a -> b."""
-    f_cols = sparse_columns(f)
+def _bracket_map_witnesses(f_cols, a: HomSuperAlgebra, b: HomSuperAlgebra):
+    """Canonical tuples where f[x1,...,xn] != [f(x1),...,f(xn)]' for f: a -> b
+    given by its sparse columns."""
     for key in _canonical_tuples(a.space, a.arity):
         lhs = apply_columns(f_cols, dict(a.bracket.sparse_value(key)))
         rhs = b.bracket.sparse_bracket([f_cols[i].items() for i in key])
@@ -526,10 +521,19 @@ def verify_morphism(f: Matrix, a: HomSuperAlgebra, b: HomSuperAlgebra) -> Report
         raise ArityMismatch("arities differ")
     if f.rows != b.dim or f.cols != a.dim:
         raise DimensionMismatch(f"morphism must be {b.dim}x{a.dim}")
+    return _morphism_report(sparse_columns(f), a, b)
+
+
+def _morphism_report(f, a: HomSuperAlgebra, b: HomSuperAlgebra) -> Report:
+    """verify_morphism for f: a -> b given by its sparse columns; f alpha =
+    alpha' f is compared column by column."""
     report = Report()
     report.add("even", is_even_map(f, b.parity, a.parity))
     report.add_first("bracket", _bracket_map_witnesses(f, a, b))
-    report.add("twist-intertwines", f * a.alpha == b.alpha * f)
+    beta = b.alpha_columns()
+    report.add("twist-intertwines", all(
+        apply_columns(f, col) == apply_columns(beta, f[j]) for j, col in enumerate(a.alpha_columns())
+    ))
     return report
 
 
@@ -544,9 +548,11 @@ def twist_by_endomorphism(a: HomSuperAlgebra, rho: Matrix) -> HomSuperAlgebra:
     rho_report = verify_morphism(rho, a, a)
     if not rho_report.ok:
         raise EndomorphismCheckFailed("rho is not a self-morphism")
-    entries = {}
-    for key, vec in a.bracket.items():
-        entries[key] = rho.apply(list(vec))
+    rho_cols = sparse_columns(rho)
+    entries = {
+        key: _dense(apply_columns(rho_cols, dict(a.bracket.sparse_value(key))).items(), a.dim)
+        for key in a.bracket.entries
+    }
     twisted = HomSuperAlgebra(
         a.space,
         StructureTensor(a.arity, a.space, entries),
@@ -579,9 +585,9 @@ def split_graded(h: Subspace, space: GradedSpace):
     return tuple(Subspace._from_rref(h.ambient_dim, rows) for rows in parts)
 
 
-def vector_parity(vec, parity):
-    """The parity of a nonzero parity-homogeneous vector."""
-    ps = {parity[i] for i, c in enumerate(vec) if c != 0}
+def vector_parity(vec: dict, parity):
+    """The parity of a nonzero parity-homogeneous sparse vector {index: value}."""
+    ps = {parity[i] for i, c in vec.items() if c != 0}
     if len(ps) != 1:
         raise NonGradedSubspace("vector is not parity-homogeneous")
     return ps.pop()
@@ -597,11 +603,9 @@ def is_hom_subalgebra(h: Subspace, a: HomSuperAlgebra) -> bool:
     split_graded(h, a.space)  # raises NonGradedSubspace
     if not maps_into([a.alpha_columns()], h, h):
         return False
-    rows = h.basis_vectors()
-    for combo in itertools.product(rows, repeat=a.arity):
-        if not h.contains_vector(a.bracket_eval(list(combo))):
-            return False
-    return True
+    rows = [row.items() for row in h.sparse_rows]
+    expand = a.bracket.sparse_bracket
+    return all(h.contains_sparse(expand(list(combo))) for combo in itertools.product(rows, repeat=a.arity))
 
 
 def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
@@ -654,7 +658,7 @@ def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
             brackets = (expand(list(combo)) for combo in itertools.product(rows, repeat=a.arity))
         else:
             brackets = (expand([v] + rest) for v in rows for rest in rests)
-        nxt = Subspace.from_vectors(a.dim, [_dense(vec.items(), a.dim) for vec in brackets if vec])
+        nxt = Subspace.from_sparse(a.dim, [vec for vec in brackets if vec])
         if nxt == current:
             return SeriesResult(kind, terms, None, True)
         terms.append(nxt)
@@ -699,50 +703,47 @@ def lex_complement_indices(i: Subspace):
     for j in range(i.ambient_dim):
         if current.dim == i.ambient_dim:
             break
-        cand = _unit(i.ambient_dim, j)
-        if not current.contains_vector(cand):
+        if not current.contains_sparse({j: 1}):
             chosen.append(j)
-            current = current.sum(Subspace.from_vectors(i.ambient_dim, [cand]))
+            current = current.sum(Subspace.from_sparse(i.ambient_dim, [{j: 1}]))
     return chosen
 
 
 def quotient(a: HomSuperAlgebra, i: Subspace):
-    """Quotient algebra g/I with the induced bracket and twist.
+    """Quotient algebra g/I with the induced bracket and twist: (quotient
+    algebra, projection matrix), sparse_quotient with a dense projection."""
+    q, pi = sparse_quotient(a, i)
+    return q, Matrix.from_columns(pi, q.dim)
 
-    Returns (quotient algebra, projection matrix).  The complement basis is
-    the deterministic lex-first choice, so results are reproducible.
-    """
+
+def sparse_quotient(a: HomSuperAlgebra, i: Subspace):
+    """(g/I, the projection pi as its sparse columns) on the lex-first
+    complement of unit vectors: pi reads off the last coordinates in the
+    basis [I | complement] (one left inverse), and g/I's bracket and twist
+    are pi of the complement's unit brackets and of alpha's columns there."""
     if not is_hom_ideal(i, a):
         raise NotAnIdeal("quotient requires a Hom-ideal")
     comp = lex_complement_indices(i)
     q_dim = len(comp)
-    q_parity = tuple(a.parity[j] for j in comp)
-    q_space = GradedSpace(q_dim, q_parity)
+    q_space = GradedSpace(q_dim, tuple(a.parity[j] for j in comp))
 
-    # projection: solve x = (I-part) + sum c_k e_{comp_k}; pi(x) = (c_k)
-    cols = [list(r) for r in i.basis_vectors()] + [_unit(a.dim, j) for j in comp]
-    basis_matrix = Matrix.from_rows(cols, cols=a.dim).transpose()
-    inv = left_inverse(basis_matrix)
-    ensure(inv is not None, "ideal basis plus complement does not span g")
-    pi_rows = [inv.row(i.dim + k) for k in range(q_dim)]
-    pi = Matrix.from_rows(pi_rows, cols=a.dim) if q_dim else Matrix(0, a.dim, [])
+    coords = sparse_left_inverse(i.sparse_rows + [{j: 1} for j in comp], a.dim)
+    ensure(coords is not None, "ideal basis plus complement does not span g")
+    pi = [{k - i.dim: x for k, x in col.items() if k >= i.dim} for col in coords]
 
-    lift_cols = [_unit(a.dim, j) for j in comp]
     entries = {}
     for key in _canonical_tuples(q_space, a.arity):
-        vec = a.bracket_eval([lift_cols[t] for t in key])
-        pvec = pi.apply(vec)
-        if not is_zero_vec(pvec):
-            entries[key] = pvec
-    alpha_q_cols = [pi.apply(a.alpha.apply(lift_cols[t])) for t in range(q_dim)]
-    alpha_q = Matrix.from_rows(alpha_q_cols, cols=q_dim).transpose() if q_dim else Matrix(0, 0, [])
+        vec = apply_columns(pi, dict(a.bracket.sparse_value(tuple(comp[t] for t in key))))
+        if vec:
+            entries[key] = _dense(vec.items(), q_dim)
+    alpha = a.alpha_columns()
     q = HomSuperAlgebra(
         q_space,
         StructureTensor(a.arity, q_space, entries),
-        alpha_q,
+        Matrix.from_columns([apply_columns(pi, alpha[j]) for j in comp], q_dim),
         name=(a.name + "/I") if a.name else "quotient",
     )
-    ensure(verify_morphism(pi, a, q).ok, "quotient projection is not a morphism")
+    ensure(_morphism_report(pi, a, q).ok, "quotient projection is not a morphism")
     return q, pi
 
 
@@ -754,17 +755,20 @@ def quotient(a: HomSuperAlgebra, i: Subspace):
 class BilinearForm:
     gram: Matrix
 
-    def pairing(self, u, v):
-        return pairing(self.gram, u, v)
+    @cached_property
+    def columns(self) -> list:
+        """The gram's sparse columns {row: entry}, built once per form."""
+        return sparse_columns(self.gram)
+
+    def pairing(self, u: dict, v: dict):
+        return pairing(self.columns, u, v)
 
 
-def pairing(gram: Matrix, u, v):
-    gv = gram.apply(list(v))
-    s = 0
-    for x, y in zip(u, gv):
-        if x != 0 and y != 0:
-            s += x * y
-    return s
+def pairing(gram, u: dict, v: dict):
+    """<u, v> = u . G v for sparse vectors {index: value}, the gram G given
+    by its sparse columns."""
+    gv = apply_columns(gram, v)
+    return sum(x * gv[k] for k, x in u.items() if k in gv)
 
 
 def verify_metric(a: HomSuperAlgebra, form: BilinearForm) -> Report:
@@ -784,26 +788,29 @@ def verify_metric(a: HomSuperAlgebra, form: BilinearForm) -> Report:
         for j in range(d)
         if g[i, j] != (-1 if (p[i] == 1 and p[j] == 1) else 1) * g[j, i]
     ))
-    report.add_first("invariant", _invariance_witnesses(a, g))
+    report.add_first("invariant", _invariance_witnesses(a, form.columns))
     report.add("nondegenerate", rank(g) == a.dim)
 
     # self-adjointness <alpha u, v> = <u, alpha v>; on the even part this is
     # the same as <alpha x, y> = <alpha y, x>, and it is what T*-forms satisfy
     # on the odd part (the literal even-part formula picks up a supersign)
-    report.add("alpha-symmetric", a.alpha.transpose() * g == g * a.alpha)
+    alpha = a.alpha_columns()
+    left = transposed(alpha, d)  # column j of alpha^T G is alpha^T applied to column j of G
+    report.add("alpha-symmetric", all(
+        apply_columns(left, g_col) == apply_columns(form.columns, a_col) for g_col, a_col in zip(form.columns, alpha)
+    ))
     return report
 
 
-def _invariance_witnesses(a: HomSuperAlgebra, g: Matrix):
+def _invariance_witnesses(a: HomSuperAlgebra, g_cols):
     """(x, y, z), x canonical, in lex order, where <[x_1..x_{n-1}, y], z>
     differs from -(-1)^{|x||y|} <y, [x_1..x_{n-1}, z]>.  With
     b_y = [x_1..x_{n-1}, y] the left side is (G^T b_y)[z] and the right side
     -sgn (G b_z)[y], both sums over the nonzero entries of b and the sparse
     rows and columns of G; a pair (y, z) outside the supports of both is
-    0 = 0."""
+    0 = 0.  G is given by its sparse columns."""
     d = a.dim
-    g_rows = sparse_columns(g.transpose())
-    g_cols = sparse_columns(g)
+    g_rows = transposed(g_cols, d)
     value = a.bracket.sparse_value
     for xs in _canonical_tuples(a.space, a.arity - 1):
         px = a.space.parity_of_indices(xs)

@@ -11,6 +11,7 @@ through ad* and a cocycle theta, with the g block first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cohomology import (
     Cochain,
@@ -18,7 +19,7 @@ from .cohomology import (
     Representation,
     alternating_subspace,
     cochain_basis,
-    delta_matrix,
+    delta_columns,
     is_closed,
     module_action,
     satisfies_compat,
@@ -30,10 +31,15 @@ from .core import (
     HomSuperAlgebra,
     Report,
     StructureTensor,
+    _accumulate,
     _canonical_tuples,
+    _dense,
+    _nonzero,
+    apply_columns,
     intertwiner_rows,
     is_even_map,
     is_hom_ideal,
+    transposed,
     vector_parity,
     verify_algebra,
     verify_morphism,
@@ -47,7 +53,7 @@ from .errors import (
     SectionInvalid,
     ensure,
 )
-from .linalg import Matrix, Subspace, block_diagonal, image, nullspace, particular_solution, vzero
+from .linalg import Matrix, Subspace, block_diagonal, image, nullspace, sparse_columns, sparse_solution
 
 
 @dataclass
@@ -64,7 +70,7 @@ class ExtensionDatum:
         if self.module.nu != self.fiber_twist:
             raise DimensionMismatch("module twist must equal the fiber twist")
         pf = self.fiber.parity
-        if not is_even_map(self.fiber_twist, pf, pf):
+        if not is_even_map(self.module.nu_columns, pf, pf):
             raise DimensionMismatch("fiber twist must be even")
         if not verify_representation(self.module, self.base).ok:
             raise NotACochain("module fails the representation identities")
@@ -85,6 +91,11 @@ class ExtensionDatum:
 class Section:
     tau: Matrix  # b -> g
 
+    @cached_property
+    def columns(self) -> list:
+        """tau's sparse columns {row: entry}, built once per section."""
+        return sparse_columns(self.tau)
+
 
 def build_extension(d: ExtensionDatum, validated=True) -> HomSuperAlgebra:
     """The algebra on a (+) b with the cocycle-twisted bracket.
@@ -99,9 +110,7 @@ def build_extension(d: ExtensionDatum, validated=True) -> HomSuperAlgebra:
     g = _twisted_algebra(d, f"ext({b.name})" if b.name else "extension", fiber_first=True)
     if validated:
         ensure(verify_algebra(g).ok, "extension fails the algebra axioms")
-        fiber_sub = Subspace.from_vectors(
-            g.dim, [g.basis_vector(i) for i in range(d.fiber.dim)]
-        )
+        fiber_sub = Subspace.from_sparse(g.dim, [{i: 1} for i in range(d.fiber.dim)])
         ensure(is_hom_ideal(fiber_sub, g), "fiber is not a Hom-ideal of the extension")
     return g
 
@@ -131,22 +140,20 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
         fiber_slots = [t for t in key if fo <= t < fo + da]
         if len(fiber_slots) >= 2:
             continue
-        vec = vzero(da + db)
         if not fiber_slots:
             bkey = tuple(t - bo for t in key)
-            vec[bo : bo + db] = b.bracket_basis(bkey)
+            vec = {bo + k: c for k, c in b.bracket.sparse_value(bkey)}
             sign, w = wb.lookup(bkey[:-1])
             if sign != 0:
-                vec[fo : fo + da] = [sign * c for c in d.cocycle.value((w,), bkey[-1])]
+                vec.update((fo + v, sign * c) for v, c in enumerate(d.cocycle.value((w,), bkey[-1])) if c != 0)
         else:
             (t,) = fiber_slots
             base_key = (tuple(s - bo for s in key if s != t), key.index(t))
             if base_key not in actions:
                 actions[base_key] = module_action(b, d.module, [((s, 1),) for s in base_key[0]], base_key[1])
-            for k, c in actions[base_key][t - fo].items():
-                vec[fo + k] = c
-        if any(c != 0 for c in vec):
-            entries[key] = vec
+            vec = {fo + k: c for k, c in actions[base_key][t - fo].items()}
+        if vec:
+            entries[key] = _dense(vec.items(), da + db)
     return HomSuperAlgebra(
         space,
         StructureTensor(n, space, entries, strict=True),
@@ -156,20 +163,15 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
 
 
 def canonical_injection(da, db) -> Matrix:
-    rows = [[1 if j == i else 0 for j in range(da)] for i in range(da)]
-    rows += [[0] * da for _ in range(db)]
-    return Matrix.from_rows(rows, cols=da)
+    return Matrix.from_columns([{i: 1} for i in range(da)], da + db)
 
 
 def canonical_projection(da, db) -> Matrix:
-    rows = [[1 if j == da + i else 0 for j in range(da + db)] for i in range(db)]
-    return Matrix.from_rows(rows, cols=da + db)
+    return Matrix.from_columns([{} for _ in range(da)] + [{i: 1} for i in range(db)], db)
 
 
 def canonical_section(da, db) -> Section:
-    rows = [[0] * db for _ in range(da)]
-    rows += [[1 if j == i else 0 for j in range(db)] for i in range(db)]
-    return Section(Matrix.from_rows(rows, cols=db))
+    return Section(Matrix.from_columns([{da + i: 1} for i in range(db)], da + db))
 
 
 def find_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Matrix) -> Section:
@@ -184,62 +186,54 @@ def find_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Matrix
         raise DimensionMismatch("projection has wrong shape")
     nvars = dg * db  # tau[i][j] row-major
 
-    rows = []
-    rhs = []
-    for r in range(db):
-        for c in range(db):
-            row = [0] * nvars
-            for i in range(dg):
-                if pi[r, i] != 0:
-                    row[i * db + c] += pi[r, i]
-            rows.append(row)
-            rhs.append(1 if r == c else 0)
-    twist_rows = intertwiner_rows(g.alpha, b.alpha, g.parity, b.parity)
-    rows += twist_rows
-    rhs += [0] * len(twist_rows)
-    sol = particular_solution(Matrix.from_rows(rows, cols=nvars), rhs)
+    # pi . tau = id_b: entry (r, c) is sum_i pi[r, i] tau[i][c]
+    rows = [{} for _ in range(db * db)]
+    for i, col in enumerate(sparse_columns(pi)):
+        for r, x in col.items():
+            for c in range(db):
+                rows[r * db + c][i * db + c] = x
+    rhs = [1 if r == c else 0 for r in range(db) for c in range(db)]
+    twist_rows = intertwiner_rows(g.alpha_columns(), b.alpha_columns(), g.parity, b.parity)
+    sol = sparse_solution(rows + twist_rows, nvars, rhs + [0] * len(twist_rows))
     if sol is None:
         raise NoCompatibleSection("no even section compatible with the twists")
-    tau = Matrix(dg, db, sol)
-    return Section(tau)
+    return Section(Matrix(dg, db, sol))
 
 
 def check_section(g, a: Subspace, b, pi, s: Section):
-    tau = s.tau
-    if tau.rows != g.dim or tau.cols != b.dim:
+    """pi . tau = id_b, alpha_g . tau = tau . beta and tau even, column by column."""
+    tau = s.columns
+    if s.tau.rows != g.dim or s.tau.cols != b.dim:
         raise SectionInvalid("section has wrong shape")
-    if not (pi * tau).is_identity():
+    if pi.cols != g.dim:
+        raise DimensionMismatch("projection has wrong shape")
+    pi_cols = sparse_columns(pi)
+    if pi.rows != b.dim or any(apply_columns(pi_cols, col) != {j: 1} for j, col in enumerate(tau)):
         raise SectionInvalid("pi . tau is not the identity")
-    if g.alpha * tau != tau * b.alpha:
+    if any(apply_columns(g.alpha_columns(), col) != apply_columns(tau, beta) for col, beta in zip(tau, b.alpha_columns())):
         raise SectionInvalid("section does not intertwine the twists")
     if not is_even_map(tau, g.parity, b.parity):
         raise SectionInvalid("section is not even")
 
 
 def module_from_section(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, s: Section) -> Representation:
-    """rho(B) v = [tau(b_1),...,tau(b_{n-1}), v]_g in fiber coordinates."""
-    target = GradedSpace(a.dim, tuple(vector_parity(v, g.parity) for v in a.basis_vectors()))
-    wb = _wedge(b)
-    tau_cols = [s.tau.col(j) for j in range(b.dim)]
-    a_rows = a.basis_vectors()
-    mats = []
-    for t in wb.elements:
-        cols = []
-        for v in a_rows:
-            val = g.bracket_eval([tau_cols[i] for i in t] + [list(v)])
-            cols.append(_in_fiber_coords(a, val))
-        mats.append(Matrix.from_rows(cols, cols=a.dim).transpose())
-    nu_cols = [_in_fiber_coords(a, g.alpha.apply(list(v))) for v in a_rows]
-    nu = Matrix.from_rows(nu_cols, cols=a.dim).transpose()
-    return Representation(target, mats, nu)
+    """rho(B) v = [tau(b_1),...,tau(b_{n-1}), v]_g in fiber coordinates, as
+    sparse columns, and nu = alpha_g on the fiber."""
+    target = GradedSpace(a.dim, tuple(vector_parity(v, g.parity) for v in a.sparse_rows))
+    tau = [col.items() for col in s.columns]
+    columns = [
+        [_in_fiber_coords(a, g.bracket.sparse_bracket([tau[i] for i in t] + [v.items()])) for v in a.sparse_rows]
+        for t in _wedge(b).elements
+    ]
+    nu_columns = [_in_fiber_coords(a, apply_columns(g.alpha_columns(), v)) for v in a.sparse_rows]
+    return Representation.from_columns(target, columns, nu_columns)
 
 
-def _in_fiber_coords(a: Subspace, vec):
+def _in_fiber_coords(a: Subspace, vec: dict) -> dict:
     try:
-        coords = a.coordinates(dict(enumerate(vec)))
+        return a.coordinates(vec)
     except NotACochain:
         raise SectionInvalid("value does not lie in the fiber") from None
-    return [coords.get(i, 0) for i in range(a.dim)]
 
 
 def extract_cocycle(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Matrix, s: Section):
@@ -250,16 +244,15 @@ def extract_cocycle(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Mat
     """
     check_section(g, a, b, pi, s)
     module = module_from_section(g, a, b, s)
-    wb = _wedge(b)
-    tau_cols = [s.tau.col(j) for j in range(b.dim)]
+    tau = s.columns
+    args = [col.items() for col in tau]
     model = CochainModel(b, module, 1)
     entries = {}
-    for w, t in enumerate(wb.elements):
+    for w, t in enumerate(_wedge(b).elements):
         for j in range(b.dim):
-            inside = g.bracket_eval([tau_cols[i] for i in t] + [tau_cols[j]])
-            through = s.tau.apply(b.bracket_basis(t + (j,)))
-            diff = [x - y for x, y in zip(inside, through)]
-            entries[((w,), j)] = _in_fiber_coords(a, diff)
+            diff = g.bracket.sparse_bracket([args[i] for i in t] + [args[j]])
+            _accumulate(diff, apply_columns(tau, dict(b.bracket.sparse_value(t + (j,)))).items(), -1)
+            entries[((w,), j)] = _dense(_in_fiber_coords(a, _nonzero(diff)).items(), a.dim)
     f = Cochain.from_entries(model, 0, entries)
     if not satisfies_compat(b, module, f):
         raise SectionInvalid("extracted cochain violates compatibility")
@@ -331,7 +324,8 @@ def cohomologous_difference(b: HomSuperAlgebra, module: Representation, f1: Coch
     basis0 = cochain_basis(b, module, 0, "both")
     basis1 = cochain_basis(b, module, 1, "both")
     target = basis1.represent(diff)
-    sol = particular_solution(delta_matrix(b, module, basis0, basis1), target)
+    sol = sparse_solution(transposed(delta_columns(b, module, basis0, basis1), basis1.dim), basis0.dim, target)
     if sol is None:
         return None
-    return Cochain(basis0.model, 0, basis0.to_subspace().basis.transpose().apply(sol))
+    coeffs = apply_columns(basis0.vectors(), dict(enumerate(sol)))
+    return Cochain(basis0.model, 0, _dense(coeffs.items(), basis0.model.raw_dim))

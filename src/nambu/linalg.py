@@ -1,7 +1,11 @@
 """Exact rational linear algebra: scalars, dense matrices, one canonical
-sparse rref (under rref, nullspace, particular_solution, left_inverse and
+sparse rref (under nullspace, sparse_solution, sparse_left_inverse and
 Subspace), whose forward phase alone gives sparse_rank, and the exact
 Kronecker packing of integer vectors into one (kronecker_pack).
+
+Algorithms hold a map as its sparse columns [{row: entry}] and a subspace
+as its sparse rref rows; a dense ``Matrix`` is data, crossed into and out
+of by ``sparse_columns`` and ``Matrix.from_columns``.
 
 Everything is computed over Q.  A scalar is an exact rational of one of two
 types: a Python ``int`` or a ``fractions.Fraction``; the two compare, hash
@@ -74,17 +78,6 @@ def _check_entry(x):
     raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 
 
-# vectors are plain lists of int/Fraction
-
-
-def vzero(n):
-    return [0] * n
-
-
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
-
-
 class Matrix:
     """Dense matrix over Q, row-major."""
 
@@ -121,6 +114,16 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
             flat.extend(r)
         return cls(rows, ncols, flat)
+
+    @classmethod
+    def from_columns(cls, columns, rows):
+        """The rows x len(columns) matrix with the given sparse columns {row: entry}."""
+        n = len(columns)
+        data = [0] * (rows * n)
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                data[i * n + j] = x
+        return cls(rows, n, data)
 
     @classmethod
     def identity(cls, n):
@@ -234,11 +237,9 @@ def _sparse_rows(m: Matrix) -> list:
     return [{j: x for j, x in enumerate(m.row(i)) if x != 0} for i in range(m.rows)]
 
 
-def rref(m: Matrix):
-    """Reduced row-echelon form.  Returns (rref matrix, rank)."""
-    space = Subspace(m.cols, m)
-    zero_rows = [[0] * m.cols for _ in range(m.rows - space.dim)]
-    return Matrix.from_rows(space.basis_vectors() + zero_rows, cols=m.cols), space.dim
+def sparse_columns(m: Matrix) -> list:
+    """Columns of a matrix as sparse vectors {row: entry}."""
+    return [{i: c for i, c in enumerate(m.col(j)) if c != 0} for j in range(m.cols)]
 
 
 def rank(m: Matrix) -> int:
@@ -410,41 +411,53 @@ def solve_affine(a: Matrix, b):
 
 
 def particular_solution(a: Matrix, b):
-    """Solve a x = b exactly.  Returns a particular solution, or None.
+    """Solve a x = b exactly (sparse_solution on a's rows)."""
+    return sparse_solution(_sparse_rows(a), a.cols, b)
+
+
+def sparse_solution(rows, ncols, rhs):
+    """Solve r . x = rhs_r exactly for every sparse row r {col: value} of
+    Q^ncols.  Returns a particular solution as a list, or None.
 
     The particular solution is the deterministic minimal-lex one: all free
-    variables of the rref system are set to zero.
+    variables of the rref system are set to zero.  The rows are only read.
     """
-    if len(b) != a.rows:
+    rows = list(rows)
+    if len(rhs) != len(rows):
         raise DimensionMismatch("rhs length mismatch")
-    rows = _sparse_rows(a)
-    for row, x in zip(rows, b):
-        row[a.cols] = _check_entry(x)
-    reduced = _rref(rows)
-    if reduced and min(reduced[-1]) == a.cols:
+    reduced = _rref({**row, ncols: _check_entry(x)} for row, x in zip(rows, rhs))
+    if reduced and min(reduced[-1]) == ncols:
         return None
-    x = [0] * a.cols
+    x = [0] * ncols
     for row in reduced:
-        x[min(row)] = row.get(a.cols, 0)
+        x[min(row)] = row.get(ncols, 0)
     return x
 
 
-def left_inverse(m: Matrix):
-    """The matrix L with L m = I, or None when the columns of m are dependent.
+def sparse_left_inverse(columns, nrows):
+    """The map L with L m = I as its sparse columns, for m given by its
+    sparse columns in Q^nrows, or None when they are dependent.
 
     Read off one rref of [m | I]: the rref is E [m | I] for an invertible E,
-    and when m has full column rank its first m.cols rows are [I | L] with
-    L = those rows of E.  For a square m, L is the inverse; for a tall m,
-    L x is the coordinate vector of any x in the column space of m in the
+    and when m has full column rank its first len(columns) rows are [I | L]
+    with L = those rows of E.  For a square m, L is the inverse; for a tall
+    m, L x is the coordinate vector of any x in the column space of m in the
     basis of its columns (one product per vector, no elimination).
     """
-    rows = _sparse_rows(m)
-    for i, row in enumerate(rows):
-        row[m.cols + i] = 1
+    ncols = len(columns)
+    rows = [{ncols + i: 1} for i in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
     reduced = _rref(rows)
-    if len(reduced) < m.cols or any(min(reduced[k]) != k for k in range(m.cols)):
+    if len(reduced) < ncols or any(min(reduced[k]) != k for k in range(ncols)):
         return None
-    return Matrix(m.cols, m.rows, [reduced[k].get(m.cols + i, 0) for k in range(m.cols) for i in range(m.rows)])
+    inverse = [{} for _ in range(nrows)]
+    for k in range(ncols):
+        for c, x in reduced[k].items():
+            if c >= ncols:
+                inverse[c - ncols][k] = x
+    return inverse
 
 
 class Subspace:
@@ -563,7 +576,7 @@ class Subspace:
 
     def contains(self, other: "Subspace"):
         self._check_ambient(other)
-        return all(self.contains_vector(r) for r in other.basis_vectors())
+        return all(self.contains_sparse(r) for r in other.sparse_rows)
 
     def sum(self, other: "Subspace"):
         self._check_ambient(other)
@@ -580,10 +593,19 @@ class Subspace:
         return sparse_kernel(con, self.ambient_dim)
 
     def orthogonal_complement(self, gram: Matrix) -> "Subspace":
-        """{x : basis_i . gram . x = 0 for every basis vector}."""
+        """{x : basis_i . gram . x = 0 for every basis vector} (orthogonal)."""
         if gram.rows != self.ambient_dim or gram.cols != self.ambient_dim:
             raise DimensionMismatch("gram matrix must be square of the ambient dimension")
-        return nullspace(self.basis * gram)
+        return self.orthogonal(sparse_columns(gram))
+
+    def orthogonal(self, gram) -> "Subspace":
+        """{x : b . G x = 0 for every basis vector b}, the gram G given by its
+        sparse columns: the kernel of the rows b G, (b G)[x] = b . G[:, x]."""
+        rows = [
+            {x: s for x, col in enumerate(gram) if (s := sum(b[k] * c for k, c in col.items() if k in b))}
+            for b in self.sparse_rows
+        ]
+        return sparse_kernel(rows, self.ambient_dim)
 
     def _check_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:

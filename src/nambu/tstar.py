@@ -33,7 +33,10 @@ from .core import (
     HomSuperAlgebra,
     Report,
     StructureTensor,
+    _accumulate,
     _canonical_tuples,
+    _dense,
+    _nonzero,
     _unit_arguments,
     apply_columns,
     direct_sum,
@@ -42,11 +45,11 @@ from .core import (
     maps_into,
     nilpotent_length,
     pairing,
-    quotient,
     series,
     solvable_length,
-    sparse_columns,
+    sparse_quotient,
     split_graded,
+    transposed,
     vector_parity,
     verify_algebra,
     verify_metric,
@@ -70,7 +73,7 @@ from .errors import (
     ensure,
 )
 from .extensions import ExtensionDatum, _twisted_algebra
-from .linalg import Matrix, Subspace, block_diagonal, left_inverse, particular_solution, rank, sparse_kernel
+from .linalg import Matrix, Subspace, block_diagonal, rank, sparse_kernel, sparse_left_inverse, sparse_solution
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +102,16 @@ def coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
 
 
 def _coadjoint_rep(a: HomSuperAlgebra) -> CoadjointRep:
+    """ad*(x) is the transpose of ad(x), column i signed by
+    -(-1)^{|x||e_i*|}: +1 only when both the wedge and e_i* are odd."""
     wb = _wedge(a)
-    d = a.dim
     p = a.parity
-    mats = []
+    columns = []
     for w, cols in enumerate(adjoint_rep(a).columns):
-        pw = wb.parity(w)
-        data = [0] * (d * d)
-        for k, col in enumerate(cols):
-            for i, c in col.items():  # entry (k, i) of ad*(x) is entry (i, k) of ad(x), signed
-                # -(-1)^{|x||e_i*|}: +1 only when both the wedge and e_i* are odd
-                data[k * d + i] = c if (pw == 1 and p[i] == 1) else -c
-        mats.append(Matrix(d, d, data))
-    rep = Representation(a.space, mats, a.alpha.transpose())
+        odd = wb.parity(w) == 1
+        rows = transposed(cols, a.dim)
+        columns.append([{k: c if (odd and p[i] == 1) else -c for k, c in row.items()} for i, row in enumerate(rows)])
+    rep = Representation.from_columns(a.space, columns, transposed(a.alpha_columns(), a.dim))
     report = verify_representation(rep, a)
     equivariance = next(c for c in report.checks if c.name == "twist-equivariance")
     if not equivariance.passed:
@@ -211,18 +211,18 @@ def tstar_extend(g: HomSuperAlgebra, theta: Cochain | None = None, validated=Tru
 
 def embedded_dual(ext: TStarExtension) -> Subspace:
     d = ext.base.dim
-    alg = ext.algebra
-    return Subspace.from_vectors(alg.dim, [alg.basis_vector(d + i) for i in range(d)])
+    return Subspace.from_sparse(ext.algebra.dim, [{d + i: 1} for i in range(d)])
 
 
 def is_isotropic(m: MetricAlgebra, sub: Subspace) -> bool:
-    return _isotropic(m.gram, sub)
+    return _isotropic(m.form.columns, sub)
 
 
-def _isotropic(gram: Matrix, sub: Subspace) -> bool:
-    """<u, v> = 0 on every pair of basis vectors, the gram applied once per vector."""
-    images = [gram.apply(v) for v in sub.basis_vectors()]
-    return all(sum(x * g[k] for k, x in u.items()) == 0 for u in sub.sparse_rows for g in images)
+def _isotropic(gram, sub: Subspace) -> bool:
+    """<u, v> = 0 on every pair of basis vectors, the gram given by its
+    sparse columns and applied once per vector."""
+    images = [apply_columns(gram, v) for v in sub.sparse_rows]
+    return all(sum(x * g[k] for k, x in u.items() if k in g) == 0 for u in sub.sparse_rows for g in images)
 
 
 def is_cyclic_cocycle(g: HomSuperAlgebra, theta: Cochain) -> bool:
@@ -272,7 +272,8 @@ def theta_spaces(g: HomSuperAlgebra) -> dict:
         # coordinate some image reaches
         images = _images(delta_operator(g, r, 1).columns, space.sparse_rows)
         rows = [{i: img.get(k, 0) for i, img in enumerate(images)} for k in set().union(*images)]
-        return Subspace(model.raw_dim, sparse_kernel(rows, space.dim).basis * space.basis)
+        kernel = sparse_kernel(rows, space.dim).sparse_rows  # coefficients on the basis rows
+        return Subspace.from_sparse(model.raw_dim, [apply_columns(space.sparse_rows, k) for k in kernel])
 
     closed = closed_part(cochain)
     closed_cyclic = closed.intersect(cyclic_constraint)
@@ -325,19 +326,19 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
     # s_0 delta^0 on the unknowns T[k][j] = theta'(e_j)(e_k), raw flat
     # j*D+k, against s_0 (theta1 - theta2): the same equations, one row per
     # raw coordinate of C^1, filled in one pass over delta^0's columns
-    rows = [[0] * nvars for _ in range(model1.raw_dim)]
+    rows = [{} for _ in range(model1.raw_dim)]
     for flat, col in delta0.columns.items():
         j, k = divmod(flat, d)
         for out, c in col.items():
             rows[out][k * d + j] = c
     rhs = [delta0.scale * (x - y) for x, y in zip(theta1.coeffs, theta2.coeffs)]
     # theta'(alpha x) = theta'(x) o alpha: A^T T = T A on the matrix T, T even
-    twist_rows = intertwiner_rows(g.alpha.transpose(), g.alpha, p, p)
+    alpha = g.alpha_columns()
+    twist_rows = intertwiner_rows(transposed(alpha, d), alpha, p, p)
     rows += twist_rows
     rhs += [0] * len(twist_rows)
 
-    base_matrix = Matrix.from_rows(rows, cols=nvars)
-    sol = particular_solution(base_matrix, rhs)
+    sol = sparse_solution(rows, nvars, rhs)
     if sol is None:
         return EquivalenceResult("inequivalent")
 
@@ -347,13 +348,12 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
     extra_rhs = list(rhs)
     for j in range(d):
         for k in range(j, d):
-            row = [0] * nvars
-            row[k * d + j] += 1
             sgn = -1 if (p[j] == 1 and p[k] == 1) else 1
-            row[j * d + k] += sgn
+            row = {k * d + j: 1}
+            row[j * d + k] = row.get(j * d + k, 0) + sgn
             extra_rows.append(row)
             extra_rhs.append(0)
-    iso_sol = particular_solution(Matrix.from_rows(extra_rows, cols=nvars), extra_rhs)
+    iso_sol = sparse_solution(extra_rows, nvars, extra_rhs)
     if iso_sol is not None:
         return EquivalenceResult("isometrically_equivalent", Matrix(d, d, iso_sol))
     return EquivalenceResult("equivalent", Matrix(d, d, sol))
@@ -398,15 +398,14 @@ def centralizer(m: MetricAlgebra, v: Subspace) -> Subspace:
         rows.extend({j: sum(u.get(k, 0) * c for k, c in col) for j, col in enumerate(cols) if col} for u in ann)
     by_definition = sparse_kernel(rows, a.dim)
 
-    vperp = v.orthogonal_complement(m.gram)
+    vperp = v.orthogonal(m.form.columns)
     spanned = []
     for units in _unit_arguments(a.space, a.arity - 1):
         for w in vperp.sparse_rows:
             vec = a.bracket.sparse_bracket(units + [w.items()])
             if vec:
-                spanned.append([vec.get(k, 0) for k in range(a.dim)])
-    bracket_span = Subspace.from_vectors(a.dim, spanned)
-    by_perp = bracket_span.orthogonal_complement(m.gram)
+                spanned.append(vec)
+    by_perp = Subspace.from_sparse(a.dim, spanned).orthogonal(m.form.columns)
     ensure(by_definition == by_perp, "centralizer dual-path mismatch")
     return by_definition
 
@@ -431,7 +430,7 @@ def canonical_isotropic_ideal(m: MetricAlgebra) -> Subspace:
     are post-checked exactly.
     """
     a = m.algebra
-    lc = series(a, "lower_central")
+    lc = _lower_central(a)
     if lc.length is None:
         raise NotNilpotent("algebra is not nilpotent")
     _, chain = centralizer_series(m)
@@ -449,6 +448,14 @@ def canonical_isotropic_ideal(m: MetricAlgebra) -> Subspace:
     half_term = lc.terms[half] if half < len(lc.terms) else Subspace.zero(a.dim)
     ensure(j.contains(half_term), "canonical ideal misses the half-way series term")
     return j
+
+
+def _lower_central(a: HomSuperAlgebra):
+    """series(a, "lower_central"), computed once per algebra and kept in its
+    cache beside "coadjoint"; callers share the result and must not modify it."""
+    if "lower_central" not in a._cache:
+        a._cache["lower_central"] = series(a, "lower_central")
+    return a._cache["lower_central"]
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +490,6 @@ def _orbit_span(v: dict, alpha) -> Subspace:
         span = span.sum(Subspace.from_sparse(len(alpha), [v]))
 
 
-def _homogeneous_basis(sub: Subspace, parity):
-    space = GradedSpace(len(parity), tuple(parity))
-    he, ho = split_graded(sub, space)
-    return he.basis_vectors(), ho.basis_vectors()
-
-
 def _sqrt_fraction(q):
     """Exact square root of a nonnegative rational, or None."""
     q = Fraction(q)
@@ -505,7 +506,7 @@ def _sqrt_fraction(q):
 
 def _find_isotropic_stable_vector(parity, gram, ops, alpha):
     """An Engel-style isotropic vector whose alpha-orbit span is isotropic;
-    ops and alpha are given by their sparse columns."""
+    the gram, ops and alpha are given by their sparse columns."""
     rows = {}  # (operator, row) -> the row, so the kernel is one elimination
     for n, op in enumerate(ops):
         for j, col in enumerate(op):
@@ -514,21 +515,21 @@ def _find_isotropic_stable_vector(parity, gram, ops, alpha):
     stable = _largest_invariant(sparse_kernel(rows.values(), len(parity)), alpha)
     if stable.dim == 0:
         raise NoStableIsotropicVector("the alpha-stable joint kernel is zero")
-    even_vecs, odd_vecs = _homogeneous_basis(stable, parity)
+    even_vecs, odd_vecs = (part.sparse_rows for part in split_graded(stable, GradedSpace(len(parity), parity)))
 
     def try_vector(v):
         if pairing(gram, v, v) != 0:
             return None
-        orbit = _orbit_span({k: x for k, x in enumerate(v) if x}, alpha)
+        orbit = _orbit_span(v, alpha)
         return orbit if _isotropic(gram, orbit) else None
 
     for v in odd_vecs + even_vecs:
-        got = try_vector(list(v))
+        got = try_vector(v)
         if got is not None:
             return got
     # quadratic search on pairs of even candidates, as in the inductive proof
     discs = []
-    for cand in _pair_candidates(gram, [list(v) for v in even_vecs], 0, discs):
+    for cand in _pair_candidates(gram, even_vecs, 0, discs):
         got = try_vector(cand)
         if got is not None:
             return got
@@ -538,7 +539,7 @@ def _find_isotropic_stable_vector(parity, gram, ops, alpha):
 
 
 def _pair_candidates(gram, vecs, target, discs):
-    """Vectors v_i + t v_j, i < j in lex order, with <v_i + t v_j, v_i + t v_j>
+    """Sparse vectors v_i + t v_j, i < j in lex order, with <v_i + t v_j, v_i + t v_j>
     = q_i + 2tc + t^2 q_j = target over Q: t = (target - q_i) / 2c when
     q_j = 0 (none when c = 0 too), else t = (-c + sqrt(disc)) / q_j with
     disc = c^2 - q_j (q_i - target).  An irrational disc is appended to
@@ -560,12 +561,14 @@ def _pair_candidates(gram, vecs, target, discs):
                     discs.append(disc)
                     continue
                 t = (-c + root) / Fraction(qj)
-            yield [x + t * y for x, y in zip(vi, vj)]
+            cand = dict(vi)
+            _accumulate(cand, vj.items(), t)
+            yield _nonzero(cand)
 
 
 def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
     """W enlarged to a maximal isotropic subspace stable under ops and alpha,
-    each given by its sparse columns; the gram is a dense Matrix."""
+    the gram, ops and alpha each given by their sparse columns."""
     dim = len(parity)
     target = dim // 2
     if w.dim >= target:
@@ -575,7 +578,7 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
         return _extend_recursive(parity, gram, ops, alpha, orbit)
 
     # quotient step: recurse on W^perp / W
-    wperp = w.orthogonal_complement(gram)
+    wperp = w.orthogonal(gram)
     ensure(wperp.contains(w), "W is not inside W-perp")
     ensure(maps_into(ops, wperp, wperp), "W-perp is not stable under the bracket operators")
     space = GradedSpace(dim, tuple(parity))
@@ -596,9 +599,8 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
 
     # coordinates in W^perp in the basis [w basis | reps], as sparse columns
     basis = w.sparse_rows + reps
-    coords = left_inverse(Matrix(dim, len(basis), [v.get(i, 0) for i in range(dim) for v in basis]))
+    coords = sparse_left_inverse(basis, dim)
     ensure(coords is not None, "W and the quotient representatives are dependent")
-    coords = sparse_columns(coords)
 
     def quotient_columns(op):
         cols = []
@@ -609,8 +611,9 @@ def _extend_recursive(parity, gram, ops, alpha, w: Subspace) -> Subspace:
             cols.append({i - w.dim: c for i, c in sol.items() if i >= w.dim})
         return cols
 
-    g_reps = [gram.apply([r.get(i, 0) for i in range(dim)]) for r in reps]
-    q_gram = Matrix(qdim, qdim, [sum(x * g[k] for k, x in r.items()) for r in reps for g in g_reps])
+    q_gram = []  # column j: <r_i, r_j> over i, the gram applied once per representative
+    for g in (apply_columns(gram, r) for r in reps):
+        q_gram.append({i: x for i, r in enumerate(reps) if (x := sum(y * g[k] for k, y in r.items() if k in g))})
     # an operator that vanishes on the quotient constrains nothing there
     q_ops = [cols for cols in map(quotient_columns, ops) if any(cols)]
     q_alpha = quotient_columns(alpha)
@@ -634,7 +637,7 @@ def extend_to_maximal_isotropic(m: MetricAlgebra, w: Subspace) -> Subspace:
     if not maps_into([a.alpha_columns()], w, w):
         raise AlgebraError("subspace is not stable under the twist")
 
-    result = _extend_recursive(tuple(a.parity), m.gram, ad.columns, a.alpha_columns(), w)
+    result = _extend_recursive(tuple(a.parity), m.form.columns, ad.columns, a.alpha_columns(), w)
     ensure(result.dim == a.dim // 2, "maximal isotropic subspace has the wrong dimension")
     ensure(result.contains(w), "maximal isotropic subspace lost W")
     ensure(is_isotropic(m, result), "maximal isotropic subspace is not isotropic")
@@ -644,7 +647,7 @@ def extend_to_maximal_isotropic(m: MetricAlgebra, w: Subspace) -> Subspace:
         "maximal isotropic subspace is not stable",
     )
     if a.dim % 2 == 1:
-        rperp = result.orthogonal_complement(m.gram)
+        rperp = result.orthogonal(m.form.columns)
         ensure(maps_into(ad.columns, rperp, result), "the bracket operators map the complement outside")
     return result
 
@@ -660,15 +663,10 @@ def isotropic_half_ideal_abelian_check(m: MetricAlgebra, i: Subspace) -> bool:
         raise AlgebraError("ideal is not isotropic")
     if not is_hom_ideal(i, a):
         raise NotAnIdeal("subspace is not a Hom-ideal")
-    rows = [list(r) for r in i.basis_vectors()]
-    basis = [a.basis_vector(k) for k in range(a.dim)]
-    for t in _canonical_tuples(a.space, a.arity - 2):  # the g slots, up to sign
-        for u in rows:
-            for v in rows:
-                val = a.bracket_eval([basis[k] for k in t] + [u, v])
-                if any(c != 0 for c in val):
-                    return False
-    return True
+    rows = [row.items() for row in i.sparse_rows]
+    expand = a.bracket.sparse_bracket
+    # the g slots on canonical tuples: permuting them only changes signs
+    return not any(expand(rest + [u, v]) for rest in _unit_arguments(a.space, a.arity - 2) for u in rows for v in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +680,6 @@ class Reconstruction:
     phi: Matrix
     extension: TStarExtension
     g0: Subspace
-    projection: Matrix
 
 
 def _isotropic_complement(m: MetricAlgebra, ideal: Subspace) -> Subspace:
@@ -691,48 +688,35 @@ def _isotropic_complement(m: MetricAlgebra, ideal: Subspace) -> Subspace:
     Candidates are standard basis vectors in lex order; each is corrected
     by an ideal component solving the linear orthogonality conditions (the
     quadratic self-pairing condition is linear in the correction because
-    the ideal is isotropic).
+    the ideal is isotropic).  Every vector is sparse.
     """
     a = m.algebra
-    gram = m.gram
+    gram = m.form.columns
     g0_rows = []
-    current = Subspace.from_vectors(a.dim, ideal.basis_vectors())
+    current = ideal
     half = a.dim - ideal.dim
-    i_rows = [list(r) for r in ideal.basis_vectors()]
     for j in range(a.dim):
         if len(g0_rows) == half:
             break
-        cand = a.basis_vector(j)
-        if current.contains_vector(cand):
+        cand = {j: 1}
+        if current.contains_sparse(cand):
             continue
-        pj = a.parity[j]
-        allowed = [r for r in i_rows if vector_parity(r, a.parity) == pj]
-        rows = []
-        rhs = []
-        for u in g0_rows:
-            rows.append([pairing(gram, w, u) for w in allowed])
-            rhs.append(-pairing(gram, cand, u))
-        if pj == 0:
-            rows.append([2 * pairing(gram, cand, w) for w in allowed])
+        allowed = [r for r in ideal.sparse_rows if vector_parity(r, a.parity) == a.parity[j]]
+        rows = [{k: x for k, w in enumerate(allowed) if (x := pairing(gram, w, u))} for u in g0_rows]
+        rhs = [-pairing(gram, cand, u) for u in g0_rows]
+        if a.parity[j] == 0:
+            rows.append({k: 2 * x for k, w in enumerate(allowed) if (x := pairing(gram, cand, w))})
             rhs.append(-pairing(gram, cand, cand))
-        if rows and allowed:
-            sol = particular_solution(Matrix.from_rows(rows, cols=len(allowed)), rhs)
-        elif rows:
-            sol = None if any(x != 0 for x in rhs) else []
-        else:
-            sol = []
+        sol = sparse_solution(rows, len(allowed), rhs)
         if sol is None:
             raise ComplementNotFound("no isotropic correction in the ideal")
-        vec = list(cand)
         for c, w in zip(sol, allowed):
-            if c != 0:
-                for k in range(a.dim):
-                    vec[k] += c * w[k]
-        g0_rows.append(vec)
-        current = current.sum(Subspace.from_vectors(a.dim, [vec]))
+            _accumulate(cand, w.items(), c)
+        g0_rows.append(_nonzero(cand))
+        current = current.sum(Subspace.from_sparse(a.dim, g0_rows[-1:]))
     if len(g0_rows) != half:
         raise ComplementNotFound("could not complete the isotropic complement")
-    g0 = Subspace.from_vectors(a.dim, g0_rows)
+    g0 = Subspace.from_sparse(a.dim, g0_rows)
     ensure(g0.dim == half, "isotropic complement has the wrong dimension")
     ensure(is_isotropic(m, g0), "complement is not isotropic")
     ensure(g0.intersect(ideal).dim == 0, "complement meets the ideal")
@@ -741,7 +725,13 @@ def _isotropic_complement(m: MetricAlgebra, ideal: Subspace) -> Subspace:
 
 def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
     """The constructive isometry: g with a half-dimensional isotropic
-    Hom-ideal I is isometric to T*_theta(g/I)."""
+    Hom-ideal I is isometric to T*_theta(g/I).
+
+    Every map is held as sparse columns: the projection pi onto g1 = g/I,
+    the lift of g1 into the isotropic complement g0, the coordinates in the
+    basis [g0 | I] that split a vector, and f1*: I -> g1*.  phi is built as
+    a dense Matrix once, at the end, as certificate data.
+    """
     a = m.algebra
     if a.dim % 2 != 0:
         raise OddDimension("reconstruction needs an even dimension (adjoin a line first)")
@@ -754,64 +744,49 @@ def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
     if not isotropic_half_ideal_abelian_check(m, ideal):
         raise AlgebraError("half-dimensional isotropic ideal is not abelian (impossible)")
 
-    g1, pi = quotient(a, ideal)
+    g1, pi = sparse_quotient(a, ideal)
     g0 = _isotropic_complement(m, ideal)
 
-    g0_cols = [list(r) for r in g0.basis_vectors()]
-    pi_g0_cols = [pi.apply(v) for v in g0_cols]
-    pi_g0 = Matrix.from_rows(pi_g0_cols, cols=g1.dim).transpose()
-    lift = left_inverse(pi_g0)
+    pi_g0 = [apply_columns(pi, v) for v in g0.sparse_rows]
+    lift = sparse_left_inverse(pi_g0, g1.dim)
     ensure(lift is not None, "complement does not project onto the quotient")
-    lift_cols = [
-        [sum(c * g0_cols[t][i] for t, c in enumerate(lift.col(k)) if c != 0) for i in range(a.dim)]
-        for k in range(g1.dim)
-    ]
+    lifts = [apply_columns(g0.sparse_rows, col) for col in lift]
 
-    ideal_rows = [list(r) for r in ideal.basis_vectors()]
-    decomp_cols = g0_cols + ideal_rows
-    decomp = left_inverse(Matrix.from_rows(decomp_cols, cols=a.dim).transpose())
+    decomp = sparse_left_inverse(g0.sparse_rows + ideal.sparse_rows, a.dim)
     ensure(decomp is not None, "complement plus ideal does not span g")
 
     def split(vec):
-        sol = decomp.apply(list(vec))
-        return sol[: len(g0_cols)], sol[len(g0_cols) :]
+        sol = apply_columns(decomp, vec)
+        return {t: c for t, c in sol.items() if t < g0.dim}, {t - g0.dim: c for t, c in sol.items() if t >= g0.dim}
 
     # f1*: I -> g1*, f1*(z)(pi x) = <z, x>
-    fstar = Matrix(
-        g1.dim,
-        ideal.dim,
-        [
-            pairing(m.gram, ideal_rows[b], lift_cols[k])
-            for k in range(g1.dim)
-            for b in range(ideal.dim)
-        ],
-    )
+    gram = m.form.columns
+    fstar = [{k: x for k, up in enumerate(lifts) if (x := pairing(gram, z, up))} for z in ideal.sparse_rows]
 
     coad1 = coadjoint_rep(g1)
     model1 = CochainModel(g1, coad1.rep, 1)
-    wb1 = _wedge(g1)
+    args = [lift.items() for lift in lifts]
     entries = {}
-    for w, t in enumerate(wb1.elements):
+    for w, t in enumerate(_wedge(g1).elements):
         for j in range(g1.dim):
-            val = a.bracket_eval([lift_cols[i] for i in t] + [lift_cols[j]])
-            _, z_part = split(val)
-            entries[((w,), j)] = fstar.apply(z_part)
+            _, z_part = split(a.bracket.sparse_bracket([args[i] for i in t] + [args[j]]))
+            entries[((w,), j)] = _dense(apply_columns(fstar, z_part).items(), g1.dim)
     theta = Cochain.from_entries(model1, 0, entries)
 
     ext = tstar_extend(g1, theta, validated=True)
 
     phi_cols = []
     for j in range(a.dim):
-        x_part, z_part = split(a.basis_vector(j))
-        x_vec = [sum(c * pi_g0_cols[t][k] for t, c in enumerate(x_part) if c != 0) for k in range(g1.dim)]
-        f_vec = fstar.apply(z_part)
-        phi_cols.append(x_vec + f_vec)
-    phi = Matrix.from_rows(phi_cols, cols=2 * g1.dim).transpose()
+        x_part, z_part = split({j: 1})
+        column = apply_columns(pi_g0, x_part)
+        column.update((g1.dim + k, c) for k, c in apply_columns(fstar, z_part).items())
+        phi_cols.append(column)
+    phi = Matrix.from_columns(phi_cols, 2 * g1.dim)
 
     ensure(rank(phi) == a.dim, "phi is not injective")
     ensure(verify_morphism(phi, a, ext.algebra).ok, "phi is not a morphism")
     ensure(phi.transpose() * ext.form.gram * phi == m.gram, "phi is not an isometry")
-    return Reconstruction(g1, theta, phi, ext, g0, pi)
+    return Reconstruction(g1, theta, phi, ext, g0)
 
 
 def adjoin_line(m: MetricAlgebra, ideal: Subspace | None = None):
@@ -834,9 +809,7 @@ def adjoin_line(m: MetricAlgebra, ideal: Subspace | None = None):
     ensure(m2.verify().ok, "algebra with the adjoined line fails the metric checks")
 
     z = _find_norm_minus_one(m, ideal)
-    b_vec = [x for x in z] + [1]  # a + z
-    ext_rows = [list(r) + [0] for r in ideal.basis_vectors()] + [b_vec]
-    iprime = Subspace.from_vectors(d + 1, ext_rows)
+    iprime = Subspace.from_sparse(d + 1, ideal.sparse_rows + [{**z, d: 1}])  # a + z
     ensure(iprime.dim == ideal.dim + 1, "extended ideal has the wrong dimension")
     ensure(is_isotropic(m2, iprime), "extended ideal is not isotropic")
     if not is_hom_ideal(iprime, algebra):
@@ -845,25 +818,23 @@ def adjoin_line(m: MetricAlgebra, ideal: Subspace | None = None):
 
 
 def _find_norm_minus_one(m: MetricAlgebra, ideal: Subspace):
-    """Even z in I^perp with <z,z> = -1, by the proof-shaped search."""
-    a = m.algebra
-    perp = ideal.orthogonal_complement(m.gram)
-    space = a.space
-    even_part, _ = split_graded(perp, space)
-    cands = [list(r) for r in even_part.basis_vectors()]
+    """Even sparse z in I^perp with <z,z> = -1, by the proof-shaped search."""
+    gram = m.form.columns
+    even_part, _ = split_graded(ideal.orthogonal(gram), m.algebra.space)
+    cands = even_part.sparse_rows
     first_disc = None
     for v in cands:
-        q = pairing(m.gram, v, v)
+        q = pairing(gram, v, v)
         if q == 0:
             continue
         target = -Fraction(1) / Fraction(q)  # t^2 = -1/q
         root = _sqrt_fraction(target)
         if root is not None:
-            return [root * x for x in v]
+            return {k: root * x for k, x in v.items()}
         if first_disc is None:
             first_disc = target
     discs = []
-    cand = next(_pair_candidates(m.gram, cands, -1, discs), None)
+    cand = next(_pair_candidates(gram, cands, -1, discs), None)
     if cand is not None:
         return cand
     if first_disc is None:
@@ -901,7 +872,7 @@ def decompose(m: MetricAlgebra) -> Certificate:
     if not report.ok:
         raise NotMetric(f"not a metric algebra: {[c.name for c in report.failed_checks()]}")
     a = m.algebra
-    lc = series(a, "lower_central")
+    lc = _lower_central(a)
     if lc.length is None:
         raise NotNilpotent("algebra is not nilpotent")
     if rank(a.alpha) != a.dim:
@@ -981,18 +952,9 @@ def tstar_direct_sum_law(a: HomSuperAlgebra, b: HomSuperAlgebra) -> Report:
     s = direct_sum(a, b)
     ext = tstar_extend(s, None, validated=True)
     alg = ext.algebra
-    da, db = a.dim, b.dim
-    ds = da + db
-    block_a = Subspace.from_vectors(
-        alg.dim,
-        [alg.basis_vector(i) for i in range(da)]
-        + [alg.basis_vector(ds + i) for i in range(da)],
-    )
-    block_b = Subspace.from_vectors(
-        alg.dim,
-        [alg.basis_vector(da + i) for i in range(db)]
-        + [alg.basis_vector(ds + da + i) for i in range(db)],
-    )
+    da, ds = a.dim, s.dim  # I's block and its dual's, then J's and its dual's
+    block_a = Subspace.from_sparse(alg.dim, [{i: 1} for i in [*range(da), *range(ds, ds + da)]])
+    block_b = Subspace.from_sparse(alg.dim, [{i: 1} for i in [*range(da, ds), *range(ds + da, 2 * ds)]])
     report = Report()
     report.add("block-I-ideal", is_hom_ideal(block_a, alg))
     report.add("block-J-ideal", is_hom_ideal(block_b, alg))

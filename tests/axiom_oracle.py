@@ -37,11 +37,29 @@ from nambu.core import (
     SeriesResult,
     _fmt_vec,
     _one_based,
-    pairing,
     split_graded,
     straighten,
 )
-from nambu.linalg import Matrix, Subspace, format_scalar, is_zero_vec, vzero
+from nambu.linalg import Matrix, Subspace, format_scalar
+
+
+def vzero(n):
+    return [0] * n
+
+
+def is_zero_vec(u):
+    return all(a == 0 for a in u)
+
+
+def pairing(gram: Matrix, u, v):
+    """<u, v> = u . gram v on dense vectors, the gram applied densely."""
+    gv = gram.apply(list(v))
+    return sum(x * y for x, y in zip(u, gv) if x != 0 and y != 0)
+
+
+def is_even_map(m: Matrix, p_out, p_in):
+    """No entry of the dense m joins basis vectors of different parities."""
+    return all(m[i, j] == 0 for i in range(m.rows) for j in range(m.cols) if p_out[i] != p_in[j])
 
 
 def literal_value(tensor, indices):
@@ -190,7 +208,7 @@ def check_rep_grading(r: Representation, a: HomSuperAlgebra):
             for j in range(dv):
                 if mat[i, j] != 0 and pv[i] != (pv[j] + wb.parity(w)) % 2:
                     return False, {"wedge": [k + 1 for k in wb.elements[w]], "i": i + 1, "j": j + 1}
-    return core.is_even_map(r.nu, pv, pv), None
+    return is_even_map(r.nu, pv, pv), None
 
 
 def check_rep_jacobi(r: Representation, a: HomSuperAlgebra):

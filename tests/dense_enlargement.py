@@ -12,11 +12,15 @@ both to return the same subspace, or to raise the same error.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from axiom_oracle import pairing
+from dense_wrappers import left_inverse
 from nambu.cohomology import adjoint_rep
-from nambu.core import GradedSpace, maps_into, pairing, sparse_columns, split_graded
+from nambu.core import GradedSpace, maps_into, sparse_columns, split_graded
 from nambu.errors import NeedsFieldExtension, NoStableIsotropicVector, ensure
-from nambu.linalg import Matrix, Subspace, left_inverse, nullspace
-from nambu.tstar import MetricAlgebra, _homogeneous_basis, _pair_candidates
+from nambu.linalg import Matrix, Subspace, nullspace
+from nambu.tstar import MetricAlgebra, _sqrt_fraction
 
 
 def dense_extend_to_maximal_isotropic(m: MetricAlgebra, w: Subspace) -> Subspace:
@@ -44,6 +48,34 @@ def _orbit_span(v, alpha: Matrix, ambient) -> Subspace:
             return span
         span = nxt
     return span
+
+
+def _homogeneous_basis(sub: Subspace, parity):
+    he, ho = split_graded(sub, GradedSpace(len(parity), tuple(parity)))
+    return he.basis_vectors(), ho.basis_vectors()
+
+
+def _pair_candidates(gram, vecs, target, discs):
+    """Dense vectors v_i + t v_j, i < j in lex order, with <v_i + t v_j,
+    v_i + t v_j> = target over Q (see nambu.tstar._pair_candidates)."""
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            vi, vj = vecs[i], vecs[j]
+            qi = pairing(gram, vi, vi)
+            qj = pairing(gram, vj, vj)
+            c = pairing(gram, vi, vj)
+            if qj == 0:
+                if c == 0:
+                    continue
+                t = Fraction(target - qi) / (2 * c)
+            else:
+                disc = Fraction(c * c - qj * (qi - target))
+                root = _sqrt_fraction(disc)
+                if root is None:
+                    discs.append(disc)
+                    continue
+                t = (-c + root) / Fraction(qj)
+            yield [x + t * y for x, y in zip(vi, vj)]
 
 
 def _find_isotropic_stable_vector(parity, gram, ops, alpha, dim):

@@ -21,6 +21,15 @@ seeded random rho) and of `verify_prop_2_2`, on the catalog,
 for `cohomology --rep coadjoint` on `no_coadjoint`, which exits 2 with the
 witness on stderr.
 
+No benchmark request applies the extension maps, so the digest has one
+line per `find_section`, `extract_cocycle` (on the section found) and
+`verify_exact_sequence` (0 -> a -> g -> b -> 0) on the extension g built
+from each closed datum file of ext_tstar at each seed, and from the split
+extension of each catalog algebra by its adjoint module; and one line per
+`twist_by_endomorphism` of a catalog algebra by seeded random twists and
+by one shear that need not be a morphism.  A refusal is digested as its
+error type and message.
+
 No workload decomposes a T*-extension deep enough to need many levels of
 the maximal isotropic enlargement, or one with an odd part, so the digest
 goes on with `tstar` and `decompose` of T*(N4 (+) K^2), T*(N4 (+) K^4) and
@@ -51,8 +60,20 @@ sys.path.insert(0, str(PERFBENCH))  # run.py imports workloads and checks by nam
 import workloads  # noqa: E402
 from nambu import cli, samples  # noqa: E402
 from nambu import fileformat as ff  # noqa: E402
-from nambu.core import direct_sum  # noqa: E402
-from nambu.cohomology import adjoint_rep, verify_prop_2_2, verify_representation  # noqa: E402
+from nambu.core import HomSuperAlgebra, StructureTensor, direct_sum, twist_by_endomorphism  # noqa: E402
+from nambu.cohomology import Cochain, CochainModel, adjoint_rep, verify_prop_2_2, verify_representation  # noqa: E402
+from nambu.errors import AlgebraError  # noqa: E402
+from nambu.extensions import (  # noqa: E402
+    ExtensionDatum,
+    build_extension,
+    canonical_injection,
+    canonical_projection,
+    extract_cocycle,
+    find_section,
+    parse_datum_file,
+    verify_exact_sequence,
+)
+from nambu.linalg import Matrix, Subspace  # noqa: E402
 from nambu.tstar import coadjoint_rep  # noqa: E402
 from seeded_inputs import random_representation, raw_algebra  # noqa: E402
 
@@ -95,6 +116,54 @@ def digest_workload(name, seed, outdir, emit):
             crashes += code == "crash"
             emit(f"{name} seed={seed} {i:03d} dump exit={code} {value} {req.label}")
     return crashes
+
+
+def refused(fn, *args):
+    """fn(*args), or the error type and message of a refusal."""
+    try:
+        return fn(*args)
+    except AlgebraError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digest_extension(label, datum, outdir, emit):
+    """Emit the digest lines of find_section, extract_cocycle on the section
+    found and verify_exact_sequence on the extension built from datum."""
+    b, da = datum.base, datum.fiber.dim
+    g = build_extension(datum)
+    fiber = Subspace.from_vectors(g.dim, [g.basis_vector(i) for i in range(da)])
+    pi = canonical_projection(da, b.dim)
+    section = refused(find_section, g, fiber, b, pi)
+    if isinstance(section, str):
+        found = extracted = section
+    else:
+        found = section.tau
+        extracted = refused(extract_cocycle, g, fiber, b, pi, section)
+        if not isinstance(extracted, str):
+            cocycle, module = extracted
+            extracted = ([ff.format_scalar(c) for c in cocycle.coeffs], module.target, module.rho, module.nu)
+    fiber_algebra = HomSuperAlgebra(datum.fiber, StructureTensor(b.arity, datum.fiber, {}), datum.fiber_twist)
+    report = verify_exact_sequence([fiber_algebra, g, b], [canonical_injection(da, b.dim), pi])
+    for name, value in (("find_section", found), ("extract_cocycle", extracted), ("exact", report.to_dict())):
+        emit(f"extension {label} {name} {digest(outdir, value)}")
+
+
+def digest_catalog_maps(outdir, emit):
+    """Emit the digest lines of the extension maps on the split extension of
+    each catalog algebra by its adjoint module, and of twist_by_endomorphism
+    of each by seeded random twists and one shear."""
+    for i, a in enumerate(samples.catalog()):
+        ad = adjoint_rep(a)
+        zero = Cochain.zero(CochainModel(a, ad, 1), 0)
+        digest_extension(f"catalog{i}:{a.name} adjoint", ExtensionDatum(a, a.space, a.alpha, ad, zero), outdir, emit)
+        d = a.dim
+        twists = [samples.random_twist(a, random.Random(seed)) or Matrix.identity(d) for seed in range(4)]
+        # the identity plus e_1 -> e_1 + e_d, a morphism or not
+        twists.append(Matrix(d, d, [1 if r == c or (r, c) == (0, d - 1) else 0 for r in range(d) for c in range(d)]))
+        for k, rho in enumerate(twists):
+            twisted = refused(twist_by_endomorphism, a, rho)
+            text = twisted if isinstance(twisted, str) else ff.to_json_str(ff.algebra_to_json(twisted))
+            emit(f"twist catalog{i}:{a.name} {k} {digest(outdir, rho, text)}")
 
 
 def digest_representations(outdir, emit):
@@ -175,9 +244,12 @@ def main(argv=None):
                 outdir = os.path.join(tmp, f"{name}-seed{seed}")
                 os.makedirs(outdir)
                 crashes += digest_workload(name, seed, outdir, print)
+                for path in sorted(pathlib.Path(outdir).glob("*.datum.json")) if name == "ext_tstar" else ():
+                    digest_extension(f"seed={seed} {path.name}", parse_datum_file(str(path)), outdir, print)
         outdir = os.path.join(tmp, "representations")
         os.makedirs(outdir)
         crashes += digest_representations(outdir, print)
+        digest_catalog_maps(outdir, print)
         crashes += digest_decompositions(outdir, print)
         crashes += digest_parser(outdir, print)
     if crashes:

@@ -126,6 +126,33 @@ def test_only_cohomology_reads_dense_rho():
     assert readers == []
 
 
+def _nambu_calls(name):
+    """(module, line) of every call of a function or method named name in src/nambu."""
+    import ast
+    import pathlib
+
+    import nambu
+
+    found = []
+    for path in sorted(pathlib.Path(nambu.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                    found.append((path.name, node.lineno))
+    return found
+
+
+def test_only_linalg_applies_dense_matrices():
+    # algorithms apply maps as sparse columns; Matrix.apply is linalg's own
+    assert [call for call in _nambu_calls("apply") if call[0] != "linalg.py"] == []
+
+
+def test_nothing_in_nambu_calls_bracket_eval():
+    # bracket_eval is the dense wrapper of sparse_bracket for outside callers
+    assert _nambu_calls("bracket_eval") == []
+
+
 class TestAdjoint:
     def test_abelian_adjoint_is_zero(self):
         a = abelian(2, 1)

@@ -11,15 +11,14 @@ from nambu.linalg import (
     format_scalar,
     image,
     kronecker_pack,
-    left_inverse,
     nullspace,
     particular_solution,
     parse_scalar,
     rank,
-    rref,
     solve_affine,
     sparse_rank,
 )
+from dense_wrappers import left_inverse, rref
 from dense_rref_oracle import _rref_pivots, oracle_nullspace, oracle_solve_affine, rref_basis
 from nambu.errors import DimensionMismatch, InternalError, NotACochain
 

@@ -6,6 +6,7 @@ import pytest
 from coadjoint_conditions import coadjoint_conditions
 import dense_enlargement
 from dense_enlargement import dense_extend_to_maximal_isotropic
+from dense_reconstruct import dense_reconstruct_as_tstar
 from nambu import samples
 from nambu.cohomology import (
     Cochain,
@@ -474,6 +475,37 @@ class TestCanonicalIdeal:
             canonical_isotropic_ideal(m)
 
 
+ENLARGEMENT_CASES = ["N4+K2", "N4+K4", "catalog", "twisted-catalog", "forms"]
+
+
+def enlargement_corpus(case):
+    """(metric algebra, isotropic start) pairs on which the maximal isotropic
+    enlargement is compared with its dense oracle."""
+
+    def tstar_starts(g):
+        m = tstar_extend(g).result
+        return [(m, Subspace.zero(m.dim)), (m, canonical_isotropic_ideal(m))]
+
+    if case.startswith("N4+K"):
+        return tstar_starts(direct_sum(n4(), abelian(int(case[-1]), n=3)))
+    if case == "catalog":
+        return [pair for g in samples.catalog() for pair in tstar_starts(g)]
+    if case == "twisted-catalog":
+        inputs = []
+        for i, g in enumerate(samples.catalog()):
+            twist = samples.random_twist(g, random.Random(i), diagonal_only=True)
+            twisted = twist_by_endomorphism(g, twist) if twist is not None else None
+            if twisted is not None and not twisted.alpha.is_identity() and coadjoint_rep(twisted).exists:
+                inputs += tstar_starts(twisted)
+        assert len(inputs) >= 16
+        return inputs
+    indefinite = Matrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    return [
+        (MetricAlgebra(abelian(3), BilinearForm(indefinite)), Subspace.zero(3)),
+        (MetricAlgebra(abelian(3), BilinearForm(Matrix.identity(3))), Subspace.zero(3)),
+    ]
+
+
 class TestMaximalIsotropic:
     def test_already_maximal_returned_unchanged(self):
         ext = tstar_extend(h3())
@@ -554,7 +586,7 @@ class TestMaximalIsotropic:
         with pytest.raises(AlgebraError, match="^subspace is not stable under the twist$"):
             extend_to_maximal_isotropic(m, line)
 
-    @pytest.mark.parametrize("case", ["N4+K2", "N4+K4", "catalog", "twisted-catalog", "forms"])
+    @pytest.mark.parametrize("case", ENLARGEMENT_CASES)
     def test_equals_dense_oracle(self, case):
         # the same subspace as the dense induction, or the same error
         def outcome(enlarge, m, w):
@@ -563,28 +595,7 @@ class TestMaximalIsotropic:
             except AlgebraError as exc:
                 return type(exc), exc.args, getattr(exc, "discriminant", None)
 
-        def tstar_starts(g):
-            m = tstar_extend(g).result
-            return [(m, Subspace.zero(m.dim)), (m, canonical_isotropic_ideal(m))]
-
-        if case.startswith("N4+K"):
-            inputs = tstar_starts(direct_sum(n4(), abelian(int(case[-1]), n=3)))
-        elif case == "catalog":
-            inputs = [pair for g in samples.catalog() for pair in tstar_starts(g)]
-        elif case == "twisted-catalog":
-            inputs = []
-            for i, g in enumerate(samples.catalog()):
-                twist = samples.random_twist(g, random.Random(i), diagonal_only=True)
-                twisted = twist_by_endomorphism(g, twist) if twist is not None else None
-                if twisted is not None and not twisted.alpha.is_identity() and coadjoint_rep(twisted).exists:
-                    inputs += tstar_starts(twisted)
-            assert len(inputs) >= 16
-        else:
-            indefinite = Matrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-            inputs = [
-                (MetricAlgebra(abelian(3), BilinearForm(indefinite)), Subspace.zero(3)),
-                (MetricAlgebra(abelian(3), BilinearForm(Matrix.identity(3))), Subspace.zero(3)),
-            ]
+        inputs = enlargement_corpus(case)
         outcomes = []
         for m, w in inputs:
             got = outcome(extend_to_maximal_isotropic, m, w)
@@ -596,6 +607,43 @@ class TestMaximalIsotropic:
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize("case", ENLARGEMENT_CASES)
+    def test_equals_dense_oracle(self, case):
+        # on the maximal isotropic ideals of the enlargement's oracle corpus
+        # (with a line adjoined where the dimension is odd): the same g1,
+        # theta and phi as the dense reconstruction, or the same error
+        def outcome(reconstruct, m, ideal):
+            try:
+                return reconstruct(m, ideal)
+            except AlgebraError as exc:
+                return type(exc), exc.args
+
+        def sparse(m, ideal):
+            rec = reconstruct_as_tstar(m, ideal)
+            return rec.g1, rec.theta, rec.phi
+
+        def key(result):
+            if isinstance(result[0], type):
+                return result
+            g1, theta, phi = result
+            return g1.space, g1.bracket, g1.alpha, g1.name, theta, phi
+
+        pairs = []
+        for m, w in enlargement_corpus(case):
+            try:
+                ideal = extend_to_maximal_isotropic(m, w)
+                pairs.append((m, ideal))
+                if m.dim % 2:
+                    pairs.append(adjoin_line(m, ideal))
+            except AlgebraError:
+                continue
+        reconstructed = 0
+        for m, ideal in pairs:
+            got = outcome(sparse, m, ideal)
+            assert key(got) == key(outcome(dense_reconstruct_as_tstar, m, ideal))
+            reconstructed += not isinstance(got[0], type)
+        assert reconstructed > 0
+
     def test_tstar_h3_with_embedded_dual_recovers_h3(self):
         ext = tstar_extend(h3())
         rec = reconstruct_as_tstar(ext.result, embedded_dual(ext))
@@ -738,6 +786,21 @@ class TestDecompose:
         with pytest.raises(InternalError, match=expected) as err:
             decompose(m)
         assert err.value.exit_code == 5
+
+    def test_computes_the_lower_central_series_once(self, monkeypatch):
+        from nambu import tstar
+
+        kinds = []
+        real = tstar.series
+
+        def counting(a, kind):
+            kinds.append((a, kind))
+            return real(a, kind)
+
+        monkeypatch.setattr(tstar, "series", counting)
+        m = tstar_extend(n4()).result
+        decompose(m)
+        assert [kind for a, kind in kinds if a is m.algebra] == ["lower_central"]
 
 
 class TestEquivalence:
