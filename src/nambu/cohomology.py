@@ -5,7 +5,8 @@ canonical wedge basis (nondecreasing tuples, no repeated even index),
 stored sparsely as {position: coefficient}.  Wedges of vectors and the
 fundamental bracket are calls of ``core.multilinear``.  A Representation
 holds rho and nu as sparse columns, and so does the module action; every
-law on rho is checked column by column.  Dense rho is derived only for the
+law on rho is checked column by column, only at the pairs where a term can
+be nonzero (``core._Places`` of rho).  Dense rho is derived only for the
 file format and outside callers.  Cochains
 of degree m are dense coefficient tensors over (wedge basis)^m x g x V with
 flat indexing; evaluation on arbitrary arguments is multilinear expansion.
@@ -23,8 +24,12 @@ from .core import (
     HomSuperAlgebra,
     Report,
     _accumulate,
+    _arranged,
+    _bracket_places,
+    _by_coordinate,
     _canonical_tuples,
     _nonzero,
+    _Places,
     apply_columns,
     is_even_map,
     multilinear,
@@ -128,7 +133,10 @@ class Representation:
 
 def _act(rho, coords: dict, dim) -> list:
     """rho, given by its sparse columns per basis wedge, of wedge coordinates
-    {position: coeff}, as sparse columns."""
+    {position: coeff}, as sparse columns; of one basis wedge, {w: 1}, its
+    own columns rho[w], which no caller mutates."""
+    if len(coords) == 1 and 1 in coords.values():
+        return rho[next(iter(coords))]
     out = [{} for _ in range(dim)]
     for w, c in coords.items():
         for col, piece in zip(out, rho[w]):
@@ -246,6 +254,19 @@ class _Tables:
         return self._fb[key]
 
 
+def _fb_pairs(a: HomSuperAlgebra) -> list:
+    """The pairs (w1, w2) of basis wedges, in lex order, at which fb can be
+    nonzero: some slot y_i of w2 with [x_{w1}, y_i] != 0, read off the
+    stored keys.  Every other fb(w1, w2) is a sum of zero wedges."""
+    wb = _wedge(a)
+    holding = {}  # j -> the wedges with a slot j
+    for w, t in enumerate(wb.elements):
+        for j in set(t):
+            holding.setdefault(j, []).append(w)
+    completions = _bracket_places(a).completions
+    return sorted({(wb.index[x], w2) for x, js in completions.items() for j in js for w2 in holding.get(j, ())})
+
+
 def _complex_tables(a: HomSuperAlgebra) -> _Tables:
     if "tables" not in a._cache:
         a._cache["tables"] = _Tables(a)
@@ -333,10 +354,15 @@ def verify_representation(r: Representation, a: HomSuperAlgebra) -> Report:
     graded = witness is None and is_even_map(r.nu_columns, pv, pv)
     report.add("grading", graded, witness)
 
-    cx = _complex_tables(a)
-    aw = [r.action(coords) for coords in cx.alpha_wedge()]  # rho(alpha x) per basis wedge x
-    report.add_first("hom-jacobi", _rep_jacobi_witnesses(r, wb, cx, aw))
-    report.add_first("n-ary-compatibility", _rep_nary_witnesses(r, a, graded and a.alpha_is_even()))
+    # rho(alpha x) per basis wedge x, zero unless alpha x can meet a place of rho
+    places = _Places((t for t, cols in zip(wb.elements, r.columns) if any(cols)), a.alpha_columns())
+    alpha_wedge = _complex_tables(a).alpha_wedge()
+    aw = [[{} for _ in pv]] * len(wb)
+    for t in places.covered():
+        if (w := wb.index.get(t)) is not None:
+            aw[w] = r.action(alpha_wedge[w])
+    report.add_first("hom-jacobi", _rep_jacobi_witnesses(r, a, aw, places))
+    report.add_first("n-ary-compatibility", _rep_nary_witnesses(r, a, graded and a.alpha_is_even(), places))
 
     # nu o rho(x) = rho(alpha x) o nu: what makes g (+) V with the block
     # twist a *multiplicative* algebra, and what the coboundary needs to
@@ -345,45 +371,66 @@ def verify_representation(r: Representation, a: HomSuperAlgebra) -> Report:
     report.add_first("twist-equivariance", (
         {"wedge": [k + 1 for k in wb.elements[w]]}
         for w in range(len(wb))
-        if _first_failing_column([(1, r.nu_columns, r.columns[w]), (-1, aw[w], r.nu_columns)]) is not None
+        if (any(r.columns[w]) or any(aw[w]))
+        and _first_failing_column([(1, r.nu_columns, r.columns[w]), (-1, aw[w], r.nu_columns)]) is not None
     ))
     return report
 
 
-def _rep_jacobi_witnesses(r: Representation, wb, cx, aw):
-    """Basis wedges (x, y) where rho(alpha x) rho(y) = (-1)^{|x||y|}
-    rho(alpha y) rho(x) + rho([x, y]_alpha) nu fails."""
-    for w1 in range(len(wb)):
-        for w2 in range(len(wb)):
-            sgn = -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1
-            terms = [
-                (1, aw[w1], r.columns[w2]),
-                (-sgn, aw[w2], r.columns[w1]),
-                (-1, r.action(cx.fb(w1, w2)), r.nu_columns),
-            ]
-            if _first_failing_column(terms) is not None:
-                yield {"x": [k + 1 for k in wb.elements[w1]], "y": [k + 1 for k in wb.elements[w2]]}
+def _rep_jacobi_witnesses(r: Representation, a: HomSuperAlgebra, aw, places: _Places):
+    """Basis wedges (x, y), in lex order, where rho(alpha x) rho(y) =
+    (-1)^{|x||y|} rho(alpha y) rho(x) + rho([x, y]_alpha) nu fails.
+
+    A product is nonzero only if both its factors are, so only these pairs
+    are visited: rho(alpha x) and rho(y) both nonzero, or rho(alpha y) and
+    rho(x), or rho nonzero on the support of fb(x, y), which is taken only
+    where it can be nonzero (``_fb_pairs``).  Every other pair is 0 = 0.
+    ``places`` are the wedges where rho is nonzero.
+    """
+    wb = _wedge(a)
+    cx = _complex_tables(a)
+    acting = [w for w, cols in enumerate(aw) if any(cols)]
+    nonzero = {wb.index[t] for t in places.places}
+    pairs = {(x, y) for x in acting for y in nonzero} | {(y, x) for x in acting for y in nonzero}
+    pairs.update(pair for pair in _fb_pairs(a) if nonzero & cx.fb(*pair).keys())
+    for w1, w2 in sorted(pairs):
+        sgn = -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1
+        terms = [
+            (1, aw[w1], r.columns[w2]),
+            (-sgn, aw[w2], r.columns[w1]),
+            (-1, r.action(cx.fb(w1, w2)), r.nu_columns),
+        ]
+        if _first_failing_column(terms) is not None:
+            yield {"x": [k + 1 for k in wb.elements[w1]], "y": [k + 1 for k in wb.elements[w2]]}
 
 
-def _rep_nary_witnesses(r: Representation, a: HomSuperAlgebra, canonical: bool):
-    """Where the n-ary action law fails: canonical x-tuples, basis y-tuples.
+def _rep_nary_witnesses(r: Representation, a: HomSuperAlgebra, canonical: bool, places: _Places):
+    """Where the n-ary action law fails: canonical x-tuples, basis y-tuples,
+    in lex order.
 
     With ``canonical`` (alpha even, the grading check passed) both sides are
     super-skew in y, so canonical y-tuples give the same verdict and the same
     first witness; otherwise every basis y-tuple is swept.
+
+    Only the pairs where a term can be nonzero are visited (``places``,
+    rho's with f = alpha): rho(alpha x ^ [y]) nu needs [y] != 0 with some m
+    in supp [y] for which alpha x ^ e_m can meet a place, and term i,
+    rho(alpha y^_i) rho(x ^ y_i), needs x ^ y_i a place and alpha y^_i able
+    to meet one.  Every other pair is 0 = 0.
     """
     n = a.arity
     p = a.parity
     wb = _wedge(a)
     alpha = [col.items() for col in a.alpha_columns()]
-    if canonical:
-        y_tuples = list(_canonical_tuples(a.space, n))
-    else:
-        y_tuples = list(itertools.product(range(a.dim), repeat=n))
-    for xs in _canonical_tuples(a.space, n - 2):
+    imaged = _by_coordinate(a)
+    covered = places.covered()
+    for xs in _arranged(places.heads(), p, True):
         px = a.space.parity_of_indices(xs)
         x_alpha = [alpha[i] for i in xs]
-        for ys in y_tuples:
+        active = set().union(*(imaged.get(m, ()) for m in places.reach(xs)))
+        for j in places.completions.get(xs, ()):
+            active.update(tuple(sorted(c + (j,))) for c in covered)
+        for ys in _arranged(active, p, canonical):
             py_total = sum(p[i] for i in ys) % 2
             inner = a.bracket.sparse_value(ys)
             terms = [(1, r.action(wedge_of_vectors(wb, x_alpha + [inner])), r.nu_columns)]
@@ -872,7 +919,7 @@ def _assemble_delta(a, r, m) -> Delta:
     slot i; (4) the module action on f(x_1..x_m, -) of the components of
     x_{m+1} and alpha^m(z).  Each term is emitted only where it is nonzero:
     term 2 from the nonzero ad(x_i, z), term 1 from the nonzero
-    fb(x_i, x_j), term 3 from the entries of rho(alpha^m x_i) and term 4
+    fb(x_i, x_j), both read off the stored keys (``_fb_pairs``), term 3 from the entries of rho(alpha^m x_i) and term 4
     from those of the module action per (x_{m+1}, z, slot).  Terms 1 and 2
     do not depend on the parity of f and act on a V-block of f as the
     identity: one linear form per (x, z) block, written once for each v.
@@ -914,7 +961,8 @@ def _assemble_delta(a, r, m) -> Delta:
             form = forms.setdefault(off, {})
             form[out] = form.get(out, 0) + sgn * c
 
-    ads = [(w, j, ad) for w in range(W) for j in range(D) if (ad := cx.ad(w, j))]
+    ads = sorted((wb.index[x], j) for x, js in _bracket_places(a).completions.items() for j in js)
+    ads = [(w, j, cx.ad(w, j)) for w, j in ads]
     for i in range(m + 1):
         for w, j, ad in ads:
             for others in rests:
@@ -922,7 +970,7 @@ def _assemble_delta(a, r, m) -> Delta:
                 if wpar[w] == 1 and sum(wpar[x] for x in others[i:]) % 2 == 1:
                     sgn = -sgn
                 add_form(others[:i] + (w,) + others[i:], j, sgn, [aw[x] for x in others], ad)
-    fbs = [(w1, w2, fb) for w1 in range(W) for w2 in range(W) if (fb := cx.fb(w1, w2))] if m else []
+    fbs = [(w1, w2, fb) for w1, w2 in _fb_pairs(a) if (fb := cx.fb(w1, w2))] if m else []
     for i, jj in itertools.combinations(range(m + 1), 2):
         for w1, w2, fb in fbs:
             for others in itertools.product(range(W), repeat=m - 1):

@@ -21,7 +21,11 @@ The axiom and ideal checks run on the kernel and on sparse columns, with no
 dense vector until a witness is reported: super skew-symmetry, the
 fundamental identity, multiplicativity and the bracket check of
 ``verify_morphism``, invariance of a form, ``is_hom_ideal`` and both kinds
-of ``series``.
+of ``series``.  The fundamental identity, invariance and the bracket
+checks visit only the tuples where a term can be nonzero, read off the
+stored keys and the supports of the maps applied (``_Places``), in the lex
+order of the full sweep: a skipped tuple is 0 = 0, so the verdict and the
+first witness are those of the sweep.
 """
 
 from __future__ import annotations
@@ -404,6 +408,91 @@ def _skew_witnesses(a: HomSuperAlgebra):
                 yield {"args": _one_based(t), "swap_at": pos + 1}
 
 
+class _Places:
+    """Where a multilinear map of basis tuples can be nonzero.
+
+    Its places are the sorted index tuples at which it is nonzero: a
+    bracket's stored keys, or the wedges on which rho is nonzero.  A basis
+    tuple has a nonzero value only if it sorts to a place, and a map of
+    vectors only if some tuple through their supports does.  So each set
+    below, read off the places and the supports of a map f's sparse columns
+    (alpha or a morphism), holds every tuple at which a term can be nonzero.
+    """
+
+    def __init__(self, places, f_cols):
+        self.places = list(places)
+        self.completions = {}  # R -> the m for which R + (m,) sorts to a place
+        self.holes = {}  # m -> those R
+        for t in self.places:
+            for k in range(len(t)):
+                rest = t[:k] + t[k + 1 :]
+                self.completions.setdefault(rest, set()).add(t[k])
+                self.holes.setdefault(t[k], set()).add(rest)
+        self.f_cols = f_cols
+        self.f_rows = {}  # r -> the c with r in supp f(e_c)
+        for c, col in enumerate(f_cols):
+            for r in col:
+                self.f_rows.setdefault(r, []).append(c)
+        self._preimages, self._slotted = {}, {}
+
+    def reach(self, xs) -> set:
+        """The m at which the map of f(e_x1), ..., f(e_xk), e_m can be nonzero."""
+        out = set()
+        for r in itertools.product(*(self.f_cols[x] for x in xs)):
+            out |= self.completions.get(tuple(sorted(r)), set())
+        return out
+
+    def preimages(self, t) -> set:
+        """The sorted c for which f(e_c1), ..., f(e_ck) can meet the sorted t."""
+        if t not in self._preimages:
+            self._preimages[t] = {tuple(sorted(c)) for c in itertools.product(*(self.f_rows.get(r, ()) for r in t))}
+        return self._preimages[t]
+
+    def covered(self) -> set:
+        """The sorted c for which f(e_c1), ..., f(e_ck) can meet a place."""
+        return set().union(*map(self.preimages, self.places))
+
+    def heads(self) -> set:
+        """The sorted x for which the map of x, e_m or of f(x), e_m can be
+        nonzero for some m."""
+        return set(self.completions).union(*map(self.preimages, self.completions))
+
+    def slotted(self, j, m) -> set:
+        """The sorted y holding j for which the map of f(e_y1), ..., e_m, ...,
+        f(e_yk), e_m in a slot of j, can be nonzero."""
+        if (j, m) not in self._slotted:
+            self._slotted[j, m] = {
+                tuple(sorted(c + (j,))) for rest in self.holes.get(m, ()) for c in self.preimages(rest)
+            }
+        return self._slotted[j, m]
+
+
+def _bracket_places(a: HomSuperAlgebra) -> _Places:
+    """The places of a's bracket with f = alpha, kept in a._cache."""
+    if "places" not in a._cache:
+        a._cache["places"] = _Places(a.bracket.entries, a.alpha_columns())
+    return a._cache["places"]
+
+
+def _by_coordinate(a: HomSuperAlgebra) -> dict:
+    """m -> the stored keys y with [y] nonzero at coordinate m."""
+    out = {}
+    for key, vec in a.bracket.items():
+        for m, c in enumerate(vec):
+            if c != 0:
+                out.setdefault(m, set()).add(key)
+    return out
+
+
+def _arranged(tuples, parity, canonical) -> list:
+    """Sorted tuples as a sweep visits them, in lex order: those that are
+    canonical (no repeated even index), or every ordering of each when the
+    sweep runs over every basis tuple."""
+    if canonical:
+        return sorted(t for t in tuples if all(i != k or parity[i] for i, k in zip(t, t[1:])))
+    return sorted({s for t in tuples for s in itertools.permutations(t)})
+
+
 def _fundamental_identity_witnesses(a: HomSuperAlgebra, canonical: bool):
     """Basis pairs (x, y), x in g^{n-1}, y in g^n, in lex order, where the
     twisted fundamental identity
@@ -418,49 +507,41 @@ def _fundamental_identity_witnesses(a: HomSuperAlgebra, canonical: bool):
     canonical: canonical tuples give the same verdict and first witness.
     Otherwise every basis tuple is swept.
 
-    Both sides are sparse.  For each x the left side is L_{alpha x}([y]),
-    with L_{alpha x}: e_j -> [alpha x_1, ..., alpha x_{n-1}, e_j] built
-    column by column on first use, and the right side is read off the
-    sparse mids [x, e_j].  A pair with [y] = 0 and every [x, y_i] = 0 has
-    both sides 0 and is never evaluated.
+    Only the pairs where a term can be nonzero are visited (``_Places`` of
+    the bracket with f = alpha); every other pair is 0 = 0.  The left side
+    needs [y] != 0 and [alpha x, e_m] != 0 for some m in supp [y].  Term i
+    of the right side needs the mid [x, y_i] != 0 and a nonzero outer
+    bracket, so some m in supp [x, y_i] and the alpha y_l of the other
+    slots must reach a stored key.  For each x the left side is
+    L_{alpha x}([y]), with L_{alpha x}: e_j -> [alpha x_1, ..., alpha
+    x_{n-1}, e_j] built column by column on first use.
     """
     n = a.arity
     p = a.parity
     expand = a.bracket.sparse_bracket
     value = a.bracket.sparse_value
     alpha_cols = [col.items() for col in a.alpha_columns()]
-    if canonical:
-        x_tuples = _canonical_tuples(a.space, n - 1)
-        y_tuples = canonical_tuples(a.space, n)
-    else:
-        x_tuples = itertools.product(range(a.dim), repeat=n - 1)
-        y_tuples = list(itertools.product(range(a.dim), repeat=n))
-    inner = [value(ys) for ys in y_tuples]
-    with_bracket = [k for k, b in enumerate(inner) if b]
-    holding = [[] for _ in range(a.dim)]  # j -> positions of the y-tuples with a slot j
-    for k, ys in enumerate(y_tuples):
-        for j in set(ys):
-            holding[j].append(k)
-    for xs in x_tuples:
+    places = _bracket_places(a)
+    imaged = _by_coordinate(a)
+    for xs in _arranged(places.heads(), p, canonical):
         px = sum(p[i] for i in xs) % 2
         x_alpha = [alpha_cols[i] for i in xs]
-        mids = [value(xs + (j,)) for j in range(a.dim)]
-        active = set(with_bracket)
-        for j, mid in enumerate(mids):
-            if mid:
-                active.update(holding[j])
+        mids = {j: value(xs + (j,)) for j in places.completions.get(tuple(sorted(xs)), ())}
+        active = set().union(*(imaged.get(m, ()) for m in places.reach(xs)))
+        for j, mid in mids.items():
+            for m, _ in mid:
+                active |= places.slotted(j, m)
         l_alpha_x = {}
-        for k in sorted(active):
-            ys = y_tuples[k]
+        for ys in _arranged(active, p, canonical):
             lhs = {}
-            for j, c in inner[k]:
+            for j, c in value(ys):
                 if j not in l_alpha_x:
                     l_alpha_x[j] = expand(x_alpha + [((j, 1),)])
                 _accumulate(lhs, l_alpha_x[j].items(), c)
             rhs = {}
             prefix = 0
             for i in range(n):
-                mid = mids[ys[i]]
+                mid = mids.get(ys[i])
                 if mid:
                     sign = -1 if (px == 1 and prefix == 1) else 1
                     args = [alpha_cols[y] for y in ys[:i]] + [mid] + [alpha_cols[y] for y in ys[i + 1 :]]
@@ -478,8 +559,11 @@ def _fundamental_identity_witnesses(a: HomSuperAlgebra, canonical: bool):
 
 def _bracket_map_witnesses(f_cols, a: HomSuperAlgebra, b: HomSuperAlgebra):
     """Canonical tuples where f[x1,...,xn] != [f(x1),...,f(xn)]' for f: a -> b
-    given by its sparse columns."""
-    for key in _canonical_tuples(a.space, a.arity):
+    given by its sparse columns, in lex order.  Only the tuples where a side
+    can be nonzero are visited: a stored key of a, or a tuple whose images
+    f(e_xi) can meet a stored key of b (``_Places``)."""
+    keys = set(a.bracket.entries) | _Places(b.bracket.entries, f_cols).covered()
+    for key in _arranged(keys, a.parity, True):
         lhs = apply_columns(f_cols, dict(a.bracket.sparse_value(key)))
         rhs = b.bracket.sparse_bracket([f_cols[i].items() for i in key])
         if lhs != rhs:
@@ -508,6 +592,15 @@ def _canonical_tuples(space: GradedSpace, length: int):
 
 def canonical_tuples(space: GradedSpace, length: int):
     return list(_canonical_tuples(space, length))
+
+
+def _unit_rests(a: HomSuperAlgebra, vec: dict) -> list:
+    """The canonical (n-1)-tuples t, in lex order, at which a bracket of vec
+    and e_t1, ..., e_t(n-1), in any slots, can be nonzero, as kernel
+    arguments: t completes a stored key with an index of supp vec
+    (``_Places``).  Every other t gives 0."""
+    holes = _bracket_places(a).holes
+    return [[((i, 1),) for i in t] for t in sorted(set().union(*(holes.get(i, ()) for i in vec)))]
 
 
 def _unit_arguments(space: GradedSpace, length: int):
@@ -613,15 +706,15 @@ def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
 
     Checking the first slot only is enough: super skew-symmetry moves H
     into any slot at the cost of a sign.  For the same reason the other
-    slots run over canonical tuples only.
+    slots run over canonical tuples only, and only over those where the
+    bracket can be nonzero (``_unit_rests``).
     """
     split_graded(h, a.space)
     if not maps_into([a.alpha_columns()], h, h):
         return False
     expand = a.bracket.sparse_bracket
-    rests = _unit_arguments(a.space, a.arity - 1)
     for row in h.sparse_rows:
-        for rest in rests:
+        for rest in _unit_rests(a, row):
             vec = expand([row.items()] + rest)
             if vec and not h.contains_sparse(vec):
                 return False
@@ -640,24 +733,23 @@ def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
     """Derived or lower-central series computed on spanning sets.
 
     terms[0] = g; derived: next = [S, S, ..., S]; lower_central:
-    next = [S, g, ..., g], with the g slots on canonical tuples (permuting
-    them only changes signs).  The length is the first index whose term
-    is 0.
+    next = [S, g, ..., g], with the g slots on the canonical tuples where
+    the bracket can be nonzero (permuting them only changes signs;
+    ``_unit_rests``).  The length is the first index whose term is 0.
     """
     if kind not in ("derived", "lower_central"):
         raise ValueError("kind must be 'derived' or 'lower_central'")
     terms = [Subspace.full(a.dim)]
     expand = a.bracket.sparse_bracket
-    rests = _unit_arguments(a.space, a.arity - 1)
     while True:
         current = terms[-1]
         if current.dim == 0:
             break
-        rows = [row.items() for row in current.sparse_rows]
+        rows = current.sparse_rows
         if kind == "derived":
-            brackets = (expand(list(combo)) for combo in itertools.product(rows, repeat=a.arity))
+            brackets = (expand([v.items() for v in combo]) for combo in itertools.product(rows, repeat=a.arity))
         else:
-            brackets = (expand([v] + rest) for v in rows for rest in rests)
+            brackets = (expand([v.items()] + rest) for v in rows for rest in _unit_rests(a, v))
         nxt = Subspace.from_sparse(a.dim, [vec for vec in brackets if vec])
         if nxt == current:
             return SeriesResult(kind, terms, None, True)
@@ -807,24 +899,27 @@ def _invariance_witnesses(a: HomSuperAlgebra, g_cols):
     differs from -(-1)^{|x||y|} <y, [x_1..x_{n-1}, z]>.  With
     b_y = [x_1..x_{n-1}, y] the left side is (G^T b_y)[z] and the right side
     -sgn (G b_z)[y], both sums over the nonzero entries of b and the sparse
-    rows and columns of G; a pair (y, z) outside the supports of both is
+    rows and columns of G.  Only the x with some b_y != 0 are visited, x
+    and y read off the stored keys (``_Places``), and for each x only the
+    (y, z) in the supports of G^T b_y and G b_z; every other triple is
     0 = 0.  G is given by its sparse columns."""
-    d = a.dim
-    g_rows = transposed(g_cols, d)
+    g_rows = transposed(g_cols, a.dim)
     value = a.bracket.sparse_value
-    for xs in _canonical_tuples(a.space, a.arity - 1):
+    completions = _bracket_places(a).completions
+    for xs in sorted(completions):
         px = a.space.parity_of_indices(xs)
-        brackets = [dict(value(xs + (y,))) for y in range(d)]
-        left = []  # left[y] = G^T b_y, by z
-        right = [{} for _ in range(d)]  # right[y] = (G b_z)[y], by z
-        for y, b in enumerate(brackets):
-            left.append(apply_columns(g_rows, b))
+        left = {}  # left[y] = G^T b_y, by z
+        right = {}  # right[y] = (G b_z)[y], by z
+        for y in sorted(completions[xs]):
+            b = dict(value(xs + (y,)))
+            left[y] = apply_columns(g_rows, b)
             for u, c in apply_columns(g_cols, b).items():
-                right[u][y] = c
-        for y in range(d):
+                right.setdefault(u, {})[y] = c
+        for y in sorted(left.keys() | right.keys()):
             sgn = -1 if (px == 1 and a.parity[y] == 1) else 1
-            for z in sorted(left[y].keys() | right[y].keys()):
-                lhs, rhs = left[y].get(z, 0), -sgn * right[y].get(z, 0)
+            ly, ry = left.get(y, {}), right.get(y, {})
+            for z in sorted(ly.keys() | ry.keys()):
+                lhs, rhs = ly.get(z, 0), -sgn * ry.get(z, 0)
                 if lhs != rhs:
                     yield {
                         "x": _one_based(xs),

@@ -111,7 +111,7 @@ def parse_algebra(obj, context="algebra") -> LoadedFile:
             vec = [-c for c in vec]
         if canon in entries:
             if entries[canon] != vec:
-                raise ParseError(f"{ctx}: sign-inconsistent duplicate of {list(canon)}")
+                raise ParseError(f"{ctx}: sign-inconsistent duplicate of {[i + 1 for i in canon]}")
             continue
         entries[canon] = vec
     try:
@@ -159,7 +159,7 @@ def parse_representation(obj, algebra: HomSuperAlgebra, context) -> Representati
             mat = mat.scale(-1)
         w = wb.index[canon]
         if mats[w] is not None and mats[w] != mat:
-            raise ParseError(f"{ctx}: sign-inconsistent duplicate wedge {list(canon)}")
+            raise ParseError(f"{ctx}: sign-inconsistent duplicate wedge {[i + 1 for i in canon]}")
         mats[w] = mat
     mats = [m if m is not None else Matrix.zeros(target.dim, target.dim) for m in mats]
     return Representation(target, mats, nu)

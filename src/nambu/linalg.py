@@ -57,11 +57,13 @@ def parse_scalar(text) -> int | Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ParseError(f"bad rational {text!r}: expected 'p' or 'p/q'")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num, den = m.groups()
+    if den is None:  # an integer string: no Fraction to build
+        return int(num)
+    den = int(den)
     if den == 0:
         raise ParseError(f"bad rational {text!r}: zero denominator")
-    value = Fraction(num, den)
+    value = Fraction(int(num), den)
     return value.numerator if value.denominator == 1 else value
 
 

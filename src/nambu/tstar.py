@@ -34,10 +34,11 @@ from .core import (
     Report,
     StructureTensor,
     _accumulate,
-    _canonical_tuples,
+    _bracket_places,
     _dense,
     _nonzero,
     _unit_arguments,
+    _unit_rests,
     apply_columns,
     direct_sum,
     intertwiner_rows,
@@ -389,19 +390,22 @@ def theta_prime_as_cochain(g: HomSuperAlgebra, t_matrix: Matrix, rep=None) -> Co
 
 def centralizer(m: MetricAlgebra, v: Subspace) -> Subspace:
     """C(V) = {x : [x, g, ..., g] <= V}, computed both by definition and as
-    [g, ..., g, V^perp]^perp; the two answers must agree (InternalError)."""
+    [g, ..., g, V^perp]^perp; the two answers must agree (InternalError).
+    Both run only over the unit tuples where a bracket can be nonzero,
+    read off the stored keys."""
     a = m.algebra
     ann = v.annihilator().sparse_rows
     rows = []
-    for t in _canonical_tuples(a.space, a.arity - 1):
-        cols = [a.bracket.sparse_value((j,) + t) for j in range(a.dim)]
-        rows.extend({j: sum(u.get(k, 0) * c for k, c in col) for j, col in enumerate(cols) if col} for u in ann)
+    completions = _bracket_places(a).completions  # t -> the j with [e_j, e_t] != 0
+    for t in sorted(completions):
+        cols = [(j, a.bracket.sparse_value((j,) + t)) for j in sorted(completions[t])]
+        rows.extend({j: sum(u.get(k, 0) * c for k, c in col) for j, col in cols} for u in ann)
     by_definition = sparse_kernel(rows, a.dim)
 
     vperp = v.orthogonal(m.form.columns)
     spanned = []
-    for units in _unit_arguments(a.space, a.arity - 1):
-        for w in vperp.sparse_rows:
+    for w in vperp.sparse_rows:
+        for units in _unit_rests(a, w):
             vec = a.bracket.sparse_bracket(units + [w.items()])
             if vec:
                 spanned.append(vec)

@@ -21,6 +21,13 @@ seeded random rho) and of `verify_prop_2_2`, on the catalog,
 for `cohomology --rep coadjoint` on `no_coadjoint`, which exits 2 with the
 witness on stderr.
 
+No benchmark request prints a failing fundamental identity, invariance or
+multiplicativity witness beyond one perturbed T*(H3), so the digest goes on
+with one line per `to_dict()` of `verify_algebra` and of `verify_metric`
+(with a seeded supersymmetric form) on the raw tensors of seeds 0-99, and
+per T*-extension that ext_tstar writes at each seed, with each nonzero
+structure constant doubled in turn.
+
 No benchmark request applies the extension maps, so the digest has one
 line per `find_section`, `extract_cocycle` (on the section found) and
 `verify_exact_sequence` (0 -> a -> g -> b -> 0) on the extension g built
@@ -60,7 +67,15 @@ sys.path.insert(0, str(PERFBENCH))  # run.py imports workloads and checks by nam
 import workloads  # noqa: E402
 from nambu import cli, samples  # noqa: E402
 from nambu import fileformat as ff  # noqa: E402
-from nambu.core import HomSuperAlgebra, StructureTensor, direct_sum, twist_by_endomorphism  # noqa: E402
+from nambu.core import (  # noqa: E402
+    BilinearForm,
+    HomSuperAlgebra,
+    StructureTensor,
+    direct_sum,
+    twist_by_endomorphism,
+    verify_algebra,
+    verify_metric,
+)
 from nambu.cohomology import Cochain, CochainModel, adjoint_rep, verify_prop_2_2, verify_representation  # noqa: E402
 from nambu.errors import AlgebraError  # noqa: E402
 from nambu.extensions import (  # noqa: E402
@@ -75,7 +90,7 @@ from nambu.extensions import (  # noqa: E402
 )
 from nambu.linalg import Matrix, Subspace  # noqa: E402
 from nambu.tstar import coadjoint_rep  # noqa: E402
-from seeded_inputs import random_representation, raw_algebra  # noqa: E402
+from seeded_inputs import random_form, random_representation, raw_algebra  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
 run = importlib.util.module_from_spec(_spec)
@@ -146,6 +161,34 @@ def digest_extension(label, datum, outdir, emit):
     report = verify_exact_sequence([fiber_algebra, g, b], [canonical_injection(da, b.dim), pi])
     for name, value in (("find_section", found), ("extract_cocycle", extracted), ("exact", report.to_dict())):
         emit(f"extension {label} {name} {digest(outdir, value)}")
+
+
+def digest_raw_axioms(outdir, emit):
+    """Emit the digest lines of verify_algebra and verify_metric on the raw
+    tensors of seeds 0-99, each with a seeded form."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        a = raw_algebra(rng)
+        emit(f"axioms raw{seed} algebra {digest(outdir, verify_algebra(a).to_dict())}")
+        emit(f"axioms raw{seed} metric {digest(outdir, verify_metric(a, random_form(a, rng)).to_dict())}")
+
+
+def digest_doubled(label, path, outdir, emit):
+    """Emit the digest lines of verify_algebra and verify_metric on the
+    T*-extension at path with each nonzero structure constant doubled in
+    turn."""
+    loaded = ff.load(path)
+    a, form = loaded.algebra, BilinearForm(loaded.form)
+    for key, vec in sorted(a.bracket.items()):
+        for k, c in enumerate(vec):
+            if c == 0:
+                continue
+            entries = {t: list(v) for t, v in a.bracket.items()}
+            entries[key][k] = 2 * c
+            b = HomSuperAlgebra(a.space, StructureTensor(a.arity, a.space, entries), a.alpha)
+            tag = f"{label} {[i + 1 for i in key]} e{k + 1}"
+            emit(f"doubled {tag} algebra {digest(outdir, verify_algebra(b).to_dict())}")
+            emit(f"doubled {tag} metric {digest(outdir, verify_metric(b, form).to_dict())}")
 
 
 def digest_catalog_maps(outdir, emit):
@@ -246,9 +289,12 @@ def main(argv=None):
                 crashes += digest_workload(name, seed, outdir, print)
                 for path in sorted(pathlib.Path(outdir).glob("*.datum.json")) if name == "ext_tstar" else ():
                     digest_extension(f"seed={seed} {path.name}", parse_datum_file(str(path)), outdir, print)
+                for path in sorted(pathlib.Path(outdir).glob("*.T*.json")) if name == "ext_tstar" else ():
+                    digest_doubled(f"seed={seed} {path.name}", str(path), outdir, print)
         outdir = os.path.join(tmp, "representations")
         os.makedirs(outdir)
         crashes += digest_representations(outdir, print)
+        digest_raw_axioms(outdir, print)
         digest_catalog_maps(outdir, print)
         crashes += digest_decompositions(outdir, print)
         crashes += digest_parser(outdir, print)

@@ -1,13 +1,14 @@
 """Seeded inputs shared by the oracle tests and tests/output_digest.py: raw
-structure tensors that assume no axiom, and representations that are
-mostly not representations, so that failing reports get compared too."""
+structure tensors that assume no axiom, forms and representations that
+are mostly not invariant or not representations, so that failing reports
+get compared too."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from nambu.cohomology import Representation, adjoint_rep, wedge_basis
-from nambu.core import GradedSpace, HomSuperAlgebra, StructureTensor, canonical_tuples
+from nambu.core import BilinearForm, GradedSpace, HomSuperAlgebra, StructureTensor, canonical_tuples
 from nambu.linalg import Matrix
 
 
@@ -34,6 +35,20 @@ def raw_algebra(rng):
         for j in range(d)
     ])
     return HomSuperAlgebra(space, StructureTensor(n, space, entries, strict=False), alpha, name="raw")
+
+
+def random_form(a: HomSuperAlgebra, rng) -> BilinearForm:
+    """A seeded supersymmetric, parity-consistent gram on a: symmetric on
+    the even part, skew on the odd part, zero between them.  Almost never
+    invariant, so the invariance sweep meets failures."""
+    p = a.parity
+    g = [[0] * a.dim for _ in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(i, a.dim):
+            if p[i] == p[j] and not (i == j and p[i]):
+                g[i][j] = rng.choice((0, 1, -1, 2))
+                g[j][i] = -g[i][j] if p[i] else g[i][j]
+    return BilinearForm(Matrix.from_rows(g))
 
 
 def random_representation(a: HomSuperAlgebra, rng) -> Representation:

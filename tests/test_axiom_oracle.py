@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 import axiom_oracle as oracle
-from seeded_inputs import bumped_adjoint, random_representation, raw_algebra
+from seeded_inputs import bumped_adjoint, random_form, random_representation, raw_algebra
 from nambu import samples
-from nambu.cohomology import Cochain, CochainModel, adjoint_rep, verify_representation
+from nambu.cohomology import Cochain, CochainModel, Representation, adjoint_rep, verify_representation, wedge_basis
 from nambu.core import (
+    BilinearForm,
     GradedSpace,
     HomSuperAlgebra,
     StructureTensor,
@@ -254,6 +255,116 @@ def test_representation_comparison_is_not_vacuous():
     assert failed == {"grading", "hom-jacobi", "n-ary-compatibility", "twist-equivariance"}
 
 
+def _even_algebra(dim, n, entries, alpha_cols=None):
+    """An all-even algebra from its stored entries {key: {output: c}}, with
+    alpha the identity except on the columns given as {column: {row: c}}."""
+    space = GradedSpace(dim, (0,) * dim)
+    alpha = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for j, col in (alpha_cols or {}).items():
+        for i in range(dim):
+            alpha[i][j] = col.get(i, 0)
+    tensor = StructureTensor(n, space, {key: [val.get(k, 0) for k in range(dim)] for key, val in entries.items()})
+    return HomSuperAlgebra(space, tensor, Matrix.from_rows(alpha), name="guard")
+
+
+def _zero(vec):
+    return all(c in (0, "0") for c in vec)
+
+
+def test_skip_rules_keep_a_failure_with_only_a_left_side():
+    # e1 central with alpha e1 = e2: at x = e1 every [x, y_i] is 0, yet
+    # [alpha x, [y]] is not, so a rule that followed the mids alone would
+    # drop the first witness
+    a = _even_algebra(5, 2, {(1, 2): {3: 1}, (1, 3): {4: 1}}, {0: {1: 1}})
+    report = verify_algebra(a)
+    assert report.to_dict() == oracle.verify_algebra(a).to_dict()
+    (w,) = [c.witness for c in report.checks if c.name == "fundamental-identity" and not c.passed]
+    xs, ys = tuple(i - 1 for i in w["x"]), tuple(i - 1 for i in w["y"])
+    assert _zero(w["rhs"]) and not _zero(w["lhs"])
+    assert all(_zero(oracle.literal_value(a.bracket, xs + (y,))) for y in ys)
+
+
+def test_skip_rules_keep_a_failure_with_only_a_right_side():
+    # [e1, e2] = e3, [e3, e4] = e5: at x = e1, y = (e2, e4) the bracket [y]
+    # is 0 but [[x, y_1], alpha y_2] is not
+    a = _even_algebra(5, 2, {(0, 1): {2: 1}, (2, 3): {4: 1}})
+    report = verify_algebra(a)
+    assert report.to_dict() == oracle.verify_algebra(a).to_dict()
+    (w,) = [c.witness for c in report.checks if c.name == "fundamental-identity" and not c.passed]
+    assert _zero(w["lhs"]) and not _zero(w["rhs"])
+    assert _zero(oracle.literal_value(a.bracket, tuple(i - 1 for i in w["y"])))
+
+
+def test_skip_rules_keep_an_invariance_failure_off_the_brackets():
+    # H3 with <e1, e3> = 1: at x = e1, y = e1 the bracket [x, y] is 0, and
+    # <y, [x, e2]> = <e1, e3> is not
+    a = samples.h3()
+    form = BilinearForm(Matrix(3, 3, [0, 0, 1, 0, 1, 0, 1, 0, 0]))
+    report = verify_metric(a, form)
+    assert report.to_dict() == oracle.verify_metric(a, form).to_dict()
+    (w,) = [c.witness for c in report.checks if c.name == "invariant"]
+    assert w["lhs"] == "0" and w["rhs"] != "0"
+    assert _zero(oracle.literal_value(a.bracket, tuple(i - 1 for i in w["x"]) + (w["y"] - 1,)))
+
+
+def test_skip_rules_keep_a_multiplicativity_failure_off_the_keys():
+    # [e1, e2] = e3 and alpha e4 = e1: [e2, e4] is no key, but
+    # [alpha e2, alpha e4] = [e2, e1] is not 0
+    a = _even_algebra(4, 2, {(0, 1): {2: 1}}, {3: {0: 1}})
+    report = verify_algebra(a)
+    assert report.to_dict() == oracle.verify_algebra(a).to_dict()
+    (w,) = [c.witness for c in report.checks if c.name == "multiplicativity"]
+    assert tuple(i - 1 for i in w["args"]) not in a.bracket.entries and not _zero(w["rhs"])
+
+
+def _sparse_rep(a, entries):
+    """rho zero but on the wedges given, as {wedge: {(row, col): c}}, and
+    nu = alpha."""
+    wb = wedge_basis(a.space, a.arity - 1)
+    rho = [Matrix.zeros(a.dim, a.dim) for _ in wb.elements]
+    for t, cells in entries.items():
+        rho[wb.index[t]] = Matrix(a.dim, a.dim, [cells.get((i, j), 0) for i in range(a.dim) for j in range(a.dim)])
+    return Representation(a.space, rho, a.alpha)
+
+
+def test_skip_rules_keep_representation_failures_on_a_bumped_zero_wedge():
+    # ad(N4) is 0 on e3 ^ e4; one entry bumped there breaks hom-jacobi
+    # through rho([x, y]_alpha) and the n-ary law through rho(alpha x ^ [y]),
+    # at pairs that a rule reading the places of ad instead of rho's drops
+    a = samples.n4()
+    ad = adjoint_rep(a)
+    w = wedge_basis(a.space, 2).index[(2, 3)]
+    assert not any(ad.columns[w])
+    rho = list(ad.rho)
+    rho[w] = Matrix(4, 4, [1] + [0] * 15)
+    r = Representation(ad.target, rho, ad.nu)
+    report = verify_representation(r, a)
+    assert report.to_dict() == oracle.verify_representation(r, a).to_dict()
+    assert {c.name for c in report.failed_checks()} == {"hom-jacobi", "n-ary-compatibility"}
+
+
+@pytest.mark.parametrize("entries, failing, witness", [
+    # rho(e3 ^ e4): e1 -> e2 alone.  Hom-jacobi fails only where
+    # rho([x, y]_alpha) does, at x = e1 ^ e3, y = e2 ^ e3, and the n-ary law
+    # only where rho(alpha x ^ [y]) does, at x = e3, y = (e1, e2, e3)
+    ({(2, 3): {(1, 0): 1}}, "hom-jacobi", {"x": [1, 3], "y": [2, 3]}),
+    ({(2, 3): {(1, 0): 1}}, "n-ary-compatibility", {"x": [3], "y": [1, 2, 3]}),
+    # rho(e1 ^ e2): e3 -> e4 and rho(e3 ^ e4): e4 -> e1.  The first n-ary
+    # failure is rho(alpha(e3 ^ e4)) rho(e1 ^ e2) alone, at x = e1,
+    # y = (e2, e3, e4), where [y] = 0
+    ({(0, 1): {(3, 2): 1}, (2, 3): {(0, 3): 1}}, "n-ary-compatibility", {"x": [1], "y": [2, 3, 4]}),
+])
+def test_skip_rules_keep_representation_failures_of_one_term(entries, failing, witness):
+    # on N4 each failure below has a single nonzero term, so a skip rule
+    # that dropped that term's pairs would report another witness or none
+    a = samples.n4()
+    r = _sparse_rep(a, entries)
+    report = verify_representation(r, a)
+    assert report.to_dict() == oracle.verify_representation(r, a).to_dict()
+    (check,) = [c for c in report.checks if c.name == failing]
+    assert check.witness == witness
+
+
 def _decompose_ideals(m: MetricAlgebra):
     """The ideals decompose produces on m: the canonical isotropic ideal, its
     maximal isotropic extension, and the reconstruction's g1."""
@@ -324,3 +435,6 @@ def test_raw_random_tensors_equal_oracle(block):
             assert is_hom_ideal(h, a) == oracle.is_hom_ideal(h, a), seed
         for kind in ("derived", "lower_central"):
             assert series(a, kind) == oracle.series(a, kind), seed
+        # drawn last, so the inputs above are those of the seed alone
+        form = random_form(a, rng)
+        assert verify_metric(a, form).to_dict() == oracle.verify_metric(a, form).to_dict(), seed

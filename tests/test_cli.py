@@ -12,6 +12,7 @@ import pytest
 from nambu import fileformat as ff
 from nambu import samples
 from nambu.cli import main
+from nambu.cohomology import adjoint_rep, wedge_basis
 from nambu.core import HomSuperAlgebra, StructureTensor, canonical_tuples, twist_by_endomorphism, verify_algebra
 from nambu.errors import ParseError
 from nambu.linalg import Matrix
@@ -28,6 +29,23 @@ def tmpfiles(tmp_path):
         return str(path)
 
     return write
+
+
+def _adjoint_json(a):
+    """a as a file with its adjoint representation written out, one rho
+    item per canonical wedge, in order."""
+    ad = adjoint_rep(a)
+    obj = ff.algebra_to_json(a)
+    obj["representation"] = {
+        "dim": a.dim,
+        "parity": list(a.parity),
+        "nu": ff.matrix_to_json(ad.nu),
+        "rho": [
+            {"wedge": [i + 1 for i in t], "matrix": ff.matrix_to_json(m)}
+            for t, m in zip(wedge_basis(a.space, a.arity - 1).elements, ad.rho)
+        ],
+    }
+    return obj
 
 
 def run(argv):
@@ -67,6 +85,43 @@ class TestLoadDump:
         ]
         with pytest.raises(ParseError):
             ff.parse_algebra(obj)
+
+    def test_duplicate_errors_name_the_tuple_one_based(self):
+        # the file format is 1-based, and so is every tuple an error names
+        obj = ff.algebra_to_json(samples.h3())
+        obj["bracket"] = [
+            {"args": [1, 2], "value": {"3": "1"}},
+            {"args": [2, 1], "value": {"3": "1"}},
+        ]
+        with pytest.raises(ParseError) as exc:
+            ff.parse_algebra(obj)
+        assert str(exc.value) == "algebra.bracket[1]: sign-inconsistent duplicate of [1, 2]"
+        obj = _adjoint_json(samples.n4())
+        rho = obj["representation"]["rho"]
+        rho.append({"wedge": rho[0]["wedge"][::-1], "matrix": rho[0]["matrix"]})
+        with pytest.raises(ParseError) as exc:
+            ff.parse_algebra(obj)
+        assert str(exc.value) == "algebra.representation.rho[6]: sign-inconsistent duplicate wedge [1, 2]"
+
+    def test_representation_wedges_out_of_order_carry_their_sign(self):
+        # ad(N4) with every wedge reversed and its matrix negated is ad(N4)
+        n4 = samples.n4()
+        ad = adjoint_rep(n4)
+        obj = _adjoint_json(n4)
+        for item in obj["representation"]["rho"]:
+            item["wedge"] = item["wedge"][::-1]
+            item["matrix"] = [[ff.format_scalar(-ff.parse_scalar(x)) for x in row] for row in item["matrix"]]
+        assert ff.parse_algebra(obj).representation == ad
+        # a duplicate written both ways round with consistent signs is accepted
+        twice = _adjoint_json(n4)
+        rho = twice["representation"]["rho"]
+        k = next(w for w, cols in enumerate(ad.columns) if any(cols))
+        rho.append(obj["representation"]["rho"][k])
+        assert ff.parse_algebra(twice).representation == ad
+        # and refused when the reversed copy keeps its sign
+        rho[-1] = {"wedge": rho[-1]["wedge"], "matrix": rho[k]["matrix"]}
+        with pytest.raises(ParseError, match="sign-inconsistent duplicate wedge"):
+            ff.parse_algebra(twice)
 
     def test_homogeneity_validated_at_load(self):
         obj = {

@@ -197,8 +197,10 @@ def test_fundamental_identity_of_an_abelian_algebra_evaluates_no_bracket(monkeyp
     monkeypatch.setattr(core, "_fundamental_identity_witnesses", fi)
     for a in (samples.abelian(3, 2), samples.abelian(4, n=3), samples.abelian(2, 2, n=3)):
         assert verify_algebra(a).ok
-    assert calls["inside"] == 0
-    assert calls["all"] > 0  # the counter sees the multiplicativity check
+    # nor does multiplicativity: no stored key on either side
+    assert calls == {"inside": 0, "all": 0}
+    assert verify_algebra(samples.filiform4()).ok
+    assert calls["inside"] > 0  # the counter sees the FI of fil4, where [e1, [e1, e2]] = e4
 
 
 def test_basis_value_of_an_out_of_range_index_still_raises():

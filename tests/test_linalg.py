@@ -76,6 +76,18 @@ class TestScalar:
         assert type(half) is Fraction and half == Fraction(1, 2)
         assert type(parse_scalar("-4/6")) is Fraction and parse_scalar("-4/6") == Fraction(-2, 3)
 
+    def test_parse_integer_strings_fast_path_keeps_every_rejection(self):
+        from nambu.errors import ParseError
+
+        # an integer string is returned as an int with no Fraction built;
+        # a quotient still goes through Fraction and is reduced
+        for text, value in (("12", 12), ("-0", 0), ("4/2", 2)):
+            x = parse_scalar(text)
+            assert type(x) is int and x == value, text
+        for bad in (True, False, 2.0, "2.0", "1_0", "1_0/3", "3/0", "", "+"):
+            with pytest.raises(ParseError):
+                parse_scalar(bad)
+
     def test_parse_rejects_bools(self):
         from nambu.errors import ParseError
 
