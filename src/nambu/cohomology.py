@@ -1089,8 +1089,10 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
 
 
 def is_closed(a, r, f: Cochain) -> bool:
-    """delta f = 0, from f's nonzero coefficients: no (m+1)-cochain is built."""
-    return not _images(delta_operator(a, r, f.degree).columns, [{k: x for k, x in enumerate(f.coeffs) if x}])[0]
+    """delta f = 0, from f's nonzero coefficients: no (m+1)-cochain is built,
+    and for f = 0 not even delta."""
+    vec = {k: f.coeffs[k] for k in support(f)}
+    return not vec or not _images(delta_operator(a, r, f.degree).columns, [vec])[0]
 
 
 def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
@@ -1229,40 +1231,79 @@ def _witness(model: CochainModel, m, i, flat) -> str:
     return f"basis cochain {i + 1} of C^{m}, coordinate x={x} z={z + 1} v={v + 1}"
 
 
-def alternating_subspace(a, r) -> Subspace:
-    """1-cochains that extend to super-alternating maps on all n slots.
+def alternation_pairs(model: CochainModel, coords):
+    """Super-alternation of 1-cochains across all n slots, one raw
+    coordinate at a time: for each k in coords, every pair (k, partner,
+    sign) with f[k] = sign * f[partner] for every super-alternating f.
 
-    The wedge block already alternates; this imposes the boundary swap
-    between the last wedge slot and the final g slot, which generates full
-    alternation.  Used for extension cocycles and T*-extension thetas.
+    The block (x, z) holds the n-ary map at (x_1..x_{n-1}, z), which is its
+    straightening sign times the map at the sorted tuple M; the block of M
+    itself (M without its last index, then that index) represents the
+    class.  A block is paired with its representative, the representative
+    with every other block of its class (or with itself, sign 1, when it is
+    alone), and a block whose M repeats an even index with itself, sign 0:
+    it must vanish.  coords in ascending order straighten each V-block once.
     """
-    model = CochainModel(a, r, 1)
-    wb = model.wb
-    p = a.parity
+    wb, p, DV = model.wb, model.a.parity, model.DV
+    block, partners = None, ()
+    for k in coords:
+        b, v = divmod(k, DV)
+        if b != block:
+            block = b
+            w, j = divmod(b, model.D)
+            sign, m = straighten(wb.elements[w] + (j,), p)
+            rep = model.flat((wb.index[m[:-1]],), m[-1]) if sign else b * DV
+            if not sign or rep != b * DV:
+                partners = [(rep, sign)]
+            else:
+                others = [(i, m[: m.index(i)] + m[m.index(i) + 1 :]) for i in sorted(set(m) - {m[-1]})]
+                partners = [
+                    (model.flat((wb.index[rest],), i), straighten(rest + (i,), p)[0]) for i, rest in others
+                ] or [(rep, 1)]
+        for partner, sign in partners:
+            yield k, partner + v, sign
+
+
+def pair_rows(pairs) -> list:
+    """The pairs (k, partner, sign) of alternation_pairs or
+    tstar.cyclic_pairs over every coordinate as kernel rows f[k] - sign *
+    f[partner] = 0.  Each relation is listed from both of its coordinates
+    and written once, from the smaller; {k: 1} where f[k] must vanish."""
     rows = []
-    seen = set()
-    for (w,), j in model.input_tuples():
-        t = wb.elements[w]
-        last = t[-1]
-        sgn_swap = -1 if not (p[last] == 1 and p[j] == 1) else 1
-        # f(t, j) = sgn_swap * s * f(canon(t[:-1] + (j,)), last)
-        s, canon = straighten(t[:-1] + (j,), p)
-        key = (w, j)
-        if key in seen:
-            continue
-        if s == 0:
-            rows.extend({model.flat((w,), j) + v: 1} for v in range(model.DV))
-            seen.add(key)
-            continue
-        w2 = wb.index[canon]
-        j2 = last
-        seen.add(key)
-        seen.add((w2, j2))
-        if (w2, j2) == (w, j):
-            if sgn_swap * s == 1:
-                continue
-            rows.extend({model.flat((w,), j) + v: 1} for v in range(model.DV))
-            continue
-        for v in range(model.DV):
-            rows.append({model.flat((w,), j) + v: 1, model.flat((w2,), j2) + v: -sgn_swap * s})
-    return sparse_kernel(rows, model.raw_dim)
+    for k, partner, sign in pairs:
+        if k == partner:
+            if sign != 1:
+                rows.append({k: 1})
+        elif k < partner:
+            rows.append({k: 1, partner: -sign})
+    return rows
+
+
+def pairs_hold(pairs, coeffs) -> bool:
+    """f[k] = sign * f[partner] for every pair, read over the support of f:
+    each nonzero coordinate is visited with the coordinates it is paired
+    with.  A broken relation has a nonzero side, and is listed from both of
+    its sides, so none is missed."""
+    return all(coeffs[k] == sign * coeffs[partner] for k, partner, sign in pairs)
+
+
+def support(f: Cochain) -> list:
+    """The raw coordinates where f is nonzero, in ascending order."""
+    return [k for k, x in enumerate(f.coeffs) if x]
+
+
+def is_super_alternating(a, r, f: Cochain) -> bool:
+    """f extends to a super-alternating map on all n slots: alternation_pairs
+    read over the support of f, so f = 0 costs nothing."""
+    model = CochainModel(a, r, 1)
+    if len(f.coeffs) != model.raw_dim:
+        raise DimensionMismatch("vector length does not match ambient dimension")
+    return pairs_hold(alternation_pairs(model, support(f)), f.coeffs)
+
+
+def alternating_subspace(a, r) -> Subspace:
+    """1-cochains that extend to super-alternating maps on all n slots: the
+    kernel of alternation_pairs' rows over every raw coordinate.  Used to
+    sample extension cocycles and T*-extension thetas."""
+    model = CochainModel(a, r, 1)
+    return sparse_kernel(pair_rows(alternation_pairs(model, range(model.raw_dim))), model.raw_dim)

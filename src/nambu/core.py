@@ -176,10 +176,6 @@ class StructureTensor:
         pairs: multilinear over the basis brackets."""
         return multilinear(args, self.sparse_value)
 
-    def value(self, indices):
-        """Bracket of basis vectors e_{i1},...,e_{in} as a coordinate vector."""
-        return _dense(self.sparse_value(indices), self.space.dim)
-
     def items(self):
         return self.entries.items()
 
@@ -292,9 +288,6 @@ class HomSuperAlgebra:
     def alpha_is_even(self):
         return is_even_map(self.alpha_columns(), self.parity, self.parity)
 
-    def bracket_basis(self, indices):
-        return self.bracket.value(indices)
-
     def bracket_eval(self, vectors):
         """Multilinear evaluation of the bracket on coordinate vectors: the
         dense wrapper of ``sparse_bracket``, for outside callers."""
@@ -314,9 +307,6 @@ class HomSuperAlgebra:
 
     def is_abelian(self):
         return not self.bracket.entries
-
-    def basis_vector(self, i):
-        return _unit(self.dim, i)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +382,16 @@ def verify_algebra(a: HomSuperAlgebra) -> Report:
 
 
 def _skew_witnesses(a: HomSuperAlgebra):
-    """Adjacent swaps that break super skew-symmetry, over every basis tuple:
-    this tests ``straighten`` itself, so no tuple may be skipped."""
+    """Adjacent swaps that break super skew-symmetry, in the lex order of a
+    sweep over every basis tuple.  A swap can break it only where the tuple
+    or its swap has a nonzero value, and both sort to the same stored key,
+    so the sweep visits the orderings of the stored keys (``_arranged``).
+    That values are read through ``straighten`` correctly is what this
+    tests; its sign on every tuple is pinned in the tests."""
     p = a.parity
     n = a.arity
     value = a.bracket.sparse_value
-    for t in itertools.product(range(a.dim), repeat=n):
+    for t in _arranged(a.bracket.entries, p, False):
         base = value(t)
         for pos in range(n - 1):
             swapped = value(t[:pos] + (t[pos + 1], t[pos]) + t[pos + 2 :])

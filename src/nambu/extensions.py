@@ -3,7 +3,9 @@
 The extension bracket on a (+) b takes the module action for mixed
 slots, the base bracket on the b-part, and adds the 1-cocycle value on
 the a-part of all-b slots.  Validated data require the cocycle to be
-even, twist-compatible, fully super-alternating and closed.  The same
+even, twist-compatible, fully super-alternating and closed; alternation
+and closedness are checked on the support of the cocycle, so the zero
+cocycle of a split extension costs neither.  The same
 builder makes the T*-extensions of `tstar`: the extension of g by g*
 through ad* and a cocycle theta, with the g block first.
 """
@@ -17,10 +19,10 @@ from .cohomology import (
     Cochain,
     CochainModel,
     Representation,
-    alternating_subspace,
     cochain_basis,
     delta_columns,
     is_closed,
+    is_super_alternating,
     module_action,
     satisfies_compat,
     verify_representation,
@@ -80,8 +82,7 @@ class ExtensionDatum:
             raise CocycleNotEven("extension cocycle must be even")
         if not satisfies_compat(self.base, self.module, self.cocycle):
             raise NotACochain("cocycle violates the twist compatibility or has odd coordinates")
-        alt = alternating_subspace(self.base, self.module)
-        if not alt.contains_vector(self.cocycle.coeffs):
+        if not is_super_alternating(self.base, self.module, self.cocycle):
             raise NotACochain("cocycle is not super-alternating across all slots")
         if not is_closed(self.base, self.module, self.cocycle):
             raise CocycleNotClosed("delta^1 of the cocycle is nonzero")

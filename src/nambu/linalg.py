@@ -156,19 +156,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(Fraction(x) for x in self.data)))
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix._trusted(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix._trusted(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return Matrix._trusted(self.rows, self.cols, [-a for a in self.data])
-
     def scale(self, c):
         _check_entry(c)
         return Matrix._trusted(self.rows, self.cols, [c * a for a in self.data])

@@ -22,7 +22,11 @@ from .cohomology import (
     cochain_basis,
     delta_operator,
     is_closed,
+    is_super_alternating,
+    pair_rows,
+    pairs_hold,
     satisfies_compat,
+    support,
     verify_representation,
     _images,
     _wedge,
@@ -178,7 +182,11 @@ def tstar_extend(g: HomSuperAlgebra, theta: Cochain | None = None, validated=Tru
 
     validated=True enforces: coadjoint exists, theta even alternating
     compatible (NotACochain), closed (ThetaNotClosed), cyclic
-    (ThetaNotCyclic); raw construction skips all of that.
+    (ThetaNotCyclic); raw construction skips all of that.  Each check of
+    theta visits supp theta: alternation and the cyclic condition each
+    nonzero coordinate with the coordinates it is paired with, closedness
+    the columns of the memoized delta^1 at supp theta, so theta = 0 costs
+    none of them and builds no delta.
     """
     coad = coadjoint_rep(g)
     if validated and not coad.exists:
@@ -190,7 +198,7 @@ def tstar_extend(g: HomSuperAlgebra, theta: Cochain | None = None, validated=Tru
             raise NotACochain("theta must be an even 1-cochain")
         if not satisfies_compat(g, coad.rep, theta):
             raise NotACochain("theta violates the twist compatibility or has odd coordinates")
-        if not alternating_subspace(g, coad.rep).contains_vector(theta.coeffs):
+        if not is_super_alternating(g, coad.rep, theta):
             raise NotACochain("theta is not super-alternating across all slots")
         if not is_closed(g, coad.rep, theta):
             raise ThetaNotClosed("delta theta != 0")
@@ -226,19 +234,25 @@ def _isotropic(gram, sub: Subspace) -> bool:
     return all(sum(x * g[k] for k, x in u.items() if k in g) == 0 for u in sub.sparse_rows for g in images)
 
 
+def cyclic_pairs(model: CochainModel, coords):
+    """The cyclic condition theta(x,y)(z) + (-1)^{|y||z|} theta(x,z)(y) = 0
+    on raw 1-cochain coordinates of (g, ad*): (k, partner, sign) for each k in
+    coords, with theta[k] = sign * theta[partner], the pairs that
+    cohomology.pair_rows and pairs_hold read.  k = (x, y, z) and its partner
+    (x, z, y) swap the g slot and the dual slot, so this is an involution,
+    and k is its own partner when y = z."""
+    p = model.a.parity
+    D = model.D
+    for k in coords:
+        xy, z = divmod(k, D)
+        x, y = divmod(xy, D)
+        yield k, (x * D + z) * D + y, 1 if p[y] == 1 and p[z] == 1 else -1
+
+
 def is_cyclic_cocycle(g: HomSuperAlgebra, theta: Cochain) -> bool:
-    """theta(x,y)(z) + (-1)^{|y||z|} theta(x,z)(y) = 0 on all basis tuples."""
-    wb = _wedge(g)
-    p = g.parity
-    for w in range(len(wb)):
-        for y in range(g.dim):
-            vy = theta.value((w,), y)
-            for z in range(g.dim):
-                vz = theta.value((w,), z)
-                sgn = -1 if (p[y] == 1 and p[z] == 1) else 1
-                if vy[z] + sgn * vz[y] != 0:
-                    return False
-    return True
+    """theta(x,y)(z) + (-1)^{|y||z|} theta(x,z)(y) = 0 on all basis tuples:
+    cyclic_pairs read over the support of theta, so theta = 0 costs nothing."""
+    return pairs_hold(cyclic_pairs(theta.model, support(theta)), theta.coeffs)
 
 
 def theta_spaces(g: HomSuperAlgebra) -> dict:
@@ -252,18 +266,7 @@ def theta_spaces(g: HomSuperAlgebra) -> dict:
     alt = alternating_subspace(g, r)
     cochain = compat.intersect(alt)
 
-    wb = _wedge(g)
-    p = g.parity
-    rows = []
-    for w in range(len(wb)):
-        for y in range(g.dim):
-            for z in range(y, g.dim):
-                sgn = -1 if (p[y] == 1 and p[z] == 1) else 1
-                row = {model.flat((w,), y) + z: 1}
-                k = model.flat((w,), z) + y
-                row[k] = row.get(k, 0) + sgn
-                rows.append(row)
-    cyclic_constraint = sparse_kernel(rows, model.raw_dim)
+    cyclic_constraint = sparse_kernel(pair_rows(cyclic_pairs(model, range(model.raw_dim))), model.raw_dim)
     cyclic = cochain.intersect(cyclic_constraint)
 
     def closed_part(space: Subspace) -> Subspace:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from dense_wrappers import add, basis_vector
 from nambu import cohomology, core
 from nambu.cohomology import Representation, _wedge
 from nambu.core import (
@@ -169,7 +170,7 @@ def dense_rho(r: Representation, coords: dict) -> Matrix:
     out = Matrix.zeros(dv, dv)
     for w, c in coords.items():
         if c != 0:
-            out = out + r.rho[w].scale(c)
+            out = add(out, r.rho[w].scale(c))
     return out
 
 
@@ -222,7 +223,7 @@ def check_rep_jacobi(r: Representation, a: HomSuperAlgebra):
             lhs = m1 * r.rho[w2]
             sgn = -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1
             rhs = (dense_rho(r, aw[w2]) * r.rho[w1]).scale(sgn)
-            rhs = rhs + dense_rho(r, literal_wedge_bracket(a, wb, w1, w2)) * r.nu
+            rhs = add(rhs, dense_rho(r, literal_wedge_bracket(a, wb, w1, w2)) * r.nu)
             if lhs != rhs:
                 return False, {"x": [k + 1 for k in wb.elements[w1]], "y": [k + 1 for k in wb.elements[w2]]}
     return True, None
@@ -254,7 +255,7 @@ def check_rep_nary(r: Representation, a: HomSuperAlgebra):
                 if sign_w == 0:
                     continue
                 term = dense_rho(r, literal_wedge(wb, hat)) * r.rho[wb.index[canon]]
-                rhs = rhs + term.scale(sgn * sign_w)
+                rhs = add(rhs, term.scale(sgn * sign_w))
             if lhs != rhs:
                 return False, {
                     "x": [k + 1 for k in xs],
@@ -279,7 +280,7 @@ def check_invariance(a: HomSuperAlgebra, form: BilinearForm):
     p = a.parity
     witness = None
     n = a.arity
-    basis = [a.basis_vector(k) for k in range(a.dim)]
+    basis = [basis_vector(a, k) for k in range(a.dim)]
     for xs in core._canonical_tuples(a.space, n - 1):
         px = a.space.parity_of_indices(xs)
         for y in range(a.dim):
@@ -312,7 +313,7 @@ def is_hom_ideal(h: Subspace, a: HomSuperAlgebra) -> bool:
     split_graded(h, a.space)
     if not _alpha_stable(h, a):
         return False
-    basis = [a.basis_vector(i) for i in range(a.dim)]
+    basis = [basis_vector(a, i) for i in range(a.dim)]
     for v in h.basis_vectors():
         for rest in itertools.product(range(a.dim), repeat=a.arity - 1):
             args = [v] + [basis[i] for i in rest]
@@ -326,7 +327,7 @@ def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
         raise ValueError("kind must be 'derived' or 'lower_central'")
     full = Subspace.full(a.dim)
     terms = [full]
-    basis_g = [a.basis_vector(i) for i in range(a.dim)]
+    basis_g = [basis_vector(a, i) for i in range(a.dim)]
     while True:
         current = terms[-1]
         if current.dim == 0:
@@ -354,7 +355,7 @@ def series(a: HomSuperAlgebra, kind: str) -> SeriesResult:
 def isotropic_half_ideal_bracket_vanishes(a: HomSuperAlgebra, i: Subspace) -> bool:
     """[g, ..., g, I, I] = 0, the g slots over every basis tuple."""
     rows = [list(r) for r in i.basis_vectors()]
-    basis = [a.basis_vector(k) for k in range(a.dim)]
+    basis = [basis_vector(a, k) for k in range(a.dim)]
     for t in itertools.product(range(a.dim), repeat=a.arity - 2):
         for u in rows:
             for v in rows:

@@ -11,6 +11,7 @@ does report existence.
 from __future__ import annotations
 
 from axiom_oracle import dense_rho
+from dense_wrappers import sub
 from nambu.cohomology import Representation, _complex_tables, _wedge
 from nambu.core import HomSuperAlgebra, _canonical_tuples
 
@@ -27,7 +28,7 @@ def coadjoint_conditions(a: HomSuperAlgebra, ad: Representation):
     for w1 in range(len(wb)):
         for w2 in range(len(wb)):
             sgn = -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1
-            lhs = ad.rho[w1] * dense_rho(ad, aw[w2]) - (ad.rho[w2] * dense_rho(ad, aw[w1])).scale(sgn)
+            lhs = sub(ad.rho[w1] * dense_rho(ad, aw[w2]), (ad.rho[w2] * dense_rho(ad, aw[w1])).scale(sgn))
             rhs = a.alpha * dense_rho(ad, cx.fb(w1, w2))
             if lhs != rhs:
                 return False, {

@@ -13,7 +13,7 @@ require both to give the same g1, theta and phi, or to raise the same error.
 from __future__ import annotations
 
 from axiom_oracle import pairing
-from dense_wrappers import left_inverse
+from dense_wrappers import basis_vector, left_inverse
 from nambu.cohomology import Cochain, CochainModel, _wedge
 from nambu.core import (
     GradedSpace,
@@ -92,7 +92,7 @@ def dense_isotropic_complement(m: MetricAlgebra, ideal: Subspace) -> Subspace:
     for j in range(a.dim):
         if len(g0_rows) == half:
             break
-        cand = a.basis_vector(j)
+        cand = basis_vector(a, j)
         if current.contains_vector(cand):
             continue
         pj = a.parity[j]
@@ -183,7 +183,7 @@ def dense_reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace):
 
     phi_cols = []
     for j in range(a.dim):
-        x_part, z_part = split(a.basis_vector(j))
+        x_part, z_part = split(basis_vector(a, j))
         x_vec = [sum(c * pi_g0_cols[t][k] for t, c in enumerate(x_part) if c != 0) for k in range(g1.dim)]
         phi_cols.append(x_vec + fstar.apply(z_part))
     phi = Matrix.from_rows(phi_cols, cols=2 * g1.dim).transpose()

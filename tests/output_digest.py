@@ -42,6 +42,14 @@ the maximal isotropic enlargement, or one with an odd part, so the digest
 goes on with `tstar` and `decompose` of T*(N4 (+) K^2), T*(N4 (+) K^4) and
 T*(SH(1|2) (+) K^{1|1}).
 
+No benchmark request is refused for its theta or for an alternation of
+its cocycle, so the digest goes on with `tstar` on H3, SH(1|2) and N4
+given a theta that is not super-alternating, one that is alternating and
+cyclic but not closed, and one that is closed but not cyclic (where such a
+theta exists), and with `extend` of each by its adjoint module given a
+cocycle that is not super-alternating; each exits with its error code and
+message.
+
 It ends with the parser's own output, at a fixed terminal width (COLUMNS):
 `nambu --help`, each subcommand's `--help`, no subcommand, an unknown
 subcommand and `cohomology` without its required `--m`, each with its exit
@@ -76,7 +84,15 @@ from nambu.core import (  # noqa: E402
     verify_algebra,
     verify_metric,
 )
-from nambu.cohomology import Cochain, CochainModel, adjoint_rep, verify_prop_2_2, verify_representation  # noqa: E402
+from nambu.cohomology import (  # noqa: E402
+    Cochain,
+    CochainModel,
+    adjoint_rep,
+    alternating_subspace,
+    satisfies_compat,
+    verify_prop_2_2,
+    verify_representation,
+)
 from nambu.errors import AlgebraError  # noqa: E402
 from nambu.extensions import (  # noqa: E402
     ExtensionDatum,
@@ -89,7 +105,7 @@ from nambu.extensions import (  # noqa: E402
     verify_exact_sequence,
 )
 from nambu.linalg import Matrix, Subspace  # noqa: E402
-from nambu.tstar import coadjoint_rep  # noqa: E402
+from nambu.tstar import coadjoint_rep, theta_spaces  # noqa: E402
 from seeded_inputs import random_form, random_representation, raw_algebra  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
@@ -146,7 +162,7 @@ def digest_extension(label, datum, outdir, emit):
     found and verify_exact_sequence on the extension built from datum."""
     b, da = datum.base, datum.fiber.dim
     g = build_extension(datum)
-    fiber = Subspace.from_vectors(g.dim, [g.basis_vector(i) for i in range(da)])
+    fiber = Subspace.from_sparse(g.dim, [{i: 1} for i in range(da)])
     pi = canonical_projection(da, b.dim)
     section = refused(find_section, g, fiber, b, pi)
     if isinstance(section, str):
@@ -256,6 +272,61 @@ def digest_decompositions(outdir, emit):
     return crashes
 
 
+def _first_unit(model, keep):
+    """The unit even 1-cochain at the first coordinate where keep holds."""
+    for k in range(model.raw_dim):
+        if model.parities[k] == 0:
+            f = Cochain.zero(model)
+            f.coeffs[k] = 1
+            if keep(f):
+                return f
+    raise RuntimeError("no such unit cochain")
+
+
+def _first_outside(model, space, other):
+    """The first basis cochain of space that is not in other."""
+    return Cochain(model, 0, next(v for v in space.basis_vectors() if not other.contains_vector(v)))
+
+
+def digest_rejections(outdir, emit):
+    """Emit the digest lines of tstar with a theta that is not alternating,
+    not closed or not cyclic, and of extend with a cocycle that is not
+    alternating, each refused with its exit code and message; returns the
+    number of requests that crashed."""
+    crashes = 0
+    for g in (samples.h3(), samples.sh12(), samples.n4()):
+        g_path = os.path.join(outdir, f"{g.name}.json")
+        with open(g_path, "w") as fh:
+            fh.write(ff.to_json_str(ff.algebra_to_json(g)))
+        sp = theta_spaces(g)
+        model, rep = sp["model"], sp["rep"]
+        alt = alternating_subspace(g, rep)
+        thetas = [("non-alternating", _first_unit(
+            model, lambda f: satisfies_compat(g, rep, f) and not alt.contains_vector(f.coeffs)))]
+        if sp["cyclic"].dim > sp["closed_cyclic"].dim:
+            thetas.append(("non-closed", _first_outside(model, sp["cyclic"], sp["closed"])))
+        if sp["closed"].dim > sp["closed_cyclic"].dim:
+            thetas.append(("non-cyclic", _first_outside(model, sp["closed"], sp["cyclic"])))
+        requests = []
+        for tag, theta in thetas:
+            th_path = os.path.join(outdir, f"{g.name}.{tag}.theta.json")
+            with open(th_path, "w") as fh:
+                fh.write(ff.to_json_str({"theta": ff.cochain_to_json(theta)}))
+            requests.append(workloads.Request(f"tstar {g.name} {tag} theta", ["tstar", g_path, "--theta", th_path]))
+        ad = adjoint_rep(g)
+        ad_alt = alternating_subspace(g, ad)
+        cocycle = _first_unit(CochainModel(g, ad, 1), lambda f: satisfies_compat(g, ad, f) and not ad_alt.contains_vector(f.coeffs))
+        datum_path = os.path.join(outdir, f"{g.name}.non-alternating.datum.json")
+        with open(datum_path, "w") as fh:
+            fh.write(ff.to_json_str(workloads._datum(g, g.space, ad, True, cocycle)))
+        requests.append(workloads.Request(f"extend {g.name} non-alternating cocycle", ["extend", datum_path]))
+        for req in requests:
+            code, value = answer(req, outdir)
+            crashes += code == "crash"
+            emit(f"rejection exit={code} {value} {req.label}")
+    return crashes
+
+
 SUBCOMMANDS = ("verify", "cohomology", "series", "twist", "extend", "tstar", "equiv", "decompose", "fuzz")
 PARSER_COLUMNS = "100"
 
@@ -297,6 +368,7 @@ def main(argv=None):
         digest_raw_axioms(outdir, print)
         digest_catalog_maps(outdir, print)
         crashes += digest_decompositions(outdir, print)
+        crashes += digest_rejections(outdir, print)
         crashes += digest_parser(outdir, print)
     if crashes:
         print(f"output_digest: {crashes} requests crashed", file=sys.stderr)

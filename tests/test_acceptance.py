@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from dense_wrappers import basis_vector
 from nambu import samples
 from nambu.cohomology import (
     Cochain,
@@ -290,7 +291,7 @@ class TestCriterion4ExtensionCorrespondence:
                 closed_builds += 1
                 da = fiber.dim
                 a_sub = Subspace.from_vectors(
-                    g.dim, [g.basis_vector(i) for i in range(da)]
+                    g.dim, [basis_vector(g, i) for i in range(da)]
                 )
                 pi = canonical_projection(da, b.dim)
                 got, _ = extract_cocycle(g, a_sub, b, pi, canonical_section(da, b.dim))

@@ -9,6 +9,7 @@ import pytest
 
 import axiom_oracle as oracle
 from seeded_inputs import bumped_adjoint, random_form, random_representation, raw_algebra
+from dense_wrappers import basis_vector
 from nambu import samples
 from nambu.cohomology import Cochain, CochainModel, Representation, adjoint_rep, verify_representation, wedge_basis
 from nambu.core import (
@@ -384,7 +385,7 @@ def test_ideals_and_series_equal_oracle(m):
     j, ideal, g1 = _decompose_ideals(m)
     candidates = [j, ideal, Subspace.zero(a.dim), Subspace.full(a.dim)]
     # graded coordinate lines: mostly not ideals, so the False branch is compared too
-    candidates += [Subspace.from_vectors(a.dim, [a.basis_vector(i)]) for i in range(a.dim)]
+    candidates += [Subspace.from_vectors(a.dim, [basis_vector(a, i)]) for i in range(a.dim)]
     for h in candidates:
         assert is_hom_ideal(h, a) == oracle.is_hom_ideal(h, a)
     assert is_hom_ideal(ideal, a)
@@ -395,7 +396,7 @@ def test_ideals_and_series_equal_oracle(m):
         for h in series(alg, "lower_central").terms:
             assert is_hom_ideal(h, alg) == oracle.is_hom_ideal(h, alg)
     half = a.dim // 2  # the embedded dual g*: the second block of coordinates
-    dual = Subspace.from_vectors(a.dim, [a.basis_vector(half + i) for i in range(half)])
+    dual = Subspace.from_vectors(a.dim, [basis_vector(a, half + i) for i in range(half)])
     assert is_hom_ideal(dual, a) == oracle.is_hom_ideal(dual, a)
 
 

@@ -18,7 +18,7 @@ from nambu.linalg import (
     solve_affine,
     sparse_rank,
 )
-from dense_wrappers import left_inverse, rref
+from dense_wrappers import add, left_inverse, neg, rref, sub
 from dense_rref_oracle import _rref_pivots, oracle_nullspace, oracle_solve_affine, rref_basis
 from nambu.errors import DimensionMismatch, InternalError, NotACochain
 
@@ -107,7 +107,7 @@ class TestScalar:
             Matrix(1, 2, [1, 0.5])
         with pytest.raises(TypeError):
             Matrix.from_rows([[1, 2.0]])
-        results = [m + m, m - m, -m, m * m, m.transpose(), m.scale(Fraction(2, 3))]
+        results = [add(m, m), sub(m, m), neg(m), m * m, m.transpose(), m.scale(Fraction(2, 3))]
         for r in results:
             assert all(type(x) in (int, Fraction) for x in r.data)
         assert m * m == Matrix(2, 2, [1, 2, 0, 9])
