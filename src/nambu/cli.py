@@ -107,7 +107,8 @@ def cmd_cohomology(args, out=None):
             "B": b,
             "H": h,
             "basis": [
-                [ff.format_scalar(c) for c in f.coeffs] for f in dims.basis.cochains()
+                [ff.format_scalar(vec.get(k, 0)) for k in range(dims.basis.model.raw_dim)]
+                for vec in dims.basis.vectors()
             ],
         }
         with open(args.dump, "w") as fh:
@@ -194,8 +195,7 @@ def _load_theta(path, loaded):
     entries = ff.parse_cochain_entries(
         obj, loaded.algebra.space, loaded.algebra.arity, loaded.algebra.dim, "theta"
     )
-    shim = ff.LoadedFile(loaded.name, loaded.algebra, theta_entries=entries)
-    return ff.theta_cochain(shim, coad.rep)
+    return ff.cochain_of_entries(loaded.algebra, coad.rep, entries)
 
 
 def cmd_equiv(args, out=None):

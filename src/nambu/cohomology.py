@@ -8,8 +8,8 @@ holds rho and nu as sparse columns, and so does the module action; every
 law on rho is checked column by column, only at the pairs where a term can
 be nonzero (``core._Places`` of rho).  Dense rho is derived only for the
 file format and outside callers.  Cochains
-of degree m are dense coefficient tensors over (wedge basis)^m x g x V with
-flat indexing; evaluation on arbitrary arguments is multilinear expansion.
+of degree m are sparse tensors {flat: coeff} over (wedge basis)^m x g x V;
+evaluation on arbitrary arguments is multilinear expansion.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     _bracket_places,
     _by_coordinate,
     _canonical_tuples,
+    _dense,
     _nonzero,
     _Places,
     apply_columns,
@@ -551,41 +552,65 @@ class CochainModel:
 
 
 class Cochain:
-    """Degree-m cochain: parity-homogeneous coefficient tensor."""
+    """Degree-m cochain of one parity, held as its sparse raw vector
+    ``vec`` {flat: coeff} over (wedge basis)^m x g x V, no zeros stored.
+
+    Cochain(model, parity, coeffs) takes the dense list over every raw
+    coordinate and converts it once; from_sparse is the constructor the
+    library uses, and ``coeffs`` is the dense list, derived on each read.
+    """
 
     def __init__(self, model: CochainModel, parity: int, coeffs):
         if len(coeffs) != model.raw_dim:
             raise DimensionMismatch("coefficient vector has wrong length")
-        self.model = model
-        self.degree = model.m
-        self.parity = parity
-        self.coeffs = list(coeffs)
+        self.model, self.degree, self.parity = model, model.m, parity
+        self.vec = {k: c for k, c in enumerate(coeffs) if c != 0}
+
+    @classmethod
+    def from_sparse(cls, model: CochainModel, parity: int, vec: dict) -> "Cochain":
+        if not all(0 <= k < model.raw_dim for k in vec):
+            raise DimensionMismatch("raw coordinate outside the cochain space")
+        f = cls.__new__(cls)
+        f.model, f.degree, f.parity, f.vec = model, model.m, parity, _nonzero(vec)
+        return f
 
     @classmethod
     def zero(cls, model, parity=0):
-        return cls(model, parity, [0] * model.raw_dim)
+        return cls.from_sparse(model, parity, {})
 
     @classmethod
     def from_entries(cls, model, parity, entries):
-        """entries: {(wedge positions tuple, g index): V-vector}"""
-        coeffs = [0] * model.raw_dim
-        for (ws, j), vec in entries.items():
+        """entries: {(wedge positions tuple, g index): sparse V-vector {v: c}}"""
+        vec = {}
+        for (ws, j), block in entries.items():
             base = model.flat(tuple(ws), j)
-            for v, c in enumerate(vec):
-                coeffs[base + v] = c
-        return cls(model, parity, coeffs)
+            vec.update((base + v, c) for v, c in block.items())
+        return cls.from_sparse(model, parity, vec)
+
+    def entries(self) -> dict:
+        """The nonzero V-blocks {(wedge positions tuple, g index): {v: c}},
+        in ascending flat order: the inverse of from_entries."""
+        out = {}
+        for flat in sorted(self.vec):
+            ws, j, v = self.model.coordinate(flat)
+            out.setdefault((ws, j), {})[v] = self.vec[flat]
+        return out
+
+    @property
+    def coeffs(self) -> list:
+        return _dense(self.vec.items(), self.model.raw_dim)
 
     def value(self, ws, j):
         base = self.model.flat(ws, j)
-        return self.coeffs[base : base + self.model.DV]
+        return [self.vec.get(base + v, 0) for v in range(self.model.DV)]
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.vec
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return (self.degree, self.model.raw_dim, self.vec) == (other.degree, other.model.raw_dim, other.vec)
 
 
 def cochain_parity_of_vector(model: CochainModel, vec):
@@ -599,7 +624,7 @@ def cochain_parity_of_vector(model: CochainModel, vec):
 def satisfies_compat(a, r, f: Cochain) -> bool:
     """Membership of f in C^m(g, V) of its declared parity: nu o f(x_1..x_m, z)
     = f(alpha x_1,...,alpha x_m, alpha z) and no coordinate of the other parity."""
-    return compat_test(a, r, f.degree, f.parity)({k: x for k, x in enumerate(f.coeffs) if x != 0})
+    return compat_test(a, r, f.degree, f.parity)(f.vec)
 
 
 class _Equations(NamedTuple):
@@ -779,10 +804,7 @@ class CochainBasis:
     def cochains(self):
         model = self.model
         for pivot, vec in zip(self.space.pivots(), self.space.sparse_rows):
-            coeffs = [0] * model.raw_dim
-            for k, x in vec.items():
-                coeffs[k] = x
-            yield Cochain(model, model.parities[pivot], coeffs)
+            yield Cochain.from_sparse(model, model.parities[pivot], vec)
 
     def vectors(self) -> list:
         """The basis as sparse raw vectors {flat: coefficient}."""
@@ -792,11 +814,6 @@ class CochainBasis:
         """Sparse coordinates of a sparse raw vector, with an exact residual
         check: NotACochain if the vector is outside C^m."""
         return self.space.coordinates(raw)
-
-    def represent(self, raw):
-        """Dense coordinates of a dense raw vector (see coordinates)."""
-        coords = self.coordinates(dict(enumerate(raw)))
-        return [coords.get(i, 0) for i in range(self.dim)]
 
     def to_subspace(self) -> Subspace:
         return self.space
@@ -853,7 +870,7 @@ def _linear_expansion(model, wedge_args, z_arg):
     """f(A_1,...,A_m, Z) as a linear form in the raw coefficients of f.
 
     Wedge args are {pos: coeff}, Z is {index: coeff}.  Returns pairs
-    (offset, c) with f(args)[v] = sum of c * f.coeffs[offset + v].
+    (offset, c) with f(args)[v] = sum of c * f.vec.get(offset + v, 0).
     """
     W, D, DV = model.W, model.D, model.DV
     prefixes = [(0, 1)]
@@ -1080,9 +1097,8 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
         raise NotACochain("input violates the twist compatibility or its declared parity")
     model_out = CochainModel(a, r, f.degree + 1)
     delta = delta_operator(a, r, f.degree)
-    (image,) = _images(delta.columns, [dict(enumerate(f.coeffs))])
-    image = _monic(image, delta.scale)
-    result = Cochain(model_out, f.parity, [image.get(k, 0) for k in range(model_out.raw_dim)])
+    (image,) = _images(delta.columns, [f.vec])
+    result = Cochain.from_sparse(model_out, f.parity, _monic(image, delta.scale))
     if check and not satisfies_compat(a, r, result):
         raise NotACochain("coboundary output violates compatibility (internal error)")
     return result
@@ -1091,8 +1107,7 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
 def is_closed(a, r, f: Cochain) -> bool:
     """delta f = 0, from f's nonzero coefficients: no (m+1)-cochain is built,
     and for f = 0 not even delta."""
-    vec = {k: f.coeffs[k] for k in support(f)}
-    return not vec or not _images(delta_operator(a, r, f.degree).columns, [vec])[0]
+    return not f.vec or not _images(delta_operator(a, r, f.degree).columns, [f.vec])[0]
 
 
 def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
@@ -1279,26 +1294,22 @@ def pair_rows(pairs) -> list:
     return rows
 
 
-def pairs_hold(pairs, coeffs) -> bool:
-    """f[k] = sign * f[partner] for every pair, read over the support of f:
-    each nonzero coordinate is visited with the coordinates it is paired
-    with.  A broken relation has a nonzero side, and is listed from both of
-    its sides, so none is missed."""
-    return all(coeffs[k] == sign * coeffs[partner] for k, partner, sign in pairs)
-
-
-def support(f: Cochain) -> list:
-    """The raw coordinates where f is nonzero, in ascending order."""
-    return [k for k, x in enumerate(f.coeffs) if x]
+def pairs_hold(pairs, vec: dict) -> bool:
+    """f[k] = sign * f[partner] for every pair, on the sparse raw vector
+    {flat: coeff} of f, the pairs read over its keys: each nonzero
+    coordinate is visited with the coordinates it is paired with.  A broken
+    relation has a nonzero side, and is listed from both of its sides, so
+    none is missed."""
+    return all(vec.get(k, 0) == sign * vec.get(partner, 0) for k, partner, sign in pairs)
 
 
 def is_super_alternating(a, r, f: Cochain) -> bool:
     """f extends to a super-alternating map on all n slots: alternation_pairs
     read over the support of f, so f = 0 costs nothing."""
     model = CochainModel(a, r, 1)
-    if len(f.coeffs) != model.raw_dim:
+    if f.model.raw_dim != model.raw_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    return pairs_hold(alternation_pairs(model, support(f)), f.coeffs)
+    return pairs_hold(alternation_pairs(model, sorted(f.vec)), f.vec)
 
 
 def alternating_subspace(a, r) -> Subspace:

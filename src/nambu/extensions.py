@@ -135,6 +135,7 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
     (first, first_twist), (second, second_twist) = blocks
     space = GradedSpace(da + db, tuple(first.parity) + tuple(second.parity))
     wb = _wedge(b)
+    cocycle = d.cocycle.entries()
     entries = {}
     actions = {}  # (base indices, fiber slot) -> module_action columns
     for key in _canonical_tuples(space, n):
@@ -146,7 +147,7 @@ def _twisted_algebra(d: ExtensionDatum, name: str, fiber_first: bool) -> HomSupe
             vec = {bo + k: c for k, c in b.bracket.sparse_value(bkey)}
             sign, w = wb.lookup(bkey[:-1])
             if sign != 0:
-                vec.update((fo + v, sign * c) for v, c in enumerate(d.cocycle.value((w,), bkey[-1])) if c != 0)
+                vec.update((fo + v, sign * c) for v, c in cocycle.get(((w,), bkey[-1]), {}).items())
         else:
             (t,) = fiber_slots
             base_key = (tuple(s - bo for s in key if s != t), key.index(t))
@@ -253,7 +254,7 @@ def extract_cocycle(g: HomSuperAlgebra, a: Subspace, b: HomSuperAlgebra, pi: Mat
         for j in range(b.dim):
             diff = g.bracket.sparse_bracket([args[i] for i in t] + [args[j]])
             _accumulate(diff, apply_columns(tau, dict(b.bracket.sparse_value(t + (j,)))).items(), -1)
-            entries[((w,), j)] = _dense(_in_fiber_coords(a, _nonzero(diff)).items(), a.dim)
+            entries[((w,), j)] = _in_fiber_coords(a, _nonzero(diff))
     f = Cochain.from_entries(model, 0, entries)
     if not satisfies_compat(b, module, f):
         raise SectionInvalid("extracted cochain violates compatibility")
@@ -307,12 +308,7 @@ def parse_datum_file(path_or_obj) -> ExtensionDatum:
     entries = ff.parse_cochain_entries(
         obj.get("cocycle", []), base.space, base.arity, fiber.dim, "datum.cocycle"
     )
-    model = CochainModel(base, module, 1)
-    wbq = _wedge(base)
-    cochain = Cochain.from_entries(
-        model, 0, {((wbq.index[c],), z): vec for c, z, vec in entries}
-    )
-    return ExtensionDatum(base, fiber, fiber_twist, module, cochain)
+    return ExtensionDatum(base, fiber, fiber_twist, module, ff.cochain_of_entries(base, module, entries))
 
 
 def cohomologous_difference(b: HomSuperAlgebra, module: Representation, f1: Cochain, f2: Cochain):
@@ -321,12 +317,13 @@ def cohomologous_difference(b: HomSuperAlgebra, module: Representation, f1: Coch
     Different sections of one extension give cohomologous cocycles; this is
     the helper that exhibits the witness.
     """
-    diff = [x - y for x, y in zip(f1.coeffs, f2.coeffs)]
+    diff = dict(f1.vec)
+    _accumulate(diff, f2.vec.items(), -1)
     basis0 = cochain_basis(b, module, 0, "both")
     basis1 = cochain_basis(b, module, 1, "both")
-    target = basis1.represent(diff)
+    coords = basis1.coordinates(_nonzero(diff))
+    target = [coords.get(i, 0) for i in range(basis1.dim)]
     sol = sparse_solution(transposed(delta_columns(b, module, basis0, basis1), basis1.dim), basis0.dim, target)
     if sol is None:
         return None
-    coeffs = apply_columns(basis0.vectors(), dict(enumerate(sol)))
-    return Cochain(basis0.model, 0, _dense(coeffs.items(), basis0.model.raw_dim))
+    return Cochain.from_sparse(basis0.model, 0, apply_columns(basis0.vectors(), dict(enumerate(sol))))

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .cohomology import Cochain, CochainModel, Representation, WedgeBasis
-from .core import GradedSpace, HomSuperAlgebra, StructureTensor, straighten
+from .core import GradedSpace, HomSuperAlgebra, StructureTensor, _dense, _nonzero, straighten
 from .errors import AlgebraError, ParseError
 from .linalg import Matrix, format_scalar, parse_scalar
 
@@ -60,9 +60,11 @@ def _parse_args(obj, length, dim, context):
 
 
 def _parse_value_map(obj, dim, context):
+    """A value {"k": scalar}, k one-based, as a sparse vector {k - 1: scalar}
+    with zeros dropped."""
     if not isinstance(obj, dict):
         raise ParseError(f"{context}: value must be an object")
-    vec = [0] * dim
+    vec = {}
     for key, val in obj.items():
         try:
             idx = int(key)
@@ -71,7 +73,7 @@ def _parse_value_map(obj, dim, context):
         if not 1 <= idx <= dim:
             raise ParseError(f"{context}: output index {idx} out of range")
         vec[idx - 1] = parse_scalar(val)
-    return vec
+    return _nonzero(vec)
 
 
 def _parse_graded_space(obj, context):
@@ -101,7 +103,7 @@ def parse_algebra(obj, context="algebra") -> LoadedFile:
     for pos, item in enumerate(bracket):
         ctx = f"{context}.bracket[{pos}]"
         args = _parse_args(_require(item, "args", ctx), n, space.dim, ctx)
-        vec = _parse_value_map(_require(item, "value", ctx), space.dim, ctx)
+        vec = _dense(_parse_value_map(_require(item, "value", ctx), space.dim, ctx).items(), space.dim)
         sign, canon = straighten(args, space.parity)
         if sign == 0:
             if any(c != 0 for c in vec):
@@ -166,7 +168,8 @@ def parse_representation(obj, algebra: HomSuperAlgebra, context) -> Representati
 
 
 def parse_cochain_entries(obj, space: GradedSpace, n, value_dim, context):
-    """1-cochain entries [(wedge tuple, z, value vector)], canonicalized."""
+    """1-cochain entries [(wedge tuple, z, sparse value vector {v: c})],
+    canonicalized."""
     if not isinstance(obj, list):
         raise ParseError(f"{context}: expected a list")
     seen = {}
@@ -176,11 +179,11 @@ def parse_cochain_entries(obj, space: GradedSpace, n, value_dim, context):
         vec = _parse_value_map(_require(item, "value", ctx), value_dim, ctx)
         sign, canon = straighten(args[:-1], space.parity)
         if sign == 0:
-            if any(c != 0 for c in vec):
+            if vec:
                 raise ParseError(f"{ctx}: wedge part vanishes but the value is nonzero")
             continue
         if sign == -1:
-            vec = [-c for c in vec]
+            vec = {v: -c for v, c in vec.items()}
         key = (canon, args[-1])
         if key in seen:
             if seen[key] != vec:
@@ -190,15 +193,10 @@ def parse_cochain_entries(obj, space: GradedSpace, n, value_dim, context):
     return [(canon, z, vec) for (canon, z), vec in sorted(seen.items())]
 
 
-def theta_cochain(loaded: LoadedFile, rep: Representation) -> Cochain:
-    """Assemble the file's theta entries over a chosen representation."""
-    a = loaded.algebra
+def cochain_of_entries(a: HomSuperAlgebra, rep: Representation, entries) -> Cochain:
+    """The even 1-cochain of (a, rep) with the entries of parse_cochain_entries."""
     model = CochainModel(a, rep, 1)
-    wb = model.wb
-    entries = {}
-    for canon, z, vec in loaded.theta_entries:
-        entries[((wb.index[canon],), z)] = vec
-    return Cochain.from_entries(model, 0, entries)
+    return Cochain.from_entries(model, 0, {((model.wb.index[canon],), z): vec for canon, z, vec in entries})
 
 
 def load(path_or_obj) -> LoadedFile:
@@ -257,24 +255,16 @@ def algebra_to_json(a: HomSuperAlgebra, name=None, form: Matrix | None = None, t
 
 
 def cochain_to_json(theta: Cochain):
-    model = theta.model
-    wb = model.wb
-    out = []
-    for w, t in enumerate(wb.elements):
-        for j in range(model.D):
-            vec = theta.value((w,), j)
-            if any(c != 0 for c in vec):
-                out.append(
-                    {
-                        "args": [i + 1 for i in t] + [j + 1],
-                        "value": {
-                            str(k + 1): format_scalar(c)
-                            for k, c in enumerate(vec)
-                            if c != 0
-                        },
-                    }
-                )
-    return out
+    """The nonzero V-blocks of theta in ascending raw order, each with its
+    wedge and g arguments and its nonzero values, 1-based."""
+    elements = theta.model.wb.elements
+    return [
+        {
+            "args": [i + 1 for w in ws for i in elements[w]] + [j + 1],
+            "value": {str(v + 1): format_scalar(c) for v, c in block.items()},
+        }
+        for (ws, j), block in theta.entries().items()
+    ]
 
 
 def to_json_str(obj) -> str:

@@ -26,7 +26,6 @@ from .cohomology import (
     pair_rows,
     pairs_hold,
     satisfies_compat,
-    support,
     verify_representation,
     _images,
     _wedge,
@@ -39,7 +38,6 @@ from .core import (
     StructureTensor,
     _accumulate,
     _bracket_places,
-    _dense,
     _nonzero,
     _unit_arguments,
     _unit_rests,
@@ -183,10 +181,11 @@ def tstar_extend(g: HomSuperAlgebra, theta: Cochain | None = None, validated=Tru
     validated=True enforces: coadjoint exists, theta even alternating
     compatible (NotACochain), closed (ThetaNotClosed), cyclic
     (ThetaNotCyclic); raw construction skips all of that.  Each check of
-    theta visits supp theta: alternation and the cyclic condition each
-    nonzero coordinate with the coordinates it is paired with, closedness
-    the columns of the memoized delta^1 at supp theta, so theta = 0 costs
-    none of them and builds no delta.
+    theta reads its sparse raw vector, so none scans all of C^1: the twist
+    equations apply to supp theta, alternation and the cyclic condition
+    visit each nonzero coordinate with the coordinates it is paired with,
+    and closedness the columns of the memoized delta^1 at supp theta, so
+    theta = 0 costs none of them and builds no delta.
     """
     coad = coadjoint_rep(g)
     if validated and not coad.exists:
@@ -252,7 +251,7 @@ def cyclic_pairs(model: CochainModel, coords):
 def is_cyclic_cocycle(g: HomSuperAlgebra, theta: Cochain) -> bool:
     """theta(x,y)(z) + (-1)^{|y||z|} theta(x,z)(y) = 0 on all basis tuples:
     cyclic_pairs read over the support of theta, so theta = 0 costs nothing."""
-    return pairs_hold(cyclic_pairs(theta.model, support(theta)), theta.coeffs)
+    return pairs_hold(cyclic_pairs(theta.model, theta.vec), theta.vec)
 
 
 def theta_spaces(g: HomSuperAlgebra) -> dict:
@@ -315,7 +314,7 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
         raise CoadjointMissing("equivalence needs the coadjoint representation")
     rep = coad.rep
     thetas = (theta1, theta2)
-    images = _images(delta_operator(g, rep, 1).columns, [dict(enumerate(t.coeffs)) for t in thetas])
+    images = _images(delta_operator(g, rep, 1).columns, [t.vec for t in thetas])
     for theta, image in zip(thetas, images):
         if image:
             raise ThetaNotClosed("theta must be closed")
@@ -323,19 +322,24 @@ def equivalence(g: HomSuperAlgebra, theta1: Cochain, theta2: Cochain) -> Equival
             raise ThetaNotCyclic("theta must be cyclic")
     d = g.dim
     p = g.parity
-    model1 = CochainModel(g, rep, 1)
     delta0 = delta_operator(g, rep, 0)
     nvars = d * d
 
     # s_0 delta^0 on the unknowns T[k][j] = theta'(e_j)(e_k), raw flat
     # j*D+k, against s_0 (theta1 - theta2): the same equations, one row per
-    # raw coordinate of C^1, filled in one pass over delta^0's columns
-    rows = [{} for _ in range(model1.raw_dim)]
+    # raw coordinate of C^1 that delta^0's columns reach or where theta1 -
+    # theta2 is nonzero (every other row reads 0 = 0), filled in one pass
+    # over delta^0's columns, in ascending raw order
+    diff = dict(theta1.vec)
+    _accumulate(diff, theta2.vec.items(), -1)
+    rows = {out: {} for out in _nonzero(diff)}
     for flat, col in delta0.columns.items():
         j, k = divmod(flat, d)
         for out, c in col.items():
-            rows[out][k * d + j] = c
-    rhs = [delta0.scale * (x - y) for x, y in zip(theta1.coeffs, theta2.coeffs)]
+            rows.setdefault(out, {})[k * d + j] = c
+    order = sorted(rows)
+    rhs = [delta0.scale * diff.get(out, 0) for out in order]
+    rows = [rows[out] for out in order]
     # theta'(alpha x) = theta'(x) o alpha: A^T T = T A on the matrix T, T even
     alpha = g.alpha_columns()
     twist_rows = intertwiner_rows(transposed(alpha, d), alpha, p, p)
@@ -379,12 +383,8 @@ def induced_form(g: HomSuperAlgebra, t_matrix: Matrix) -> Matrix:
 def theta_prime_as_cochain(g: HomSuperAlgebra, t_matrix: Matrix, rep=None) -> Cochain:
     rep = rep or coadjoint_rep(g).rep
     model = CochainModel(g, rep, 0)
-    coeffs = [0] * model.raw_dim
-    for j in range(g.dim):
-        base = model.flat((), j)
-        for k in range(g.dim):
-            coeffs[base + k] = t_matrix[k, j]
-    return Cochain(model, 0, coeffs)
+    vec = {model.flat((), j) + k: t_matrix[k, j] for j in range(g.dim) for k in range(g.dim)}
+    return Cochain.from_sparse(model, 0, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +777,7 @@ def reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace) -> Reconstruction:
     for w, t in enumerate(_wedge(g1).elements):
         for j in range(g1.dim):
             _, z_part = split(a.bracket.sparse_bracket([args[i] for i in t] + [args[j]]))
-            entries[((w,), j)] = _dense(apply_columns(fstar, z_part).items(), g1.dim)
+            entries[((w,), j)] = apply_columns(fstar, z_part)
     theta = Cochain.from_entries(model1, 0, entries)
 
     ext = tstar_extend(g1, theta, validated=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from axiom_oracle import dense_rho
+from dense_wrappers import represent
 from nambu.cohomology import (
     Cochain,
     CochainModel,
@@ -28,9 +29,10 @@ from nambu.linalg import Matrix, Subspace, sparse_kernel
 def evaluate(f: Cochain, wedge_args, z_arg):
     """f(A_1,...,A_m, Z): wedge args as {pos: coeff}, Z as {index: coeff}."""
     out = [0] * f.model.DV
+    coeffs = f.coeffs
     for off, c in _linear_expansion(f.model, wedge_args, z_arg):
         for v in range(f.model.DV):
-            out[v] += c * f.coeffs[off + v]
+            out[v] += c * coeffs[off + v]
     return out
 
 
@@ -50,7 +52,8 @@ def literal_satisfies_compat(a, r, f: Cochain) -> bool:
     basis at a time, by multilinear expansion."""
     model = f.model
     parities = coordinate_parities(model)
-    if any(x != 0 and p != f.parity for x, p in zip(f.coeffs, parities)):
+    coeffs = f.coeffs
+    if any(x != 0 and p != f.parity for x, p in zip(coeffs, parities)):
         return False
     cx = _complex_tables(a)
     aw = cx.alpha_wedge()
@@ -59,7 +62,7 @@ def literal_satisfies_compat(a, r, f: Cochain) -> bool:
         rhs = [0] * model.DV
         for off, c in _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j]):
             for v in range(model.DV):
-                rhs[v] += c * f.coeffs[off + v]
+                rhs[v] += c * coeffs[off + v]
         if lhs != rhs:
             return False
     return True
@@ -290,7 +293,7 @@ def literal_coboundary_matrix(a, r, m, parity="both") -> Matrix:
     """Matrix of delta^m in the cochain_basis bases, one literal coboundary per column."""
     cm = cochain_basis(a, r, m, parity)
     cm1 = cochain_basis(a, r, m + 1, parity)
-    cols = [cm1.represent(literal_coboundary(a, r, f).coeffs) for f in cm.cochains()]
+    cols = [represent(cm1, literal_coboundary(a, r, f).coeffs) for f in cm.cochains()]
     if not cols:
         return Matrix(cm1.dim, 0, [])
     return Matrix.from_rows(cols, cols=cm1.dim).transpose()

@@ -176,7 +176,7 @@ def dense_reconstruct_as_tstar(m: MetricAlgebra, ideal: Subspace):
     for w, t in enumerate(_wedge(g1).elements):
         for j in range(g1.dim):
             _, z_part = split(a.bracket_eval([lift_cols[i] for i in t] + [lift_cols[j]]))
-            entries[((w,), j)] = fstar.apply(z_part)
+            entries[((w,), j)] = dict(enumerate(fstar.apply(z_part)))
     theta = Cochain.from_entries(model1, 0, entries)
 
     ext = tstar_extend(g1, theta, validated=True)

@@ -1,11 +1,13 @@
 """Dense entry points to the sparse kernel of nambu that only the tests use:
 the rref and the left inverse of a Matrix, a basis bracket or a structure
-constant as a dense coordinate vector, a unit vector, and entrywise sums and
-differences of matrices.  The library itself holds maps as sparse columns
-and calls the sparse ones."""
+constant as a dense coordinate vector, a unit vector, entrywise sums and
+differences of matrices, and the coordinates of a dense raw cochain vector
+in a cochain basis.  The library itself holds maps as sparse columns and
+cochains as sparse raw vectors, and calls the sparse ones."""
 
 from __future__ import annotations
 
+from nambu.cohomology import CochainBasis
 from nambu.core import HomSuperAlgebra, StructureTensor
 from nambu.errors import DimensionMismatch
 from nambu.linalg import Matrix, Subspace, sparse_columns, sparse_left_inverse
@@ -64,3 +66,10 @@ def sub(x: Matrix, y: Matrix) -> Matrix:
 def neg(x: Matrix) -> Matrix:
     """-x, entrywise."""
     return Matrix(x.rows, x.cols, [-a for a in x.data])
+
+
+def represent(basis: CochainBasis, raw) -> list:
+    """Dense coordinates in the basis of a dense raw vector
+    (CochainBasis.coordinates, NotACochain outside C^m)."""
+    coords = basis.coordinates(dict(enumerate(raw)))
+    return [coords.get(i, 0) for i in range(basis.dim)]

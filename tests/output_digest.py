@@ -276,8 +276,9 @@ def _first_unit(model, keep):
     """The unit even 1-cochain at the first coordinate where keep holds."""
     for k in range(model.raw_dim):
         if model.parities[k] == 0:
-            f = Cochain.zero(model)
-            f.coeffs[k] = 1
+            coeffs = [0] * model.raw_dim
+            coeffs[k] = 1
+            f = Cochain(model, 0, coeffs)
             if keep(f):
                 return f
     raise RuntimeError("no such unit cochain")

@@ -127,6 +127,39 @@ def test_only_cohomology_reads_dense_rho():
     assert readers == []
 
 
+def test_dense_coeffs_are_only_read():
+    # Cochain holds its sparse raw vector and derives coeffs on each read, so
+    # a write into coeffs would be lost; outside cohomology.py the library
+    # reads the sparse vector itself
+    import ast
+    import pathlib
+
+    import nambu
+
+    src = pathlib.Path(nambu.__file__).parent
+    root = src.parent.parent
+
+    def is_coeffs(node):
+        return isinstance(node, ast.Attribute) and node.attr == "coeffs"
+
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            return node.targets
+        return [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+
+    writes, readers = [], []
+    for path in sorted([*src.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            for target in targets(node):
+                if isinstance(target, ast.Subscript) and is_coeffs(target.value):
+                    writes.append((path.name, node.lineno))
+        if path.parent == src and path.name != "cohomology.py" and any(map(is_coeffs, ast.walk(tree))):
+            readers.append(path.name)
+    assert writes == []
+    assert readers == []
+
+
 def _nambu_calls(name):
     """(module, line) of every call of a function or method named name in src/nambu."""
     import ast

@@ -78,7 +78,7 @@ class TestBuildExtension:
         fiber = GradedSpace(1, (0,))
         module = trivial_module(b, fiber)
         model = CochainModel(b, module, 1)
-        f = Cochain.from_entries(model, 0, {((0,), 0): [1]})
+        f = Cochain.from_entries(model, 0, {((0,), 0): {0: 1}})
         d = ExtensionDatum(b, fiber, Matrix.identity(1), module, f)
         g = build_extension(d)
         assert verify_algebra(g).ok
@@ -183,7 +183,7 @@ class TestExtractCocycle:
         fiber = GradedSpace(1, (0,))
         module = trivial_module(b, fiber)
         model = CochainModel(b, module, 1)
-        f0 = Cochain.from_entries(model, 0, {((0,), 0): [1]})
+        f0 = Cochain.from_entries(model, 0, {((0,), 0): {0: 1}})
         d = ExtensionDatum(b, fiber, Matrix.identity(1), module, f0)
         g = build_extension(d)
         a_sub = Subspace.from_vectors(2, [basis_vector(g, 0)])

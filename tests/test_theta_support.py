@@ -56,27 +56,26 @@ def _corpus():
 CORPUS = _corpus()
 
 
-def _unit(model, k, c=1):
+def _cochain(model, terms):
+    """The even cochain sum of c e_k over the terms (k, c), summed in a dense
+    list that is then handed to the constructor."""
     coeffs = [0] * model.raw_dim
-    coeffs[k] = c
+    for k, c in terms:
+        coeffs[k] += c
     return Cochain(model, 0, coeffs)
 
 
 def _probes(model, pairs, rng):
     """Every unit cochain; for each pair (k, partner, sign) the cochains
     e_k + sign e_partner and e_k - sign e_partner; and seeded sparse ones."""
-    out = [_unit(model, k) for k in range(model.raw_dim)]
+    out = [_cochain(model, [(k, 1)]) for k in range(model.raw_dim)]
     for k, partner, sign in pairs:
         if partner != k:
             for c in (sign, -sign):
-                f = _unit(model, k)
-                f.coeffs[partner] += c
-                out.append(f)
+                out.append(_cochain(model, [(k, 1), (partner, c)]))
     for _ in range(20):
-        f = Cochain.zero(model)
-        for k in rng.sample(range(model.raw_dim), min(model.raw_dim, rng.choice([1, 2, 3, 6]))):
-            f.coeffs[k] = rng.choice([-2, -1, 1, 2])
-        out.append(f)
+        sample = rng.sample(range(model.raw_dim), min(model.raw_dim, rng.choice([1, 2, 3, 6])))
+        out.append(_cochain(model, [(k, rng.choice([-2, -1, 1, 2])) for k in sample]))
     return out
 
 
@@ -96,18 +95,18 @@ def test_alternation_predicate_equals_kernel_membership(label, a, r):
     # whose relations all have 0 on their other side
     basis = alt.sparse_rows
     for _ in range(10 if basis else 0):
-        f = Cochain.zero(model)
+        coeffs = [0] * model.raw_dim
         for row in rng.sample(basis, min(len(basis), 3)):
             c = rng.choice([-2, -1, 1, 2])
             for k, x in row.items():
-                f.coeffs[k] += c * x
-        probes.append(f)
-        lonely = [k for k in range(model.raw_dim) if not f.coeffs[k] and all(
-            not f.coeffs[q] for _, q, _ in alternation_pairs(model, [k]))]
+                coeffs[k] += c * x
+        probes.append(Cochain(model, 0, coeffs))
+        lonely = [k for k in range(model.raw_dim) if not coeffs[k] and all(
+            not coeffs[q] for _, q, _ in alternation_pairs(model, [k]))]
         if lonely:
-            broken = Cochain(model, 0, list(f.coeffs))
-            broken.coeffs[rng.choice(lonely)] = 1
-            probes.append(broken)
+            broken = list(coeffs)
+            broken[rng.choice(lonely)] = 1
+            probes.append(Cochain(model, 0, broken))
     for f in probes:
         assert is_super_alternating(a, r, f) == alt.contains_vector(f.coeffs), (label, f.coeffs)
 
@@ -163,16 +162,16 @@ def test_cyclic_predicate_equals_the_loop(g):
     probes = _probes(model, pairs, rng)
     basis = sp["cyclic"].sparse_rows
     for _ in range(10 if basis else 0):
-        f = Cochain.zero(model)
+        coeffs = [0] * model.raw_dim
         for row in rng.sample(basis, min(len(basis), 3)):
             for k, x in row.items():
-                f.coeffs[k] += x
-        probes.append(f)
-        zeros = [k for k, q, _ in pairs if k != q and not f.coeffs[k] and not f.coeffs[q]]
+                coeffs[k] += x
+        probes.append(Cochain(model, 0, coeffs))
+        zeros = [k for k, q, _ in pairs if k != q and not coeffs[k] and not coeffs[q]]
         if zeros:
-            broken = Cochain(model, 0, list(f.coeffs))
-            broken.coeffs[rng.choice(zeros)] = 1
-            probes.append(broken)
+            broken = list(coeffs)
+            broken[rng.choice(zeros)] = 1
+            probes.append(Cochain(model, 0, broken))
     verdicts = [is_cyclic_cocycle(g, f) for f in probes]
     assert verdicts == [is_cyclic_by_loop(g, f) for f in probes]
     assert True in verdicts and False in verdicts
@@ -194,7 +193,7 @@ def _non_alternating(a, r):
     """An even 1-cochain that breaks alternation at one coordinate whose
     partner is 0: e_1 in the z slot of the wedge e_2 (n = 2)."""
     model = CochainModel(a, r, 1)
-    return _unit(model, model.flat((model.wb.index[(1,)],), 0))
+    return _cochain(model, [(model.flat((model.wb.index[(1,)],), 0), 1)])
 
 
 def test_tstar_rejects_a_non_alternating_theta():
