@@ -7,9 +7,10 @@ fundamental bracket are calls of ``core.multilinear``.  A Representation
 holds rho and nu as sparse columns, and so does the module action; every
 law on rho is checked column by column, only at the pairs where a term can
 be nonzero (``core._Places`` of rho).  Dense rho is derived only for the
-file format and outside callers.  Cochains
-of degree m are sparse tensors {flat: coeff} over (wedge basis)^m x g x V;
-evaluation on arbitrary arguments is multilinear expansion.
+file format and outside callers.  Cochains of degree m are sparse tensors
+{flat: coeff} over (wedge basis)^m x g x V, and delta^m is assembled over Z
+as integer columns from tables of its four terms read at computed offsets,
+at about the cost of its entries.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core import (
     is_even_map,
     multilinear,
     straighten,
+    verify_algebra,
 )
 from .errors import ArityMismatch, DimensionMismatch, InternalError, NotACochain
 from .linalg import Matrix, Subspace, _monic, _primitive, first_nonzero_digit, kronecker_pack, sparse_columns, sparse_kernel, sparse_rank
@@ -203,7 +205,6 @@ class _Tables:
         self.wb = _wedge(a)
         self._fb = {}
         self._ad = {}
-        self._alpha_pow_wedge = {}
         self.bracket, self.bracket_scale = a.bracket.sparse_value, 1
         self.alpha_cols, self.alpha_scale = a.alpha_columns(), 1
         if over_z:
@@ -218,16 +219,11 @@ class _Tables:
             self._alpha_pow.append([apply_columns(self.alpha_cols, col) for col in self._alpha_pow[-1]])
         return self._alpha_pow[m]
 
-    def alpha_wedge(self):
-        return self.alpha_pow_wedge(1)
-
-    def alpha_pow_wedge(self, m):
-        if m not in self._alpha_pow_wedge:
-            cols = [col.items() for col in self.alpha_pow(m)]
-            self._alpha_pow_wedge[m] = [
-                wedge_of_vectors(self.wb, [cols[i] for i in t]) for t in self.wb.elements
-            ]
-        return self._alpha_pow_wedge[m]
+    @cached_property
+    def alpha_wedge(self) -> list:
+        """The alpha-wedge of each basis wedge, in wedge coordinates."""
+        cols = [col.items() for col in self.alpha_cols]
+        return [wedge_of_vectors(self.wb, [cols[i] for i in t]) for t in self.wb.elements]
 
     def ad(self, w, j) -> dict:
         """x_w . e_j as a sparse g-vector."""
@@ -236,6 +232,18 @@ class _Tables:
             self._ad[key] = dict(self.bracket(self.wb.elements[w] + (j,)))
         return self._ad[key]
 
+    @cached_property
+    def ads(self) -> list:
+        """(w, j, [(t, c)]) per nonzero ad(w, j), read off the stored keys."""
+        completions = _bracket_places(self.a).completions
+        pairs = sorted((self.wb.index[x], j) for x, js in completions.items() for j in js)
+        return [(w, j, list(self.ad(w, j).items())) for w, j in pairs]
+
+    @cached_property
+    def fbs(self) -> list:
+        """(w1, w2, [(w, c)]) per nonzero fb(w1, w2)."""
+        return [(w1, w2, list(fb.items())) for w1, w2 in _fb_pairs(self.a) if (fb := self.fb(w1, w2))]
+
     def fb(self, w1, w2) -> dict:
         """Fundamental bracket of two basis wedges, in wedge coordinates."""
         key = (w1, w2)
@@ -243,13 +251,13 @@ class _Tables:
             wb = self.wb
             yt = wb.elements[w2]
             px = wb.parity(w1)
-            alpha = [col.items() for col in self.alpha_cols]
             out = {}
             prefix = 0
             for i, y in enumerate(yt):
-                sign = -1 if (px == 1 and prefix == 1) else 1
-                factors = [alpha[k] for k in yt[:i]] + [self.ad(w1, y).items()] + [alpha[k] for k in yt[i + 1 :]]
-                _accumulate(out, wedge_of_vectors(wb, factors).items(), sign)
+                if ad := self.ad(w1, y):
+                    sign = -1 if (px == 1 and prefix == 1) else 1
+                    factors = [self.alpha_cols[k].items() for k in yt[:i]] + [ad.items()] + [self.alpha_cols[k].items() for k in yt[i + 1 :]]
+                    _accumulate(out, wedge_of_vectors(wb, factors).items(), sign)
                 prefix = (prefix + self.a.parity[y]) % 2
             self._fb[key] = _nonzero(out)
         return self._fb[key]
@@ -298,16 +306,10 @@ def module_action(a: HomSuperAlgebra, r: Representation, g_args, pos) -> list:
     later g-vectors into parity parts keeps the sign exact for arguments
     that are not homogeneous.
     """
-    return _module_action(a, r.columns, r.target.parity, g_args, pos)
-
-
-def _module_action(a, rho, pv, g_args, pos) -> list:
-    """module_action for rho given by its sparse columns per basis wedge, on
-    a module with parities pv."""
     if len(g_args) != a.arity - 1 or not 0 <= pos < a.arity:
         raise ArityMismatch(f"expected {a.arity - 1} algebra slots around one module slot")
     wb = _wedge(a)
-    p = a.parity
+    p, pv = a.parity, r.target.parity
     later = []
     for arg in g_args[pos:]:
         parts = [(q, [(i, c) for i, c in arg if p[i] == q]) for q in (0, 1)]
@@ -317,7 +319,7 @@ def _module_action(a, rho, pv, g_args, pos) -> list:
     for choice in itertools.product(*later):
         odd = sum(q for q, _ in choice) % 2
         coords = wedge_of_vectors(wb, list(g_args[:pos]) + [part for _, part in choice])
-        for u, (col, piece) in enumerate(zip(cols, _act(rho, coords, len(pv)))):
+        for u, (col, piece) in enumerate(zip(cols, r.action(coords))):
             _accumulate(col, piece.items(), -sign if odd and pv[u] else sign)
     return [_nonzero(col) for col in cols]
 
@@ -357,7 +359,7 @@ def verify_representation(r: Representation, a: HomSuperAlgebra) -> Report:
 
     # rho(alpha x) per basis wedge x, zero unless alpha x can meet a place of rho
     places = _Places((t for t, cols in zip(wb.elements, r.columns) if any(cols)), a.alpha_columns())
-    alpha_wedge = _complex_tables(a).alpha_wedge()
+    alpha_wedge = _complex_tables(a).alpha_wedge
     aw = [[{} for _ in pv]] * len(wb)
     for t in places.covered():
         if (w := wb.index.get(t)) is not None:
@@ -459,7 +461,7 @@ def verify_prop_2_2(a: HomSuperAlgebra) -> Report:
     cx = _complex_tables(a)
     r = adjoint_rep(a)
     alpha = a.alpha_columns()
-    aw = cx.alpha_wedge()
+    aw = cx.alpha_wedge
     rho_aw = [r.action(coords) for coords in aw]
     pairs = [
         (w1, w2, -1 if (wb.parity(w1) == 1 and wb.parity(w2) == 1) else 1)
@@ -535,11 +537,6 @@ class CochainModel:
             ws.append(w)
         return tuple(reversed(ws)), z, v
 
-    def input_tuples(self):
-        return itertools.product(
-            itertools.product(range(self.W), repeat=self.m), range(self.D)
-        )
-
     @cached_property
     def parities(self) -> list:
         """The parity of every raw coordinate (x_1..x_m, z, v), by flat index:
@@ -600,10 +597,6 @@ class Cochain:
     def coeffs(self) -> list:
         return _dense(self.vec.items(), self.model.raw_dim)
 
-    def value(self, ws, j):
-        base = self.model.flat(ws, j)
-        return [self.vec.get(base + v, 0) for v in range(self.model.DV)]
-
     def is_zero(self):
         return not self.vec
 
@@ -611,14 +604,6 @@ class Cochain:
         if not isinstance(other, Cochain):
             return NotImplemented
         return (self.degree, self.model.raw_dim, self.vec) == (other.degree, other.model.raw_dim, other.vec)
-
-
-def cochain_parity_of_vector(model: CochainModel, vec):
-    """Infer the parity of a raw coefficient vector; None for 0, error if mixed."""
-    parities = {p for x, p in zip(vec, model.parities) if x != 0}
-    if len(parities) > 1:
-        raise NotACochain("coefficient vector mixes parities")
-    return parities.pop() if parities else None
 
 
 def satisfies_compat(a, r, f: Cochain) -> bool:
@@ -670,7 +655,7 @@ def _build_compat_equations(a, r, k) -> _Equations:
     nu_cols, d_nu = _over_z(r.nu_columns)
     # nu o F acts on the V slot as F o nu^T would: row u of nu^T is column u of nu
     nu_rows = [[(u, c * d_wedge**k * d_alpha) for u, c in col.items()] for col in nu_cols]
-    wedge_rows = _rows(cx.alpha_wedge(), W)
+    wedge_rows = _rows(cx.alpha_wedge, W)
     alpha_rows = [[(j, c * d_nu) for j, c in row] for row in _rows(cx.alpha_cols, D)]
     slots = [] if _is_identity(wedge_rows) else [(W ** (k - 1 - s) * D * DV, W, wedge_rows) for s in range(k)]
     if not _is_identity(alpha_rows):
@@ -801,11 +786,6 @@ class CochainBasis:
     def dim(self):
         return self.space.dim
 
-    def cochains(self):
-        model = self.model
-        for pivot, vec in zip(self.space.pivots(), self.space.sparse_rows):
-            yield Cochain.from_sparse(model, model.parities[pivot], vec)
-
     def vectors(self) -> list:
         """The basis as sparse raw vectors {flat: coefficient}."""
         return self.space.sparse_rows
@@ -857,38 +837,6 @@ def cochain_basis(a, r, m, parity="both") -> CochainBasis:
     return CochainBasis(model, sparse_kernel(rows, model.raw_dim))
 
 
-def cochain_space(a, r, m, parity="both") -> Subspace:
-    """Basis of C^m(g, V): the twist-compatibility subspace, by parity.
-
-    Returned as a Subspace of the raw coefficient space; basis vectors are
-    parity-homogeneous.
-    """
-    return cochain_basis(a, r, m, parity).to_subspace()
-
-
-def _linear_expansion(model, wedge_args, z_arg):
-    """f(A_1,...,A_m, Z) as a linear form in the raw coefficients of f.
-
-    Wedge args are {pos: coeff}, Z is {index: coeff}.  Returns pairs
-    (offset, c) with f(args)[v] = sum of c * f.vec.get(offset + v, 0).
-    """
-    W, D, DV = model.W, model.D, model.DV
-    prefixes = [(0, 1)]
-    for arg in wedge_args:
-        new = []
-        for off, c in prefixes:
-            base = off * W
-            for w, cw in arg.items():
-                new.append((base + w, c * cw))
-        prefixes = new
-    out = []
-    for off, c in prefixes:
-        base = off * D
-        for j, cz in z_arg.items():
-            out.append(((base + j) * DV, c * cz))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the coboundary as one sparse operator
 
@@ -927,23 +875,21 @@ def _per_representation(a, key, r, build):
 
 
 def _assemble_delta(a, r, m) -> Delta:
-    """delta^m of (a, r) as for delta_operator, assembled over Z from the
-    nonzero entries of its tables.
+    """delta^m of (a, r) as for delta_operator, assembled over Z at about the
+    cost of its entries.
 
     For an output input (x_1..x_{m+1}, z) the four terms are: (1) insert a
     wedge bracket [x_i, x_j]_alpha at slot j and drop slot i; (2) replace z
     by x_i . z and drop slot i; (3) act by rho(alpha^m(x_i)) on f without
     slot i; (4) the module action on f(x_1..x_m, -) of the components of
-    x_{m+1} and alpha^m(z).  Each term is emitted only where it is nonzero:
-    term 2 from the nonzero ad(x_i, z), term 1 from the nonzero
-    fb(x_i, x_j), both read off the stored keys (``_fb_pairs``), term 3 from the entries of rho(alpha^m x_i) and term 4
-    from those of the module action per (x_{m+1}, z, slot).  Terms 1 and 2
-    do not depend on the parity of f and act on a V-block of f as the
-    identity: one linear form per (x, z) block, written once for each v.
-    Terms 3 and 4 carry the parity of f, taken per input coordinate, so
-    every parity-homogeneous cochain is mapped with its own sign.  Each
-    entry goes straight into its column; an entry or column that cancels
-    to zero is deleted where it arises.
+    x_{m+1} and alpha^m(z).  Each term is a table of (input offset, output
+    offset, entry) per slot and parity of the wedges its sign passes, read
+    at every m-tuple of f's wedges at computed offsets.  Terms 1 and 2, from
+    the nonzero fb and ad, are read at the alpha-wedge expansion of each
+    tuple and act on a V-block of f as the identity: one form per (x, z)
+    block, written once for each v.  Terms 3 and 4 read one rho table
+    (_rho_wedges) and carry the parity of f per input coordinate.  An entry
+    or column that cancels to zero is deleted where it arises.
 
     Every table is an int table: those of _integer_tables (the bracket
     times b, alpha times d) and rho's columns times c.  Each term has degree
@@ -952,119 +898,162 @@ def _assemble_delta(a, r, m) -> Delta:
     columns are exactly s_m delta^m, s_m = L d^(m(n-1)).  For integral input
     b = c = d = 1 and no entry is rescaled.
     """
-    model_in = CochainModel(a, r, m)
-    model_out = CochainModel(a, r, m + 1)
     cx = _integer_tables(a)
     rho, rho_scale = r.integer_columns
     lcm = math.lcm(cx.bracket_scale, rho_scale)
     scale = lcm * cx.alpha_scale ** (m * (a.arity - 1))
     k12, k34 = lcm // cx.bracket_scale, lcm // rho_scale
-    wb = cx.wb
-    aw = cx.alpha_wedge()
-    W, D, DV = model_in.W, model_in.D, model_in.DV
-    wpar, p, pv = wb.parities, a.parity, r.target.parity
-    # the wedge slots of f's inputs in flat order: the V-block of
-    # (rests[k], t) starts at (k * D + t) * DV
-    rests = list(itertools.product(range(W), repeat=m))
+    acts = any(col for cols in rho for col in cols)
+    if not cx.ads and not acts:
+        return Delta({}, scale)  # no bracket and rho = 0: delta = 0
+    W, D, DV = len(cx.wb), a.dim, r.target.dim
+    DDV = D * DV
+    wpar, p, pv = cx.wb.parities, a.parity, r.target.parity
+    powers = [W**e for e in range(m + 2)]
+    odd = (0, 1) if any(wpar) else (0,)  # the parities a run of wedges can have
+    # the m-tuples k of wedges in flat order (f's V-block at (k, t) starts
+    # at (k D + t) DV), the parities tails[k][i] of their slots i..m-1 and
+    # their alpha-wedge expansions; then those of the (m-1)-tuples
+    aw = [list(col.items()) for col in cx.alpha_wedge]
+    tails, expansions = [[0]], [[(0, 1)]]
+    short_tails, shorter = [], []
+    for _ in range(m):
+        short_tails, shorter = tails, expansions
+        tails = [[x ^ wpar[w] for x in tail] + [0] for tail in tails for w in range(W)]
+        expansions = [[(y * W + x, c * cw) for y, c in e for x, cw in aw[w]] for e in shorter for w in range(W)]
 
-    # terms 1 and 2: one linear form per output block (x_1..x_{m+1}, z),
-    # kept by input block: forms[in offset][out offset]
-    forms = {}
+    def spread(k, i, digits):
+        """The offset of the tuple k of wedges with a zero put in at slot i."""
+        hi, lo = divmod(k, powers[digits - i])
+        return hi * powers[digits - i + 1] + lo
 
-    def add_form(ws, j, sgn, args, z):
-        out = model_out.flat(ws, j)
-        sgn *= k12
-        for off, c in _linear_expansion(model_in, args, z):
-            form = forms.setdefault(off, {})
-            form[out] = form.get(out, 0) + sgn * c
-
-    ads = sorted((wb.index[x], j) for x, js in _bracket_places(a).completions.items() for j in js)
-    ads = [(w, j, cx.ad(w, j)) for w, j in ads]
+    # terms 1 and 2: forms[in offset][out offset] from (table, out offset,
+    # [(in offset, coeff)]) per tuple and slot
+    reads = []
+    inputs = [[(y * DDV, c) for y, c in e] for e in expansions]
     for i in range(m + 1):
-        for w, j, ad in ads:
-            for others in rests:
-                sgn = 1 if i % 2 else -1  # (-1)^(i+1)
-                if wpar[w] == 1 and sum(wpar[x] for x in others[i:]) % 2 == 1:
-                    sgn = -sgn
-                add_form(others[:i] + (w,) + others[i:], j, sgn, [aw[x] for x in others], ad)
-    fbs = [(w1, w2, fb) for w1, w2 in _fb_pairs(a) if (fb := cx.fb(w1, w2))] if m else []
-    for i, jj in itertools.combinations(range(m + 1), 2):
-        for w1, w2, fb in fbs:
-            for others in itertools.product(range(W), repeat=m - 1):
-                ws = others[:i] + (w1,) + others[i : jj - 1] + (w2,) + others[jj - 1 :]
-                sgn = 1 if i % 2 else -1  # (-1)^(i+1)
-                if wpar[w1] == 1 and sum(wpar[x] for x in others[i : jj - 1]) % 2 == 1:
-                    sgn = -sgn
-                args = [(fb if k == jj else aw[ws[k]]) for k in range(m + 1) if k != i]
-                for j in range(D):
-                    add_form(ws, j, sgn, args, cx.alpha_cols[j])
-
+        # term 2: the sign (-1)^(i+1), flipped for an odd x_i past odd slots
+        s = k12 if i % 2 else -k12
+        tables = [[(t * DV, (w * powers[m - i] * D + j) * DV, -s * c if wpar[w] and b else s * c) for w, j, ad in cx.ads for t, c in ad] for b in odd]
+        reads += [(tables[tail[i]], spread(k, i, m) * DDV, inputs[k]) for k, tail in enumerate(tails)]
+    for i, jj in itertools.combinations(range(m + 1), 2) if m and cx.fbs else ():
+        # term 1: w1 at slot i and w2 at slot jj of the output, fb at slot
+        # jj - 1 of f's, around the other m-1 slots k
+        s = k12 if i % 2 else -k12
+        tables = [
+            [(x * powers[m - jj] * DDV + t * DV, (w1 * powers[m - i] + w2 * powers[m - jj]) * DDV + j * DV, -s * cf * c if wpar[w1] and b else s * cf * c)
+             for w1, w2, fb in cx.fbs for x, cf in fb for j, col in enumerate(cx.alpha_cols) for t, c in col.items()]
+            for b in odd
+        ]
+        for k, (tail, e) in enumerate(zip(short_tails, shorter)):
+            out = spread(spread(k, i, m - 1), jj, m) * DDV
+            reads.append((tables[tail[i] ^ tail[jj - 1]], out, [(spread(y, jj - 1, m - 1) * DDV, c) for y, c in e]))
+    forms = {}
+    for table, out, ins in reads:
+        for inp, c in ins:
+            for f, o, x in table:
+                form = forms.get(inp + f)
+                if form is None:
+                    forms[inp + f] = {out + o: c * x}
+                else:
+                    form[out + o] = form.get(out + o, 0) + c * x
     columns = {}
-    for off in list(forms):
-        form = [(out, c) for out, c in forms.pop(off).items() if c != 0]
+    for off, form in forms.items():
+        if 0 in form.values():
+            form = _nonzero(form)
         if form:
-            for v in range(DV):
-                columns[off + v] = {out + v: c for out, c in form}
-
-    def add(out, inp, c):
-        col = columns.get(inp)
-        if col is None:
-            columns[inp] = {out: c}
-        elif (x := col.get(out, 0) + c) != 0:
-            col[out] = x
-        else:
-            del col[out]
-            if not col:
-                del columns[inp]
-
-    # terms 3 and 4 act on one V-block of f, the one at (rest, t): the sign
-    # is (-1)^i, flipped when the acting slot is odd and so is f's
-    # coordinate plus the wedge parity before it
-    if not any(col for cols in rho for col in cols):
+            columns[off] = form
+            for v in range(1, DV):
+                columns[off + v] = {out + v: c for out, c in form.items()}
+    if not acts:
         return Delta(columns, scale)  # rho = 0: no term 3 or 4
-    for w, acted in enumerate(_act(rho, coords, DV) for coords in cx.alpha_pow_wedge(m)):
-        entries = [(u, v, c) for u, col in enumerate(acted) for v, c in col.items()]
-        if not entries:
-            continue
-        for i in range(m + 1):
-            # signed[q]: q is the parity of f's coordinate without its V-part
-            # plus the wedges before slot i
-            s = -k34 if i % 2 else k34
-            signed = [
-                [(u, v, -s * c if wpar[w] == 1 and (q + pv[u]) % 2 == 1 else s * c) for u, v, c in entries]
-                for q in (0, 1)
-            ]
-            for k, rest in enumerate(rests):
-                out_base = model_out.flat(rest[:i] + (w,) + rest[i:], 0)
-                tail = sum(wpar[x] for x in rest[i:])
-                for j in range(D):
-                    o, f = out_base + j * DV, (k * D + j) * DV
-                    for u, v, c in signed[(tail + p[j]) % 2]:
-                        add(o + v, f + u, c)
-    apm_cols = [col.items() for col in cx.alpha_pow(m)]
-    # term 4: slot i of x_{m+1} = w feeds f at (x_1..x_m, t_i); the module
-    # action depends on w only through the other factors of its wedge
-    actions = {}  # (x_{m+1} without slot i, z, i) -> module action
+
+    # terms 3 and 4: tables [(in, out, c)] read at (k D DV, spread(k, i)),
+    # term 4 with slot m, from _rho_wedges kept in a._cache by the rule of
+    # delta_operator under the least k with alpha^k = alpha^m
+    least = next(k for k in range(m + 1) if cx.alpha_pow(k) == cx.alpha_pow(m))
+    acting, fourth = _per_representation(a, ("rho wedges", least), r, lambda: _rho_wedges(a, r, cx.alpha_pow(m)))
     s = -k34 if m % 2 else k34
+    last = [(f, o, s * c) for f, o, c in fourth]
+
+    def third(i, b):
+        """Term 3 at slot i, b the parity of f's wedges from slot i on: the
+        sign (-1)^i, flipped for an odd x_w and odd f's coordinate plus the
+        wedges before slot i."""
+        s = -k34 if i % 2 else k34
+        return [
+            (j * DV + u, (w * powers[m - i] * D + j) * DV + v, -s * c if wpar[w] and b ^ p[j] ^ pv[u] else s * c)
+            for w, entries in acting for j in range(D) for u, v, c in entries
+        ] + (last if i == m else [])
+
+    tables = {}
+    for k, tail in enumerate(tails):
+        inp = k * DDV
+        for i in range(m + 1):
+            if (i, tail[i]) not in tables:
+                tables[i, tail[i]] = third(i, tail[i])
+            out = spread(k, i, m) * DDV
+            for f, o, c in tables[i, tail[i]]:
+                col = columns.get(inp + f)
+                if col is None:
+                    columns[inp + f] = {out + o: c}
+                elif x := col.get(out + o, 0) + c:
+                    col[out + o] = x
+                else:
+                    del col[out + o]
+                    if not col:
+                        del columns[inp + f]
+    return Delta(columns, scale)
+
+
+def _rho_wedges(a, r, apm) -> tuple:
+    """(third, fourth): the tables of terms 3 and 4 of delta^m over Z, for
+    alpha^m given by its columns apm.  Both read rho of the wedges of the
+    parity parts of apm (code 2y + q for the part of parity q of alpha^m
+    e_y), built once per sorted codes: for an even twist, rho(alpha^m-wedge)
+    of each canonical tuple.  third is (w, [(u, v, c)]), rho(alpha^m x_w),
+    where nonzero; fourth is term 4 over (-1)^m k34 as (in, out, c): slot i
+    of x_{m+1} = w feeds f at (x_1..x_m, t_i), acted on by the other slots
+    of w and alpha^m(z) = e_j with v in slot i: (-1)^(n-1-i) times the sign
+    of their straightening and P on odd v when the parts after slot i are
+    odd, flipped for odd slots of w before i and f's coordinate."""
+    wb, p, pv, D, DV = _wedge(a), a.parity, r.target.parity, a.dim, r.target.dim
+    rho, _ = r.integer_columns
+    parts = {2 * y + q: part for y, col in enumerate(apm) for q in (0, 1) if (part := [(k, c) for k, c in col.items() if p[k] == q])}
+    codes, code_parity = [[c for c in (2 * y, 2 * y + 1) if c in parts] for y in range(D)], (0, 1) * D
+    tables, splits = {}, {}
+
+    def split(ys):
+        if ys not in splits:
+            splits[ys] = []
+            for choice in itertools.product(*(codes[y] for y in ys)):
+                sign, key = straighten(choice, code_parity)
+                if sign and key not in tables:
+                    acted = _act(rho, multilinear([parts[c] for c in key], wb.sparse_value), DV)
+                    tables[key] = [(u, v, c) for u, col in enumerate(acted) for v, c in col.items()]
+                if sign and tables[key]:
+                    splits[ys].append((choice, sign, tables[key]))
+        return splits[ys]
+
+    third = [(w, entries) for w, t in enumerate(wb.elements) if (entries := [(u, v, s * c) for _, s, table in split(t) for u, v, c in table])]
+    # w without slot i -> (i, in and out offsets, the signs of an even and
+    # of an odd v, this one before the parts after slot i)
+    removals = {}
     for w, t in enumerate(wb.elements):
         prefix = 0
         for i, x in enumerate(t):
-            others = t[:i] + t[i + 1 :]
-            for j in range(D):
-                key = (others, j, i)
-                if key not in actions:
-                    actions[key] = _module_action(a, rho, pv, [apm_cols[y] for y in others] + [apm_cols[j]], i)
-                entries = [
-                    (u, v, -s * c if prefix == 1 and (p[x] + pv[u]) % 2 == 1 else s * c)
-                    for u, col in enumerate(actions[key])
-                    for v, c in col.items()
-                ]
-                for k in range(len(rests) if entries else 0):
-                    o, f = ((k * W + w) * D + j) * DV, (k * D + x) * DV
-                    for u, v, c in entries:
-                        add(o + v, f + u, c)
-            prefix = (prefix + p[x]) % 2
-    return Delta(columns, scale)
+            s = -1 if (len(t) - i) % 2 else 1
+            slot = (i, x * DV, w * D * DV, -s if prefix & p[x] else s, -s if prefix & (1 - p[x]) else s)
+            removals.setdefault(t[:i] + t[i + 1 :], []).append(slot)
+            prefix ^= p[x]
+    fourth = []
+    for others, slots in removals.items():
+        for j in range(D):
+            for choice, sign, table in split(others + (j,)):
+                later = [sum(choice[i:]) % 2 for i in range(len(choice))]  # a code's parity is its last bit
+                signs = [(f, o + j * DV, sign * even, -sign * odd if later[i] else sign * odd) for i, f, o, even, odd in slots]
+                fourth += [(f + u, o + v, (odd if pv[u] else even) * c) for f, o, even, odd in signs for u, v, c in table]
+    return third, fourth
 
 
 def _images(columns: dict, vectors) -> list:
@@ -1100,20 +1089,29 @@ def coboundary(a, r, f: Cochain, check=True) -> Cochain:
     (image,) = _images(delta.columns, [f.vec])
     result = Cochain.from_sparse(model_out, f.parity, _monic(image, delta.scale))
     if check and not satisfies_compat(a, r, result):
-        raise NotACochain("coboundary output violates compatibility (internal error)")
+        raise _failed_postcondition(a, r, "coboundary output violates compatibility")
     return result
+
+
+def _failed_postcondition(a, r, message, where=""):
+    """The error for a failed postcondition of the complex, which every
+    Hom-Nambu-Lie superalgebra with a representation meets: NotACochain
+    naming the first law that a or r breaks, with its witness, or
+    InternalError when both pass (verified on this failure path only)."""
+    import json
+
+    for name, report in (("algebra", verify_algebra(a)), ("representation", verify_representation(r, a))):
+        if not report.ok:
+            check = report.failed_checks()[0]
+            witness = json.dumps(check.witness, sort_keys=True)
+            return NotACochain(f"{message}{where}; the {name} fails {check.name}: {witness}")
+    return InternalError(f"{message} (internal error){where}")
 
 
 def is_closed(a, r, f: Cochain) -> bool:
     """delta f = 0, from f's nonzero coefficients: no (m+1)-cochain is built,
     and for f = 0 not even delta."""
     return not f.vec or not _images(delta_operator(a, r, f.degree).columns, [f.vec])[0]
-
-
-def delta_matrix(a, r, cm: CochainBasis, cm1: CochainBasis) -> Matrix:
-    """Exact matrix of delta^m from the basis cm of C^m to the basis cm1 of
-    C^{m+1} (delta_columns)."""
-    return Matrix.from_columns(delta_columns(a, r, cm, cm1), cm1.dim)
 
 
 def delta_columns(a, r, cm: CochainBasis, cm1: CochainBasis) -> list:
@@ -1126,8 +1124,9 @@ def delta_columns(a, r, cm: CochainBasis, cm1: CochainBasis) -> list:
 
 
 def coboundary_matrix(a, r, m, parity="both") -> Matrix:
-    """Exact matrix of delta^m: C^m -> C^{m+1} w.r.t. the cochain_space bases."""
-    return delta_matrix(a, r, cochain_basis(a, r, m, parity), cochain_basis(a, r, m + 1, parity))
+    """Exact matrix of delta^m: C^m -> C^{m+1} w.r.t. the cochain_basis bases."""
+    cm1 = cochain_basis(a, r, m + 1, parity)
+    return Matrix.from_columns(delta_columns(a, r, cochain_basis(a, r, m, parity), cm1), cm1.dim)
 
 
 def delta_square_is_zero(a, r, m, parity="both") -> bool:
@@ -1183,7 +1182,7 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
         for i, image in enumerate(_images(op, prev_images)):
             if image:
                 where = _witness(CochainModel(a, r, m + 1), m - 1, i, min(image))
-                raise NotACochain(f"delta^2 != 0 (internal error): {where}")
+                raise _failed_postcondition(a, r, "delta^2 != 0", f": {where}")
     return CohomologyDims(cm, z_dim, b_dim)
 
 

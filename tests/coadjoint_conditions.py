@@ -21,7 +21,7 @@ def coadjoint_conditions(a: HomSuperAlgebra, ad: Representation):
     ad of a, else (False, the first failure)."""
     wb = _wedge(a)
     cx = _complex_tables(a)
-    aw = cx.alpha_wedge()
+    aw = cx.alpha_wedge
     n = a.arity
 
     # first condition: ad(x) ad(alpha y) - (-1)^{|x||y|} ad(y) ad(alpha x) = alpha o ad([x,y]_alpha)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 
 from axiom_oracle import dense_rho
-from dense_wrappers import represent
+from dense_wrappers import alpha_pow_wedge, basis_cochains, cochain_value, input_tuples, linear_expansion, represent
 from nambu.cohomology import (
     Cochain,
     CochainModel,
     _complex_tables,
-    _linear_expansion,
     _wedge,
     cochain_basis,
 )
@@ -30,7 +29,7 @@ def evaluate(f: Cochain, wedge_args, z_arg):
     """f(A_1,...,A_m, Z): wedge args as {pos: coeff}, Z as {index: coeff}."""
     out = [0] * f.model.DV
     coeffs = f.coeffs
-    for off, c in _linear_expansion(f.model, wedge_args, z_arg):
+    for off, c in linear_expansion(f.model, wedge_args, z_arg):
         for v in range(f.model.DV):
             out[v] += c * coeffs[off + v]
     return out
@@ -41,7 +40,7 @@ def coordinate_parities(model: CochainModel) -> list:
     pv = model.r.target.parity
     return [
         (sum(model.wb.parity(w) for w in ws) + model.a.parity[j] + pv[v]) % 2
-        for ws, j in model.input_tuples()
+        for ws, j in input_tuples(model)
         for v in range(model.DV)
     ]
 
@@ -56,11 +55,11 @@ def literal_satisfies_compat(a, r, f: Cochain) -> bool:
     if any(x != 0 and p != f.parity for x, p in zip(coeffs, parities)):
         return False
     cx = _complex_tables(a)
-    aw = cx.alpha_wedge()
-    for ws, j in model.input_tuples():
-        lhs = r.nu.apply(f.value(ws, j))
+    aw = cx.alpha_wedge
+    for ws, j in input_tuples(model):
+        lhs = r.nu.apply(cochain_value(f, ws, j))
         rhs = [0] * model.DV
-        for off, c in _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j]):
+        for off, c in linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j]):
             for v in range(model.DV):
                 rhs[v] += c * coeffs[off + v]
         if lhs != rhs:
@@ -88,7 +87,7 @@ def literal_cochain_space(a, r, m, parity="both") -> Subspace:
         lam = [a.alpha[i, i] for i in range(model.D)]
         mu = [r.nu[v, v] for v in range(DV)]
         kept = []
-        for ws, j in model.input_tuples():
+        for ws, j in input_tuples(model):
             scale = lam[j]
             for w in ws:
                 for i in model.wb.elements[w]:
@@ -97,11 +96,11 @@ def literal_cochain_space(a, r, m, parity="both") -> Subspace:
             kept += [base + v for v in range(DV) if parities[base + v] in parts and mu[v] == scale]
         return Subspace._from_rref(model.raw_dim, [{k: 1} for k in kept])
     cx = _complex_tables(a)
-    aw = cx.alpha_wedge()
+    aw = cx.alpha_wedge
     rows = []
-    for ws, j in model.input_tuples():
+    for ws, j in input_tuples(model):
         base = model.flat(ws, j)
-        expansion = _linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j])
+        expansion = linear_expansion(model, [aw[w] for w in ws], cx.alpha_cols[j])
         for v in range(DV):
             p = parities[base + v]
             if p not in parts:
@@ -189,8 +188,8 @@ def literal_coboundary(a, r, f: Cochain) -> Cochain:
     out = [0] * model_out.raw_dim
     cx = _complex_tables(a)
     wb = cx.wb
-    aw = cx.alpha_wedge()
-    apw = cx.alpha_pow_wedge(m)
+    aw = cx.alpha_wedge
+    apw = alpha_pow_wedge(a, m)
     apm = Matrix.identity(a.dim)
     for _ in range(m):
         apm = a.alpha * apm
@@ -293,7 +292,7 @@ def literal_coboundary_matrix(a, r, m, parity="both") -> Matrix:
     """Matrix of delta^m in the cochain_basis bases, one literal coboundary per column."""
     cm = cochain_basis(a, r, m, parity)
     cm1 = cochain_basis(a, r, m + 1, parity)
-    cols = [represent(cm1, literal_coboundary(a, r, f).coeffs) for f in cm.cochains()]
+    cols = [represent(cm1, literal_coboundary(a, r, f).coeffs) for f in basis_cochains(cm)]
     if not cols:
         return Matrix(cm1.dim, 0, [])
     return Matrix.from_rows(cols, cols=cm1.dim).transpose()

@@ -50,6 +50,14 @@ theta exists), and with `extend` of each by its adjoint module given a
 cocycle that is not super-alternating; each exits with its error code and
 message.
 
+No workload asks for the cohomology of an algebra whose odd slots pass
+odd vectors in every term of delta, or of one that breaks a law, so the
+digest goes on with `cohomology` of the 3-ary algebras A ([f1, f1, e1] =
+z), B ([f1, f2, e1] = z) and AB (both) on (e1, f1, f2, z), under ad and
+ad*, at m = 0-2 and each parity, each also with `--dump`; and with
+`cohomology --m 1` of an even 3-ary algebra that breaks the fundamental
+identity, refused with its exit code and message.
+
 It ends with the parser's own output, at a fixed terminal width (COLUMNS):
 `nambu --help`, each subcommand's `--help`, no subcommand, an unknown
 subcommand and `cohomology` without its required `--m`, each with its exit
@@ -77,6 +85,7 @@ from nambu import cli, samples  # noqa: E402
 from nambu import fileformat as ff  # noqa: E402
 from nambu.core import (  # noqa: E402
     BilinearForm,
+    GradedSpace,
     HomSuperAlgebra,
     StructureTensor,
     direct_sum,
@@ -328,6 +337,36 @@ def digest_rejections(outdir, emit):
     return crashes
 
 
+def digest_odd_ternary(outdir, emit):
+    """Emit the digest lines of cohomology on the odd 3-ary algebras A, B
+    and AB and on an algebra that breaks the fundamental identity; returns
+    the number of requests that crashed."""
+    odd = GradedSpace(4, (0, 1, 1, 0))
+    brackets = {"A": {(0, 1, 1): [0, 0, 0, 1]}, "B": {(0, 1, 2): [0, 0, 0, 1]}}
+    brackets["AB"] = {**brackets["A"], **brackets["B"]}
+    algebras = [HomSuperAlgebra(odd, StructureTensor(3, odd, e), Matrix.identity(4), name=f"odd3{k}") for k, e in brackets.items()]
+    even = GradedSpace(4, (0, 0, 0, 0))
+    broken = {(0, 1, 2): [1, 0, 0, 0], (0, 1, 3): [0, 1, 0, 0]}
+    algebras.append(HomSuperAlgebra(even, StructureTensor(3, even, broken), Matrix.identity(4), name="not-FI"))
+    dump = os.path.join(outdir, "dump.json")
+    crashes = 0
+    for a in algebras:
+        path = os.path.join(outdir, f"{a.name}.json")
+        with open(path, "w") as fh:
+            fh.write(ff.to_json_str(ff.algebra_to_json(a)))
+        cases = [("adjoint", 1, "both")] if a.name == "not-FI" else [
+            (rep, m, parity) for rep in ("adjoint", "coadjoint") for m in (0, 1, 2) for parity in ("both", "even", "odd")
+        ]
+        for rep, m, parity in cases:
+            argv = ["cohomology", path, "--m", str(m), "--rep", rep, "--parity", parity]
+            label = f"cohomology {a.name} --rep {rep} --parity {parity} --m {m}"
+            for tag, extra, out in (("", [], None), (" dump", ["--dump", dump], dump)):
+                code, value = answer(workloads.Request(label, argv + extra, out=out), outdir)
+                crashes += code == "crash"
+                emit(f"odd-ternary{tag} exit={code} {value} {label}")
+    return crashes
+
+
 SUBCOMMANDS = ("verify", "cohomology", "series", "twist", "extend", "tstar", "equiv", "decompose", "fuzz")
 PARSER_COLUMNS = "100"
 
@@ -370,6 +409,7 @@ def main(argv=None):
         digest_catalog_maps(outdir, print)
         crashes += digest_decompositions(outdir, print)
         crashes += digest_rejections(outdir, print)
+        crashes += digest_odd_ternary(outdir, print)
         crashes += digest_parser(outdir, print)
     if crashes:
         print(f"output_digest: {crashes} requests crashed", file=sys.stderr)

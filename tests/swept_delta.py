@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from nambu.cohomology import CochainModel, _complex_tables, _linear_expansion, module_action
+from dense_wrappers import alpha_pow_wedge, input_tuples, linear_expansion
+from nambu.cohomology import CochainModel, _complex_tables, module_action
 
 
 def swept_delta_operator(a, r, m) -> dict:
@@ -27,8 +28,8 @@ def swept_delta_operator(a, r, m) -> dict:
     model_out = CochainModel(a, r, m + 1)
     cx = _complex_tables(a)
     wb = cx.wb
-    aw = cx.alpha_wedge()
-    rho_apw = [r.action(coords) for coords in cx.alpha_pow_wedge(m)]
+    aw = cx.alpha_wedge
+    rho_apw = [r.action(coords) for coords in alpha_pow_wedge(a, m)]
     DV = model_out.DV
     parities = model_in.parities
     apm_cols = [col.items() for col in cx.alpha_pow(m)]
@@ -39,7 +40,7 @@ def swept_delta_operator(a, r, m) -> dict:
             actions[w, j, i] = module_action(a, r, g_args, i)
 
     rows = {}
-    for ws, j in model_out.input_tuples():
+    for ws, j in input_tuples(model_out):
         wpar = [wb.parity(w) for w in ws]
         form = {}
         for i in range(m + 1):
@@ -55,7 +56,7 @@ def swept_delta_operator(a, r, m) -> dict:
                     args = [(fb if k == jj else aw[ws[k]]) for k in range(m + 1) if k != i]
                     terms.append((sgn, args, cx.alpha_cols[j]))
             for sgn, args, z in terms:
-                for off, c in _linear_expansion(model_in, args, z):
+                for off, c in linear_expansion(model_in, args, z):
                     form[off] = form.get(off, 0) + (-1) ** (i + 1) * sgn * c
         block = [{off + v: c for off, c in form.items()} for v in range(DV)]
 

@@ -18,7 +18,7 @@ from nambu.core import HomSuperAlgebra, StructureTensor, canonical_tuples, twist
 from nambu.errors import ParseError
 from nambu.linalg import Matrix
 from nambu.tstar import theta_spaces
-from test_delta_operator import _dense_basis, _inverse
+from test_delta_operator import _breaks_the_fundamental_identity, _dense_basis, _inverse
 
 
 @pytest.fixture
@@ -255,6 +255,16 @@ class TestCohomologyCommand:
         path = tmpfiles("noco.json", ff.algebra_to_json(samples.no_coadjoint()))
         code, _ = run(["cohomology", path, "--m", "0", "--rep", "coadjoint"])
         assert code == 2
+
+    def test_an_algebra_that_breaks_the_fundamental_identity_exit_2_with_the_law(self, tmpfiles, capsys):
+        # delta^2 != 0 at m = 1 is the input's fault, named with the broken
+        # law and its witness
+        path = tmpfiles("not-fi.json", ff.algebra_to_json(_breaks_the_fundamental_identity()))
+        code, out = run(["cohomology", path, "--m", "1"])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: delta^2 != 0: basis cochain 1 of C^0, coordinate x=")
+        assert "; the algebra fails fundamental-identity: {" in err and "internal error" not in err
 
     def test_rep_file_block(self, tmpfiles):
         a = samples.h3()

@@ -1,6 +1,7 @@
 """The one cochain format: a Cochain holds its sparse raw vector {flat: coeff}
 with no zeros stored.  The dense constructor, the derived dense coeffs,
-from_sparse, equality, is_zero, value, entries and cochain_to_json are
+from_sparse, equality, is_zero, entries and cochain_to_json, and the
+value read off vec (dense_wrappers.cochain_value), are
 pinned against their dense definitions on catalog thetas and cocycles, the
 zero cochain and seeded random cochains."""
 
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_wrappers import basis_cochains, cochain_value, input_tuples
 from nambu import fileformat as ff
 from nambu import samples
 from nambu.cohomology import Cochain, CochainModel, adjoint_rep, cochain_basis, is_closed
@@ -51,7 +53,7 @@ def _corpus():
             for i, row in enumerate(sp[kind].sparse_rows[:3]):
                 out.append((f"{a.name} {kind} theta {i}", sp["model"], 0, [row.get(k, 0) for k in range(dim)]))
         ad = adjoint_rep(a)
-        for i, f in enumerate(list(cochain_basis(a, ad, 1, "both").cochains())[:4]):
+        for i, f in enumerate(list(basis_cochains(cochain_basis(a, ad, 1, "both")))[:4]):
             kind = "cocycle" if is_closed(a, ad, f) else "cochain"
             out.append((f"{a.name} ad {kind} {i}", f.model, f.parity, f.coeffs))
         for model in (sp["model"], CochainModel(a, ad, 0), CochainModel(a, ad, 2)):
@@ -91,9 +93,9 @@ def test_from_sparse_drops_zeros_and_rejects_outside_indices(label, model, parit
 def test_is_zero_value_and_json_match_the_dense_definitions(label, model, parity, dense):
     f = Cochain(model, parity, dense)
     assert f.is_zero() == all(c == 0 for c in dense)
-    for ws, j in model.input_tuples():
+    for ws, j in input_tuples(model):
         base = model.flat(ws, j)
-        assert f.value(ws, j) == dense[base : base + model.DV]
+        assert cochain_value(f, ws, j) == dense[base : base + model.DV]
     if model.m == 1:
         assert ff.cochain_to_json(f) == block_scan_json(f)
 

@@ -6,7 +6,7 @@ import pytest
 
 from axiom_oracle import literal_wedge
 from coboundary_oracle import literal_module_bracket
-from dense_wrappers import basis_vector, bracket_basis
+from dense_wrappers import basis_cochains, basis_vector, bracket_basis, cochain_parity_of_vector, cochain_space
 from nambu import samples
 from nambu.cohomology import (
     Cochain,
@@ -19,8 +19,6 @@ from nambu.cohomology import (
     coboundary,
     coboundary_matrix,
     cochain_basis,
-    cochain_parity_of_vector,
-    cochain_space,
     cohomology_dims,
     delta_square_is_zero,
     fundamental_bracket,
@@ -160,8 +158,9 @@ def test_dense_coeffs_are_only_read():
     assert readers == []
 
 
-def _nambu_calls(name):
-    """(module, line) of every call of a function or method named name in src/nambu."""
+def _nambu_calls(name, methods_only=False):
+    """(module, line) of every call of a function or method named name in
+    src/nambu, or of a method only (x.name(...))."""
     import ast
     import pathlib
 
@@ -172,6 +171,8 @@ def _nambu_calls(name):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
+                if methods_only and not isinstance(func, ast.Attribute):
+                    continue
                 if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
                     found.append((path.name, node.lineno))
     return found
@@ -183,8 +184,18 @@ def test_only_linalg_applies_dense_matrices():
 
 
 def test_nothing_in_nambu_calls_bracket_eval():
-    # bracket_eval is the dense wrapper of sparse_bracket for outside callers
+    # bracket_eval is the dense wrapper of sparse_bracket for outside callers;
+    # the dense cochain readers and the expansion of a cochain on arbitrary
+    # arguments live in tests/dense_wrappers.py, and nambu neither calls nor
+    # defines them (a local callback named value is no Cochain.value)
+    from nambu import cohomology
+
     assert _nambu_calls("bracket_eval") == []
+    for name in ("cochains", "cochain_parity_of_vector", "_linear_expansion", "linear_expansion", "input_tuples", "cochain_space"):
+        assert _nambu_calls(name) == [], name
+    assert _nambu_calls("value", methods_only=True) == []
+    assert not hasattr(cohomology.Cochain, "value") and not hasattr(cohomology.CochainBasis, "cochains")
+    assert not any(hasattr(cohomology, name) for name in ("cochain_parity_of_vector", "_linear_expansion", "cochain_space"))
 
 
 class TestAdjoint:
@@ -494,7 +505,7 @@ class TestCoboundary:
         for make in (h3, sh12, odd_square):
             a = make()
             r = adjoint_rep(a)
-            for f in cochain_basis(a, r, 1, "both").cochains():
+            for f in basis_cochains(cochain_basis(a, r, 1, "both")):
                 g = coboundary(a, r, f)
                 assert satisfies_compat(a, r, g)
                 pv = cochain_parity_of_vector(g.model, g.coeffs)
@@ -522,7 +533,7 @@ class TestCoboundary:
         for r in (adjoint_rep(a), coadjoint_rep(a).rep):
             for m in (0, 1):
                 model = CochainModel(a, r, m)
-                fs = list(cochain_basis(a, r, m, "both").cochains())
+                fs = list(basis_cochains(cochain_basis(a, r, m, "both")))
                 fs.append(Cochain(model, 0, [sum(c) for c in zip(*(f.coeffs for f in fs))]))
                 verdicts = [is_closed(a, r, f) for f in fs]
                 assert verdicts == [coboundary(a, r, f, check=False).is_zero() for f in fs]

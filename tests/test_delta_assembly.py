@@ -1,6 +1,7 @@
-"""delta^m assembled over Z by columns from the nonzero entries of its
-tables, pinned to s_m times the transposed rational swept assembly of
-tests/swept_delta.py, the memo of the compatibility equations of C^k, and
+"""delta^m assembled over Z by columns from tables of its terms, pinned to
+s_m times the transposed rational swept assembly of tests/swept_delta.py
+on a corpus that includes odd 3-ary algebras, the one rho-wedge table that
+terms 3 and 4 read, the memo of the compatibility equations of C^k, and
 the packed check of the delta images against them, pinned to the per-image
 loop it replaced."""
 
@@ -24,7 +25,7 @@ from nambu.cohomology import (
     CochainModel,
     compat_offenders,
 )
-from nambu.core import twist_by_endomorphism
+from nambu.core import GradedSpace, HomSuperAlgebra, StructureTensor, twist_by_endomorphism, verify_algebra
 from nambu.errors import InternalError, NotACochain
 from nambu.linalg import Matrix, _primitive, sparse_rank
 from seeded_inputs import random_representation
@@ -72,14 +73,47 @@ def _modules(k, a):
     return out
 
 
+def _odd_ternary():
+    """3-ary algebras on (e1, f1, f2, z) with parities (0, 1, 1, 0) whose
+    brackets land in the central z: A, [f1, f1, e1] = z; B, [f1, f2, e1] =
+    z; AB, both.  Their odd slots pass odd vectors in every term of delta,
+    so they pin its signs; each comes with a seeded diagonal twist."""
+    space = GradedSpace(4, (0, 1, 1, 0))
+    brackets = {"A": {(0, 1, 1): [0, 0, 0, 1]}, "B": {(0, 1, 2): [0, 0, 0, 1]}}
+    brackets["AB"] = {**brackets["A"], **brackets["B"]}
+    rng = random.Random(17)
+    out = []
+    for name, entries in brackets.items():
+        a = HomSuperAlgebra(space, StructureTensor(3, space, entries), Matrix.identity(4), name=f"odd3{name}")
+        twist = None
+        while twist is None or twist.is_identity() or 0 in (twist[i, i] for i in range(4)):
+            twist = samples.random_twist(a, rng, diagonal_only=True)
+        out += [a, twist_by_endomorphism(a, twist)]
+    return out
+
+
+ODD_TERNARY = _odd_ternary()
+
+
 def _corpus():
-    """(a, [(name, r), ...]): the modules of each algebra, and the twists that
-    join the parities with their module."""
+    """(a, [(name, r), ...]): the modules of each algebra, the odd 3-ary
+    algebras with ad and ad*, and the twists that join the parities with
+    their module."""
     out = [(a, _modules(k, a)) for k, a in enumerate(_algebras())]
+    out += [(a, _reps(a)) for a in ODD_TERNARY]
     return out + [(a, [("mixed", r)]) for a, r in _non_even_twists()]
 
 
 CORPUS = _corpus()
+
+
+def test_the_odd_ternary_algebras_are_hom_nambu_lie_with_both_modules():
+    assert [a.name.split("~")[0] for a in ODD_TERNARY] == ["odd3A", "odd3A", "odd3B", "odd3B", "odd3AB", "odd3AB"]
+    for a in ODD_TERNARY:
+        assert verify_algebra(a).ok, a.name
+    assert all([name for name, _ in _reps(a)] == ["adjoint", "coadjoint"] for a in ODD_TERNARY[::2])
+    twists = [a.alpha for a in ODD_TERNARY[1::2]]
+    assert all(t.is_diagonal() and not t.is_identity() for t in twists)
 
 
 def test_corpus_has_every_kind_of_twist():
@@ -132,6 +166,36 @@ def test_the_corpus_scales_are_not_all_one():
     entries = [c for row in swept_delta_operator(dense, adjoint_rep(dense), 1).values() for c in row.values()]
     assert _denominator(entries) == 1
     assert any(isinstance(c, Fraction) for c in entries)
+
+
+def test_the_assembly_reads_one_rho_wedge_table_and_no_module_action(monkeypatch):
+    # terms 3 and 4 read one table, rho of the alpha^m-wedge of each basis
+    # wedge, built once per alpha^m and shared by the degrees with the same
+    # alpha^m; no module action is computed
+    counts = {"_act": 0}
+    real = cohomology._act
+
+    def counting(*args):
+        counts["_act"] += 1
+        return real(*args)
+
+    def no_module_action(*args):
+        raise AssertionError("the assembly computed a module action")
+
+    monkeypatch.setattr(cohomology, "_act", counting)
+    monkeypatch.setattr(cohomology, "module_action", no_module_action)
+    fil4_diag = twist_by_endomorphism(samples.filiform4(), Matrix(4, 4, [-1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1]))
+    for a in (samples.n4(), fil4_diag, samples.sh12()):
+        reps = _reps(a)
+        assert [name for name, _ in reps] == ["adjoint", "coadjoint"], a.name
+        cx = cohomology._integer_tables(a)
+        for name, r in reps:
+            counts["_act"] = 0
+            for m in (0, 1, 2):
+                columns, _ = _assemble_delta(a, r, m)
+                assert columns, (a.name, name, m)
+            powers = {tuple(map(tuple, map(sorted, map(dict.items, cx.alpha_pow(m))))) for m in (0, 1, 2)}
+            assert 0 < counts["_act"] <= len(cohomology._wedge(a)) * len(powers), (a.name, name, counts)
 
 
 def test_assembly_is_not_vacuous():

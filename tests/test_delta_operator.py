@@ -15,6 +15,7 @@ from coboundary_oracle import (
     literal_cochain_space,
     literal_satisfies_compat,
 )
+from dense_wrappers import cochain_value, input_tuples
 from nambu import cohomology, samples
 from nambu.cohomology import (
     Cochain,
@@ -29,8 +30,8 @@ from nambu.cohomology import (
     compat_test,
     satisfies_compat,
 )
-from nambu.core import HomSuperAlgebra, StructureTensor, _canonical_tuples, twist_by_endomorphism
-from nambu.errors import NotACochain
+from nambu.core import GradedSpace, HomSuperAlgebra, StructureTensor, _canonical_tuples, twist_by_endomorphism, verify_algebra
+from nambu.errors import InternalError, NotACochain
 from nambu.linalg import Matrix, rank, solve_affine
 from nambu.tstar import coadjoint_rep
 from test_acceptance import _delta2_corpus
@@ -390,16 +391,16 @@ def _every_slot_offenders(a, rep, k, parity):
     model = CochainModel(a, rep, k)
     parities = model.parities
     parts = {"both": (0, 1), "even": (0,), "odd": (1,)}[parity]
-    aw = cohomology._complex_tables(a).alpha_wedge()
+    aw = cohomology._complex_tables(a).alpha_wedge
     alpha = a.alpha_columns()
 
     def offenders(vec):
         bad = {flat for flat in vec if parities[flat] not in parts}
         for p in parts:
             f = Cochain(model, p, [vec.get(i, 0) if q == p else 0 for i, q in enumerate(parities)])
-            for ws, j in model.input_tuples():
+            for ws, j in input_tuples(model):
                 base = model.flat(ws, j)
-                lhs = rep.nu.apply(f.value(ws, j))
+                lhs = rep.nu.apply(cochain_value(f, ws, j))
                 rhs = evaluate(f, [aw[w] for w in ws], alpha[j])
                 bad.update(base + v for v in range(model.DV) if lhs[v] != rhs[v] and parities[base + v] == p)
         return bad
@@ -468,10 +469,58 @@ def test_delta_square_witness_names_cochain_and_coordinate(monkeypatch, m):
 
     cohomology_dims(a, rep, m)
     monkeypatch.setattr(cohomology, "delta_operator", perturbed)
-    with pytest.raises(NotACochain, match=r"delta\^2 != 0 \(internal error\)") as raised:
+    # the algebra and ad pass their checks, so delta^2 != 0 is the
+    # program's fault
+    with pytest.raises(InternalError, match=r"delta\^2 != 0 \(internal error\)") as raised:
         cohomology_dims(a, rep, m)
     coordinate = _one_based_coordinate(CochainModel(a, rep, m + 1), min(image))
     assert str(raised.value).endswith(f": basis cochain 1 of C^{m - 1}, coordinate {coordinate}")
+
+
+def _breaks_the_fundamental_identity():
+    """An even 3-ary algebra with [e1,e2,e3] = e1 and [e1,e2,e4] = e2: the
+    fundamental identity fails, and so does delta^2 = 0 at m = 1."""
+    space = GradedSpace(4, (0, 0, 0, 0))
+    entries = {(0, 1, 2): [1, 0, 0, 0], (0, 1, 3): [0, 1, 0, 0]}
+    return HomSuperAlgebra(space, StructureTensor(3, space, entries), Matrix.identity(4), name="not-FI")
+
+
+def test_delta_square_on_input_that_breaks_a_law_names_the_law():
+    # the same failure is the input's, not the program's: NotACochain (exit
+    # 2) with the broken law and its witness after the cochain's coordinate
+    a = _breaks_the_fundamental_identity()
+    assert [c.name for c in verify_algebra(a).failed_checks()] == ["fundamental-identity"]
+    with pytest.raises(NotACochain) as raised:
+        cohomology_dims(a, adjoint_rep(a), 1)
+    text = str(raised.value)
+    assert text.startswith("delta^2 != 0: basis cochain 1 of C^0, coordinate x=")
+    assert "; the algebra fails fundamental-identity: {" in text and "internal error" not in text
+
+
+def test_coboundary_postcondition_names_the_law_or_is_internal(monkeypatch):
+    # alpha = diag(1, 1, 2) on H3 is no morphism: the image of a cochain of
+    # C^0 leaves C^1, and the error names multiplicativity
+    h3 = samples.h3()
+    a = HomSuperAlgebra(h3.space, h3.bracket, Matrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 2]), name="H3~not-a-morphism")
+    rep = adjoint_rep(a)
+    basis = cochain_basis(a, rep, 0)
+    f = Cochain.from_sparse(basis.model, 0, basis.vectors()[0])
+    with pytest.raises(NotACochain, match=r"^coboundary output violates compatibility; the algebra fails multiplicativity: \{"):
+        coboundary(a, rep, f)
+    # on a valid algebra an image outside C^{m+1} is the program's fault
+    a = twist_by_endomorphism(samples.h3(), Matrix(3, 3, [1, 0, 0, 0, 2, 0, 0, 0, 2]))
+    rep = adjoint_rep(a)
+    assert verify_algebra(a).ok
+    f = _seeded_cochains(a, rep, 0, random.Random(1), 1)[0]
+    outside = next(o for o in range(CochainModel(a, rep, 1).raw_dim) if not cohomology.compat_test(a, rep, 1, 0)({o: 1}))
+    real = cohomology.delta_operator
+
+    def perturbed(a, r, k):
+        return cohomology.Delta({flat: {outside: 1} for flat in f.vec}, real(a, r, k).scale)
+
+    monkeypatch.setattr(cohomology, "delta_operator", perturbed)
+    with pytest.raises(InternalError, match=r"^coboundary output violates compatibility \(internal error\)$"):
+        coboundary(a, rep, f)
 
 
 def _counting_assembly(monkeypatch):

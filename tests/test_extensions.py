@@ -230,7 +230,7 @@ def _random_closed_cocycle(b, module, rng, parity=0):
                 for k, x in enumerate(vec):
                     if x != 0:
                         coeffs[k] += c * x
-        from nambu.cohomology import cochain_parity_of_vector
+        from dense_wrappers import cochain_parity_of_vector
 
         try:
             pv = cochain_parity_of_vector(model, coeffs)

@@ -7,7 +7,7 @@ from coadjoint_conditions import coadjoint_conditions
 import dense_enlargement
 from dense_enlargement import dense_extend_to_maximal_isotropic
 from dense_reconstruct import dense_reconstruct_as_tstar
-from dense_wrappers import bracket_basis
+from dense_wrappers import bracket_basis, cochain_value
 from nambu import samples
 from nambu.cohomology import (
     Cochain,
@@ -229,7 +229,7 @@ class TestCoadjoint:
                         for k, c in enumerate(piece):
                             if c != 0:
                                 val[k] += sgn * sign_w * c
-                    assert val == got.value((w,), j), (g.name, t, j)
+                    assert val == cochain_value(got, (w,), j), (g.name, t, j)
 
 
 class TestTStarExtend:

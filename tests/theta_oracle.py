@@ -7,6 +7,7 @@ support predicates can be compared with them."""
 
 from __future__ import annotations
 
+from dense_wrappers import cochain_value, input_tuples
 from nambu.cohomology import CochainModel, _wedge
 from nambu.core import straighten
 from nambu.linalg import sparse_kernel
@@ -23,7 +24,7 @@ def boundary_swap_rows(a, r) -> list:
     p = a.parity
     rows = []
     seen = set()
-    for (w,), j in model.input_tuples():
+    for (w,), j in input_tuples(model):
         if (w, j) in seen:
             continue
         t = wb.elements[w]
@@ -55,9 +56,9 @@ def is_cyclic_by_loop(g, theta) -> bool:
     p = g.parity
     for w in range(len(_wedge(g))):
         for y in range(g.dim):
-            vy = theta.value((w,), y)
+            vy = cochain_value(theta, (w,), y)
             for z in range(g.dim):
-                vz = theta.value((w,), z)
+                vz = cochain_value(theta, (w,), z)
                 sgn = -1 if (p[y] == 1 and p[z] == 1) else 1
                 if vy[z] + sgn * vz[y] != 0:
                     return False
