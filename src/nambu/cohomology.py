@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -39,7 +40,7 @@ from .core import (
     verify_algebra,
 )
 from .errors import ArityMismatch, DimensionMismatch, InternalError, NotACochain
-from .linalg import Matrix, Subspace, _monic, _primitive, first_nonzero_digit, kronecker_pack, sparse_columns, sparse_kernel, sparse_rank
+from .linalg import Matrix, Subspace, _echelon, _monic, _primitive, first_nonzero_digit, kronecker_pack, sparse_columns, sparse_kernel, sparse_rank
 
 
 class WedgeBasis:
@@ -1163,27 +1164,49 @@ def cohomology_dims(a, r, m, parity="both") -> CohomologyDims:
     must satisfy the equations of the next cochain space, else NotACochain
     (_check_images: one offense pass per block of images packed into one
     integer vector; empty equations cost no pass).
-    dim Z^m = dim C^m - rank delta^m and dim B^m = rank delta^{m-1}, both by
-    sparse_rank of the raw images; delta^m o delta^{m-1} = 0 is checked on
-    the images.
+
+    B^m is computed by clearing: each delta^{m-1} image is read in the
+    primitive basis of C^m (its entries at the pivots of C^m's rref, each
+    divided by the primitive scale there), the basis ordered by the length
+    of its delta^m image, longest first.  _echelon of these coordinates has
+    dim B^m pivots, at a set P of basis cochains; those outside P span a
+    complement of B^m in C^m.  delta^m o delta^{m-1} = 0 is checked on the
+    echelon's rows, a basis of B^m, as sums of the delta^m images (if a
+    row fails, image by image, to name the first failing cochain).  As
+    delta^m kills B^m, dim Z^m = dim C^m - the rank of the delta^m images
+    outside P; those in P, which the order makes the longest, are never
+    ranked.
     """
     cm = cochain_basis(a, r, m, parity)
     op = delta_operator(a, r, m).columns
-    images = _images(op, [_primitive(vec) for vec in cm.vectors()])
+    basis = [_primitive(vec) for vec in cm.vectors()]
+    images = _images(op, basis)
     _check_images(a, r, m, parity, images)
-    z_dim = cm.dim - sparse_rank(images)
-    b_dim = 0
-    if m > 0:
-        prev = cochain_basis(a, r, m - 1, parity)
-        prev_images = _images(delta_operator(a, r, m - 1).columns, [_primitive(vec) for vec in prev.vectors()])
-        _check_images(a, r, m - 1, parity, prev_images)
-        b_dim = sparse_rank(prev_images)
-        # B^m must sit inside Z^m: delta^m kills every image of delta^{m-1}
-        for i, image in enumerate(_images(op, prev_images)):
-            if image:
-                where = _witness(CochainModel(a, r, m + 1), m - 1, i, min(image))
-                raise _failed_postcondition(a, r, "delta^2 != 0", f": {where}")
-    return CohomologyDims(cm, z_dim, b_dim)
+    if m == 0:
+        return CohomologyDims(cm, cm.dim - sparse_rank(images), 0)
+    prev = cochain_basis(a, r, m - 1, parity)
+    prev_images = _images(delta_operator(a, r, m - 1).columns, [_primitive(vec) for vec in prev.vectors()])
+    _check_images(a, r, m - 1, parity, prev_images)
+    order = sorted(range(cm.dim), key=lambda i: -len(images[i]))
+    pivots = cm.space.pivots()
+    at = {pivots[i]: (c, basis[i][pivots[i]]) for c, i in enumerate(order)}  # -> (column, primitive scale)
+    coordinates = []
+    for image in prev_images:
+        row = {}
+        for k, x in image.items():
+            if k in at:
+                c, s = at[k]
+                row[c] = x if s == 1 else Fraction(x, s)
+        coordinates.append(row)
+    echelon = _echelon(coordinates)
+    # B^m must sit inside Z^m: delta^m kills every row of the echelon
+    if any(_images({c: images[i] for c, i in enumerate(order)}, echelon.values())):
+        i, image = next((i, image) for i, image in enumerate(_images(op, prev_images)) if image)
+        where = _witness(CochainModel(a, r, m + 1), m - 1, i, min(image))
+        raise _failed_postcondition(a, r, "delta^2 != 0", f": {where}")
+    cleared = {order[c] for c in echelon}
+    z_dim = cm.dim - sparse_rank(image for i, image in enumerate(images) if i not in cleared)
+    return CohomologyDims(cm, z_dim, len(echelon))
 
 
 # The width in bits of one packed block of images in _check_images: a block

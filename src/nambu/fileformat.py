@@ -23,7 +23,6 @@ class LoadedFile:
     algebra: HomSuperAlgebra
     form: Matrix | None = None
     representation: Representation | None = None
-    theta_entries: list = field(default_factory=list)  # ((0-based tuple), j, {k: scalar})
     raw: dict = field(default_factory=dict)
 
 
@@ -130,12 +129,9 @@ def parse_algebra(obj, context="algebra") -> LoadedFile:
     if "representation" in obj and obj["representation"] is not None:
         rep = parse_representation(obj["representation"], algebra, f"{context}.representation")
 
-    theta_entries = []
-    if "theta" in obj and obj["theta"] is not None:
-        theta_entries = parse_cochain_entries(
-            obj["theta"], space, n, space.dim, f"{context}.theta"
-        )
-    return LoadedFile(name, algebra, form, rep, theta_entries, obj)
+    if "theta" in obj and obj["theta"] is not None:  # validated; tstar and equiv read theta from --theta
+        parse_cochain_entries(obj["theta"], space, n, space.dim, f"{context}.theta")
+    return LoadedFile(name, algebra, form, rep, obj)
 
 
 def parse_representation(obj, algebra: HomSuperAlgebra, context) -> Representation:
@@ -230,7 +226,7 @@ def matrix_to_json(m: Matrix):
     return [[format_scalar(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def algebra_to_json(a: HomSuperAlgebra, name=None, form: Matrix | None = None, theta=None):
+def algebra_to_json(a: HomSuperAlgebra, name=None, form: Matrix | None = None):
     obj = {
         "name": name if name is not None else a.name,
         "n": a.arity,
@@ -249,8 +245,6 @@ def algebra_to_json(a: HomSuperAlgebra, name=None, form: Matrix | None = None, t
     }
     if form is not None:
         obj["form"] = matrix_to_json(form)
-    if theta is not None:
-        obj["theta"] = cochain_to_json(theta)
     return obj
 
 

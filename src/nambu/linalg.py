@@ -289,16 +289,22 @@ def _echelon(rows) -> dict:
     divided by its gcd, taken fewest nonzeros first and cancelled by integer
     cross-multiplication against the pivot row of its smallest column,
     made primitive again each time, until it vanishes or opens a pivot.
+    A row shorter than the pivot row it meets takes that pivot, and the
+    old pivot row is reduced further in its place: the pivot columns are
+    those of any echelon form, and pivot rows stay sparse.
     No row is changed in place.
     """
     echelon = {}
     for row in sorted(map(_primitive, rows), key=len):
         while row:
             c = min(row)
-            if c not in echelon:
+            pivot = echelon.get(c)
+            if pivot is None:
                 echelon[c] = row
                 break
-            row = _cancel(row, echelon[c], c)
+            if len(row) < len(pivot):
+                echelon[c], row, pivot = row, pivot, row
+            row = _cancel(row, pivot, c)
     return echelon
 
 

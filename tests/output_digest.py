@@ -10,9 +10,12 @@ inputs into a scratch directory and prints a digest of each generated file;
 then it answers every request once, in-process as perfbench does, and prints
 a digest of its exit code, stdout, stderr and written file.  Each cohomology
 request is answered a second time with `--dump`, and the dump gets a digest
-of its own.  The scratch directory's path is replaced by `<out>` before
-hashing, so digests do not depend on where it lies.  Stdlib only; perfbench
-is imported, never changed.
+of its own.  cohom_dense is also asked, with each representation and parity
+it asks on the algebra, for H^2 of H3~sh@dense, SH12~sh@dense and
+fil4~sh@dense and H^3 of oddsq@dense and N4 (DEEPER), where B^m is larger
+and the bases have primitive scales other than 1.  The scratch directory's
+path is replaced by `<out>` before hashing, so digests do not depend on
+where it lies.  Stdlib only; perfbench is imported, never changed.
 
 No benchmark request prints a representation report, so the digest goes on
 with one line per `to_dict()` of `verify_representation` (ad, ad* and a
@@ -138,14 +141,34 @@ def answer(req, outdir):
     return res.code, digest(outdir, res.code, res.stdout, res.stderr, res.out_text)
 
 
+# cohom_dense algebras asked again one degree or two deeper than the
+# workload asks, where B^m is larger and the bases are not units
+DEEPER = {"H3~sh@dense": 2, "SH12~sh@dense": 2, "fil4~sh@dense": 2, "oddsq@dense": 3, "N4": 3}
+
+
+def deeper_requests(requests) -> list:
+    """One cohomology request at the degree DEEPER names for each algebra,
+    representation and parity that a cohom_dense request asks for."""
+    out = {}
+    for req in requests:
+        key, rep, parity, _ = req.key
+        if key in DEEPER and (key, rep, parity) not in out:
+            argv = list(req.argv)
+            argv[argv.index("--m") + 1] = str(DEEPER[key])
+            label = f"cohomology {key} --rep {rep} --parity {parity} --m {DEEPER[key]}"
+            out[key, rep, parity] = workloads.Request(label, argv)
+    return list(out.values())
+
+
 def digest_workload(name, seed, outdir, emit):
     """Emit the digest lines of one workload at one seed; returns the number
     of requests that crashed."""
     suite = workloads.BUILDERS[name](random.Random(seed), outdir)
     for path in sorted(pathlib.Path(outdir).iterdir()):
         emit(f"{name} seed={seed} input {path.name} {digest(outdir, path.read_text())}")
+    deeper = deeper_requests(r for r in suite.requests if r.argv[0] == "cohomology") if name == "cohom_dense" else []
     crashes = 0
-    for i, req in enumerate(suite.requests):
+    for i, req in enumerate(suite.requests + deeper):
         code, value = answer(req, outdir)
         crashes += code == "crash"
         emit(f"{name} seed={seed} {i:03d} exit={code} {value} {req.label}")

@@ -124,6 +124,22 @@ class TestLoadDump:
         with pytest.raises(ParseError, match="sign-inconsistent duplicate wedge"):
             ff.parse_algebra(twice)
 
+    def test_theta_block_of_an_algebra_file_is_validated(self):
+        # nothing reads the block (tstar and equiv take --theta), but a
+        # malformed one is still refused at load
+        obj = ff.algebra_to_json(samples.h3())
+        obj["theta"] = [{"args": [1, 1], "value": {"1": "1"}}, {"args": [2, 1], "value": {"3": "1/2"}}]
+        assert ff.parse_algebra(obj).algebra.bracket == samples.h3().bracket
+        for theta, message in (
+            ({"args": [1, 2]}, "algebra.theta: expected a list"),
+            ([{"args": [1, 2, 4], "value": {"1": "1"}}], "algebra.theta[0]: args must be a list of 2 indices"),
+            ([{"args": [1, 2], "value": {"1": "x"}}], "bad rational 'x': expected 'p' or 'p/q'"),
+        ):
+            obj["theta"] = theta
+            with pytest.raises(ParseError) as exc:
+                ff.parse_algebra(obj)
+            assert str(exc.value) == message
+
     def test_homogeneity_validated_at_load(self):
         obj = {
             "name": "bad",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from nambu.linalg import (
     Matrix,
+    _cancel,
+    _echelon,
+    _primitive,
+    _rref,
     Scalar,
     Subspace,
     first_nonzero_digit,
@@ -16,7 +21,9 @@ from nambu.linalg import (
     parse_scalar,
     rank,
     solve_affine,
+    sparse_kernel,
     sparse_rank,
+    sparse_solution,
 )
 from dense_wrappers import add, left_inverse, neg, rref, sub
 from dense_rref_oracle import _rref_pivots, oracle_nullspace, oracle_solve_affine, rref_basis
@@ -479,3 +486,70 @@ def test_kronecker_pack_takes_only_ints():
     for entry in (Fraction(1, 2), Fraction(2)):
         with pytest.raises(InternalError, match="not an int"):
             kronecker_pack([{0: 1}, {1: entry}], 3)
+
+
+def _echelon_counting_swaps(rows):
+    """The loop of linalg._echelon, replayed on its own _primitive and
+    _cancel, with a count of the rows that took a longer row's pivot."""
+    echelon, swaps = {}, 0
+    for row in sorted(map(_primitive, rows), key=len):
+        while row:
+            c = min(row)
+            if c not in echelon:
+                echelon[c] = row
+                break
+            if len(row) < len(echelon[c]):
+                echelon[c], row = row, echelon[c]
+                swaps += 1
+            row = _cancel(row, echelon[c], c)
+    return echelon, swaps
+
+
+def _swapping_matrix(rng):
+    """Long rows P_1..P_k with leading columns c_1 < .. < c_k, and rows
+    x P_i + s for a short s whose first column is a later c_j: such a row
+    sorts after P_i, is cancelled down to s at c_i, and then meets the
+    longer P_j.  Shuffled, with rational entries and one dense noise row."""
+    ncols = rng.randint(8, 12)
+    k = rng.randint(2, 4)
+    leads = sorted(rng.sample(range(ncols - 3), k))
+    entry = lambda: rng.choice([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+    longs = []
+    for c in leads:
+        rest = rng.sample(range(c + 1, ncols), min(ncols - c - 1, rng.randint(4, 6)))
+        longs.append({c: entry(), **{j: entry() for j in rest}})
+    rows = list(longs)
+    for _ in range(rng.randint(2, 5)):
+        i = rng.randrange(k - 1)
+        j = rng.randrange(i + 1, k)
+        short = {leads[j]: entry(), rng.randrange(leads[j] + 1, ncols): entry()}
+        x = entry()
+        row = {c: x * y for c, y in longs[i].items()}
+        for c, y in short.items():
+            row[c] = row.get(c, 0) + y
+        rows.append(row)
+    rows.append({j: entry() for j in range(ncols)})
+    rng.shuffle(rows)
+    return Matrix.from_rows([[row.get(j, 0) for j in range(ncols)] for row in rows], cols=ncols)
+
+
+def test_pivot_swaps_keep_every_result_of_the_dense_oracle():
+    # a shorter row takes a longer pivot row's column; _rref, sparse_rank,
+    # sparse_kernel and sparse_solution still equal the dense Gauss-Jordan
+    rng = random.Random(7)
+    swaps = 0
+    for _ in range(60):
+        m = _swapping_matrix(rng)
+        rows = [{j: x for j, x in enumerate(m.row(i)) if x != 0} for i in range(m.rows)]
+        echelon, count = _echelon_counting_swaps(rows)
+        assert _echelon(rows) == echelon
+        swaps += count
+        reduced, pivots = _rref_pivots(m)
+        assert _rref(rows) == [{j: x for j, x in enumerate(r) if x != 0} for r in reduced.row_list()[: len(pivots)]]
+        assert sparse_rank(rows) == len(pivots)
+        assert sparse_kernel(rows, m.cols).basis == oracle_nullspace(m)
+        rhs = [rng.choice([0, 1, -2, Fraction(1, 3)]) for _ in range(m.rows)]
+        assert sparse_solution(rows, m.cols, rhs) == oracle_solve_affine(m, rhs)
+        consistent = m.apply([rng.choice([0, 1, -1]) for _ in range(m.cols)])
+        assert sparse_solution(rows, m.cols, consistent) == oracle_solve_affine(m, consistent)
+    assert swaps >= 60
